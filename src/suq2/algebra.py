@@ -295,9 +295,6 @@ class Presentation:
             s = Scalar.from_int(s)
         return Element(self, {} if s.is_zero() else {(): s})
 
-    def clear_memo(self):
-        self._memo.clear()
-
     def __repr__(self):
         return f"<Presentation {self.label!r} with {self.n_gens} generators>"
 
@@ -423,9 +420,6 @@ class Element:
             d = self.pres.degree_of_word(w)
             out.setdefault(d, {})[w] = c
         return {d: Element(self.pres, terms) for d, terms in sorted(out.items())}
-
-    def is_homogeneous(self):
-        return isinstance(self.degree(), int) or self.is_zero()
 
     # -- comparison ------------------------------------------------------------------
 

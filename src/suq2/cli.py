@@ -32,7 +32,7 @@ from .algebra import (
 )
 from .braided import grading_flip, twisted_tensor
 from .checks import CHECKS, run_all, run_check
-from .errors import ParseError, PoleError
+from .errors import PoleError, ZeroDivisorError
 from .parser import parse
 from .scalars import Scalar
 
@@ -311,10 +311,7 @@ def main(argv=None):
         if args.command == "numeric":
             return _numeric_command(args)
         raise AssertionError("unreachable")
-    except ParseError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except (PoleError, ValueError) as ex:
+    except (PoleError, ZeroDivisorError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

@@ -84,9 +84,6 @@ class GenMorphism:
         self.check()
         return self._residuals
 
-    def is_well_defined(self):
-        return self.check()
-
     # -- application ------------------------------------------------------------------
 
     def apply(self, x):

@@ -7,13 +7,18 @@ is the ring involution that swaps ``q`` with ``qb`` and negates the imaginary
 unit.  Every identity the engine checks is therefore an exact polynomial
 identity in two variables, valid for all complex specialisations at once.
 
-Representation: numerator and denominator are Laurent polynomials stored as
-``{(q_exp, qb_exp): GaussianRational}`` dicts.  After construction, a Scalar
-is canonical: monomial factors are absorbed into the (Laurent) numerator, the
-denominator is a genuine polynomial with zero minimum exponent in each
-variable, numerator and denominator share no polynomial factor, and the
-denominator's lexicographically leading coefficient is one.  Equality of
-Scalars is structural equality of canonical forms.
+Representation: numerator and denominator are polynomials over the Gaussian
+integers Z[i], stored as ``{(q_exp, qb_exp): (re, im)}`` dicts of Python ints
+with no zero values; ``{}`` is the zero polynomial.  Every operation, the gcd
+included, runs on these dicts.  A Scalar is canonical: the numerator is a
+Laurent polynomial that absorbs every monomial factor, the denominator is a
+polynomial with zero minimum exponent in each variable, the two share no
+factor in Z[i][q, qb] (a common Gaussian integer counts as a factor), and the
+denominator's lexicographically leading coefficient is the associate with
+``re > 0`` and ``im >= 0``.  Such a pair is unique, so equality of Scalars is
+structural equality of canonical forms.  :class:`GaussianRational` is used
+only for input (:meth:`Scalar.monomial`, :meth:`Scalar.gaussian`) and for
+rendering, which divides through by that leading coefficient.
 """
 
 from __future__ import annotations
@@ -33,21 +38,6 @@ class GaussianRational:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
-    def __add__(self, other):
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
     def __truediv__(self, other):
         n = other.re * other.re + other.im * other.im
         if n == 0:
@@ -57,107 +47,97 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / n,
         )
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def is_zero(self):
-        return self.re == 0 and self.im == 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GaussianRational)
-            and self.re == other.re
-            and self.im == other.im
-        )
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __complex__(self):
-        return complex(self.re, self.im)
-
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-_GR_ZERO = GaussianRational(0)
-_GR_ONE = GaussianRational(1)
-
-
-def _coerce_gr(value):
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
+def _split(value):
+    """A Gaussian rational as a Gaussian-integer pair over a positive integer."""
+    if not isinstance(value, GaussianRational):
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
+        value = GaussianRational(value)
+    scale = math.lcm(value.re.denominator, value.im.denominator)
+    return (int(value.re * scale), int(value.im * scale)), scale
 
 
 # ---------------------------------------------------------------------------
-# Laurent-polynomial helpers.  A polynomial is a dict {(a, b): GaussianRational}
-# with no zero values; {} is the zero polynomial.
+# Polynomials over Z[i]: dicts {(a, b): (re, im)} with no zero values.
 # ---------------------------------------------------------------------------
+
+_ONE_POLY = {(0, 0): (1, 0)}
 
 
 def _padd(f, g):
     out = dict(f)
-    for k, c in g.items():
-        s = out.get(k, _GR_ZERO) + c
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
+    for k, (x, y) in g.items():
+        a, b = out.get(k, (0, 0))
+        out[k] = (a + x, b + y)
+    return {k: c for k, c in out.items() if c != (0, 0)}
 
 
 def _pneg(f):
-    return {k: -c for k, c in f.items()}
+    return {k: (-x, -y) for k, (x, y) in f.items()}
 
 
 def _pmul(f, g):
     out = {}
-    for (a1, b1), c1 in f.items():
-        for (a2, b2), c2 in g.items():
+    for (a1, b1), (x1, y1) in f.items():
+        for (a2, b2), (x2, y2) in g.items():
             k = (a1 + a2, b1 + b2)
-            s = out.get(k, _GR_ZERO) + c1 * c2
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-    return out
+            x, y = out.get(k, (0, 0))
+            out[k] = (x + x1 * x2 - y1 * y2, y + x1 * y2 + y1 * x2)
+    return {k: c for k, c in out.items() if c != (0, 0)}
 
 
 def _pshift(f, da, db):
+    if da == db == 0:
+        return f
     return {(a + da, b + db): c for (a, b), c in f.items()}
+
+
+def _mins(f):
+    return min(a for a, _ in f), min(b for _, b in f)
+
+
+def _pswap(f):
+    """Swap the two variables."""
+    return {(b, a): c for (a, b), c in f.items()}
 
 
 def _pconj(f):
     """Swap the two variables and conjugate every coefficient."""
-    return {(b, a): c.conjugate() for (a, b), c in f.items()}
+    return {(b, a): (x, -y) for (a, b), (x, y) in f.items()}
 
 
-def _plead(f):
-    """Leading (key, coefficient) under lexicographic key order."""
-    k = max(f)
-    return k, f[k]
+def _is_unit(f):
+    x, y = f.get((0, 0), (0, 0))
+    return len(f) == 1 and x * x + y * y == 1
 
 
-# -- univariate helpers (dict {exp: GaussianRational}) ----------------------
+def _unit_normal(num, den):
+    """Scale by the unit that puts den's lex-leading coefficient at re > 0, im >= 0."""
+    x, y = den[max(den)]
+    if x > 0 and y >= 0:
+        return num, den
+    ur, ui = (0, -1) if y > 0 else ((-1, 0) if x < 0 else (0, 1))
+    return tuple(
+        {k: (a * ur - b * ui, a * ui + b * ur) for k, (a, b) in p.items()}
+        for p in (num, den)
+    )
 
 
-def _u_lead(f):
-    e = max(f)
-    return e, f[e]
+def _peval(f, qv, qbv):
+    """Value at (qv, qbv), and the sum of the absolute values of its terms."""
+    total, size = 0j, 0.0
+    for (a, b), (x, y) in f.items():
+        term = complex(x, y) * (qv**a) * (qbv**b)
+        total += term
+        size += abs(term)
+    return total, size
 
 
-def _u_clear(f):
-    """Scale a Fraction-coefficient polynomial to Gaussian-integer pairs."""
-    scale = 1
-    for c in f.values():
-        scale = scale * c.re.denominator // math.gcd(scale, c.re.denominator)
-        scale = scale * c.im.denominator // math.gcd(scale, c.im.denominator)
-    return {
-        e: (int(c.re * scale), int(c.im * scale)) for e, c in f.items()
-    }
+# -- Gaussian integers ---------------------------------------------------------
 
 
 def _gi_gcd(u, v):
@@ -183,298 +163,135 @@ def _gi_divexact(u, v):
     return (re // n, im // n)
 
 
-def _zi_primitive(f):
-    """Divide out the full Gaussian-integer content (up to a unit)."""
-    g = (0, 0)
-    for pair in f.values():
-        g = _gi_gcd(g, pair)
+def _gi_content(f, g=(0, 0)):
+    """Gcd of g and every coefficient of f; stops at the first unit."""
+    for c in f.values():
+        g = _gi_gcd(g, c)
         if g[0] * g[0] + g[1] * g[1] == 1:
-            return f
-    if g == (0, 0) or g[0] * g[0] + g[1] * g[1] == 1:
-        return f
-    return {e: _gi_divexact(pair, g) for e, pair in f.items()}
-
-
-def _zi_prem(f, g):
-    """Pseudo-remainder over the Gaussian integers in one variable."""
-    ge = max(g)
-    gc = g[ge]
-    while f and max(f) >= ge:
-        fe = max(f)
-        fc = f[fe]
-        shift = fe - ge
-        out = {}
-        for e, (a, b) in f.items():
-            out[e] = (a * gc[0] - b * gc[1], a * gc[1] + b * gc[0])
-        for e, (c, d) in g.items():
-            k = e + shift
-            sub = (fc[0] * c - fc[1] * d, fc[0] * d + fc[1] * c)
-            cur = out.get(k, (0, 0))
-            val = (cur[0] - sub[0], cur[1] - sub[1])
-            if val == (0, 0):
-                out.pop(k, None)
-            else:
-                out[k] = val
-        f = out
-    return f
-
-
-def _zi_gcd(fz, gz):
-    """Primitive pseudo-remainder gcd of Gaussian-integer-pair polynomials."""
-    while gz:
-        r = _zi_prem(fz, gz) if fz else {}
-        fz, gz = gz, _zi_primitive(r) if r else {}
-    return fz
-
-
-def _zi_to_monic(fz):
-    if not fz:
-        return {}
-    lc = GaussianRational(*fz[max(fz)])
-    return {e: GaussianRational(a, b) / lc for e, (a, b) in fz.items()}
-
-
-def _u_gcd(f, g):
-    """Monic gcd of two univariate polynomials over the Gaussian rationals.
-
-    Computed as a primitive pseudo-remainder sequence over the Gaussian
-    integers to keep coefficient growth polynomial; the single division back
-    to a monic form happens only at the end.
-    """
-    fz = _zi_primitive(_u_clear(f)) if f else {}
-    gz = _zi_primitive(_u_clear(g)) if g else {}
-    return _zi_to_monic(_zi_gcd(fz, gz))
-
-
-# -- bivariate gcd via content/primitive-part recursion ----------------------
-
-
-def _to_recursive(f):
-    """{(a,b): c} -> {a: {b: c}} (coefficients are polynomials in qb)."""
-    out = {}
-    for (a, b), c in f.items():
-        out.setdefault(a, {})[b] = c
-    return out
-
-
-def _from_recursive(r):
-    return {(a, b): c for a, coeffs in r.items() for b, c in coeffs.items()}
-
-
-def _content(r):
-    """Gcd over qb of all q-coefficients of a recursive poly.
-
-    Chained entirely over the Gaussian integers; a constant intermediate
-    short-circuits to the trivial content.
-    """
-    cz = None
-    for coeffs in r.values():
-        pz = _zi_primitive(_u_clear(coeffs))
-        cz = pz if cz is None else _zi_gcd(cz, pz)
-        if cz and max(cz) == 0:
-            return {0: _GR_ONE}
-    return _zi_to_monic(cz or {})
-
-
-# -- all-integer bivariate machinery (coefficients are Gaussian-integer pairs)
-
-
-def _zi_mul(f, g):
-    out = {}
-    for e1, (a, b) in f.items():
-        for e2, (c, d) in g.items():
-            k = e1 + e2
-            cur = out.get(k, (0, 0))
-            val = (cur[0] + a * c - b * d, cur[1] + a * d + b * c)
-            if val == (0, 0):
-                out.pop(k, None)
-            else:
-                out[k] = val
-    return out
-
-
-def _zi_sub(f, g):
-    out = dict(f)
-    for e, (a, b) in g.items():
-        cur = out.get(e, (0, 0))
-        val = (cur[0] - a, cur[1] - b)
-        if val == (0, 0):
-            out.pop(e, None)
-        else:
-            out[e] = val
-    return out
-
-
-def _zi_divexact(f, g):
-    """Exact univariate division over the Gaussian integers."""
-    f = dict(f)
-    ge = max(g)
-    c, d = g[ge]
-    norm = c * c + d * d
-    out = {}
-    while f:
-        fe = max(f)
-        a, b = f[fe]
-        re, im = (a * c + b * d), (b * c - a * d)
-        if re % norm or im % norm:
-            raise ArithmeticError("inexact Gaussian-integer division")
-        qc = (re // norm, im // norm)
-        out[fe - ge] = qc
-        step = {e + fe - ge: v for e, v in _zi_mul({0: qc}, g).items()}
-        f = _zi_sub(f, step)
-    return out
-
-
-def _r_clear(r):
-    """Fraction-coefficient recursive poly -> Gaussian-integer recursive poly."""
-    scale = 1
-    for coeffs in r.values():
-        for c in coeffs.values():
-            scale = scale * c.re.denominator // math.gcd(scale, c.re.denominator)
-            scale = scale * c.im.denominator // math.gcd(scale, c.im.denominator)
-    return {
-        a: {e: (int(c.re * scale), int(c.im * scale)) for e, c in coeffs.items()}
-        for a, coeffs in r.items()
-    }
-
-
-def _rzi_content(rz):
-    cz = None
-    for coeffs in rz.values():
-        pz = _zi_primitive(coeffs)
-        cz = dict(pz) if cz is None else _zi_gcd(cz, pz)
-        if cz and max(cz) == 0:
-            return {0: (1, 0)}
-    return cz or {}
-
-
-def _rzi_primitive(rz, cont):
-    if cont == {0: (1, 0)}:
-        return {a: dict(coeffs) for a, coeffs in rz.items()}
-    return {a: _zi_divexact(coeffs, cont) for a, coeffs in rz.items()}
-
-
-def _rzi_prem(f, g):
-    ga = max(g)
-    gl = g[ga]
-    f = {a: dict(c) for a, c in f.items()}
-    while f:
-        fa = max(f)
-        if fa < ga:
             break
-        fl = f[fa]
-        scaled = {a: _zi_mul(c, gl) for a, c in f.items()}
-        step = {a + fa - ga: _zi_mul(c, fl) for a, c in g.items()}
-        out = {}
-        for a in set(scaled) | set(step):
-            coeffs = _zi_sub(scaled.get(a, {}), step.get(a, {}))
-            if coeffs:
-                out[a] = coeffs
-        f = out
-    return f
+    return g
 
 
-def _u_eval(f, alpha):
-    """Evaluate a univariate polynomial at a rational point."""
-    total = _GR_ZERO
-    for e, c in f.items():
-        total = total + c * GaussianRational(alpha**e)
-    return total
-
-
-def _specialize(r, alpha):
-    """qb := alpha on a recursive poly; univariate result in q."""
-    out = {}
-    for a, coeffs in r.items():
-        v = _u_eval(coeffs, alpha)
-        if not v.is_zero():
-            out[a] = v
-    return out
-
-
-def _qb_only(f):
-    """View a q-degree-zero bivariate poly as univariate in qb."""
-    return {b: c for (a, b), c in f.items()}
-
-
-def _pgcd(f, g):
-    """Gcd of two bivariate polynomials, normalised to lex-leading coeff one."""
-    if not f:
-        base = dict(g)
-    elif not g:
-        base = dict(f)
-    elif len(f) == 1 or len(g) == 1:
-        # a monomial shares no factor with a min-shifted polynomial
-        base = None
-    elif f == g:
-        base = dict(f)
-    else:
-        base = _pgcd_nontrivial(f, g)
-    if base is None:
-        return {(0, 0): _GR_ONE}
-    _, lc = _plead(base)
-    return {k: c / lc for k, c in base.items()}
-
-
-def _pgcd_nontrivial(f, g):
-    rf, rg = _to_recursive(f), _to_recursive(g)
-    qdeg_f, qdeg_g = max(rf), max(rg)
-    # q-degree-zero inputs reduce to univariate gcds in qb
-    if qdeg_f == 0 or qdeg_g == 0:
-        uf = _qb_only(f) if qdeg_f == 0 else _content(rf)
-        ug = _qb_only(g) if qdeg_g == 0 else _content(rg)
-        h = _u_gcd(uf, ug)
-        return {(0, b): c for b, c in h.items()}
-    # fast path: specialize qb at a point keeping both leading q-coefficients
-    # alive; a trivial univariate gcd there proves the full gcd has q-degree
-    # zero, hence equals the gcd of the two contents.
-    lead_f, lead_g = rf[qdeg_f], rg[qdeg_g]
-    for alpha in (2, 3, 5, 7, 11):
-        if _u_eval(lead_f, alpha).is_zero() or _u_eval(lead_g, alpha).is_zero():
-            continue
-        h = _u_gcd(_specialize(rf, alpha), _specialize(rg, alpha))
-        if h == {0: _GR_ONE}:
-            c = _u_gcd(_content(rf), _content(rg))
-            return {(0, b): v for b, v in c.items()}
-        break
-    # general case: primitive pseudo-remainder sequence over the Gaussian
-    # integers (all-integer arithmetic; one conversion at the end)
-    fz, gz = _r_clear(rf), _r_clear(rg)
-    cf, cg = _rzi_content(fz), _rzi_content(gz)
-    pf, pg = _rzi_primitive(fz, cf), _rzi_primitive(gz, cg)
-    while pg:
-        r = _rzi_prem(pf, pg)
-        if not r:
-            pf = pg
-            break
-        pf, pg = pg, _rzi_primitive(r, _rzi_content(r))
-    ccont = _zi_gcd(cf, cg)
-    result = {}
-    for a, coeffs in pf.items():
-        for b, (x, y) in _zi_mul(coeffs, ccont).items():
-            result[(a, b)] = GaussianRational(x, y)
-    return result
+# -- exact division and the gcd ------------------------------------------------
 
 
 def _pdivexact(f, g):
-    """Exact bivariate division under lex order; g must divide f."""
-    f = dict(f)
-    (ga, gb), gc = _plead(g)
+    """f / g under lex order, where g divides f in Z[i][q, qb]."""
+    ga, gb = max(g)
+    gc = g[(ga, gb)]
     out = {}
     while f:
-        (fa, fb), fc = _plead(f)
-        da, db = fa - ga, fb - gb
-        c = fc / gc
-        out[(da, db)] = c
-        f = _padd(f, _pmul({(da, db): -c}, g))
+        fa, fb = max(f)
+        x, y = _gi_divexact(f[(fa, fb)], gc)
+        out[(fa - ga, fb - gb)] = (x, y)
+        f = _padd(f, _pmul({(fa - ga, fb - gb): (-x, -y)}, g))
     return out
 
 
-def _peval(f, qv, qbv):
-    total = 0j
+def _prem(f, g):
+    """Pseudo-remainder of f by g with respect to q."""
+    dg = max(g)[0]
+    lg = {(0, b): c for (a, b), c in g.items() if a == dg}
+    while f and max(f)[0] >= dg:
+        df = max(f)[0]
+        lf = {(df - dg, b): c for (a, b), c in f.items() if a == df}
+        f = _padd(_pmul(lg, f), _pneg(_pmul(lf, g)))
+    return f
+
+
+def _content(f):
+    """Gcd of the coefficients of f as a polynomial in q: a polynomial in qb."""
+    by_q = {}
     for (a, b), c in f.items():
-        total += complex(c) * (qv**a) * (qbv**b)
-    return total
+        by_q.setdefault(a, {})[(0, b)] = c
+    cont = None
+    for coeffs in sorted(by_q.values(), key=len):
+        cont = coeffs if cont is None else _pgcd(cont, coeffs)
+        if _is_unit(cont):
+            break
+    return cont
+
+
+def _primitive(f):
+    """(content, primitive part) of f as a polynomial in q."""
+    cont = _content(f)
+    return cont, (f if _is_unit(cont) else _pdivexact(f, cont))
+
+
+def _at_qb(f, alpha):
+    """Specialise qb := alpha, an integer; a polynomial in q alone."""
+    out = {}
+    for (a, b), (x, y) in f.items():
+        p = alpha**b
+        u, v = out.get((a, 0), (0, 0))
+        out[(a, 0)] = (u + x * p, v + y * p)
+    return {k: c for k, c in out.items() if c != (0, 0)}
+
+
+def _pgcd(f, g):
+    """Gcd of two nonzero polynomials in Z[i][q, qb], up to a unit."""
+    if max(f) == (0, 0) or max(g) == (0, 0):
+        return {(0, 0): _gi_content(g, _gi_content(f))}
+    return _pgcd_nontrivial(f, g)
+
+
+def _pgcd_nontrivial(f, g):
+    """Gcd of two nonconstant polynomials, up to a unit.
+
+    The contents over Z[i][qb] and the gcd of the primitive parts are found
+    separately, the latter by a primitive pseudo-remainder sequence in q over
+    the Gaussian integers (Brown, J. ACM 18, 1971).
+    """
+    if max(f)[0] == 0 and max(g)[0] == 0:
+        # both in qb alone: the same gcd with the variables swapped
+        return _pswap(_pgcd_nontrivial(_pswap(f), _pswap(g)))
+    cf, f = _primitive(f)
+    cg, g = _primitive(g)
+    if max(f)[0] < max(g)[0]:
+        f, g = g, f
+    if max(g)[0] > 0 and (any(b for _, b in f) or any(b for _, b in g)):
+        # fast path: specialise qb at a point keeping both leading q-coefficients
+        # alive; a trivial gcd there proves the primitive parts are coprime.
+        for alpha in (2, 3, 5, 7, 11):
+            sf, sg = _at_qb(f, alpha), _at_qb(g, alpha)
+            if max(sf)[0] == max(f)[0] and max(sg)[0] == max(g)[0]:
+                if max(_pgcd(sf, sg))[0] == 0:
+                    g = _ONE_POLY
+                break
+    while max(g)[0] > 0:
+        r = _prem(f, g)
+        if not r:
+            break
+        f, g = g, _primitive(r)[1]
+    else:
+        # a primitive polynomial of q-degree zero is a unit
+        g = _ONE_POLY
+    return _pmul(_pgcd(cf, cg), g)
+
+
+def _cancel(num, den):
+    """Divide a Laurent numerator and a polynomial denominator by their gcd.
+
+    den must have zero minimum exponents; num keeps its monomial factor.
+    """
+    if den == _ONE_POLY:
+        return num, den
+    na, nb = _mins(num)
+    n = _pshift(num, -na, -nb)
+    g = _pgcd(n, den)
+    if _is_unit(g):
+        return num, den
+    return _pshift(_pdivexact(n, g), na, nb), _pdivexact(den, g)
+
+
+def _quotient(num, den):
+    """The canonical Scalar num / den."""
+    if not den:
+        raise ZeroDivisorError()
+    if not num:
+        return _ZERO
+    da, db = _mins(den)
+    return Scalar(*_cancel(_pshift(num, -da, -db), _pshift(den, -da, -db)))
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +300,20 @@ def _peval(f, qv, qbv):
 
 
 class Scalar:
-    """An exact rational function in ``q`` and ``qb``, canonical on creation."""
+    """An exact rational function in ``q`` and ``qb``, always canonical."""
 
     __slots__ = ("_num", "_den", "_hash")
 
-    def __init__(self, num, den=None):
-        if den is None:
-            den = {(0, 0): _GR_ONE}
-        if not den:
-            raise ZeroDivisorError()
-        num, den = _canonical(num, den)
+    def __init__(self, num, den=_ONE_POLY):
+        """From a numerator and denominator that already share no factor.
+
+        den must have zero minimum exponents; only its unit is normalised
+        here.  Use the named constructors and the operators to build values.
+        """
+        if num:
+            num, den = _unit_normal(num, den)
+        else:
+            den = _ONE_POLY
         self._num = num
         self._den = den
         self._hash = None
@@ -501,17 +322,18 @@ class Scalar:
 
     @staticmethod
     def from_int(n):
-        return Scalar({} if n == 0 else {(0, 0): GaussianRational(n)})
+        return Scalar({(0, 0): (n, 0)} if n else {})
 
     @staticmethod
     def gaussian(re, im=0):
-        c = GaussianRational(re, im)
-        return Scalar({} if c.is_zero() else {(0, 0): c})
+        return Scalar.monomial(0, 0, GaussianRational(re, im))
 
     @staticmethod
     def monomial(q_exp, qb_exp, coeff=1):
-        c = _coerce_gr(coeff)
-        return Scalar({} if c.is_zero() else {(q_exp, qb_exp): c})
+        c, scale = _split(coeff)
+        if c == (0, 0):
+            return _ZERO
+        return _quotient({(q_exp, qb_exp): c}, {(0, 0): (scale, 0)})
 
     @staticmethod
     def zero():
@@ -544,7 +366,7 @@ class Scalar:
         return not self._num
 
     def is_one(self):
-        return self._num == {(0, 0): _GR_ONE} and self._den == {(0, 0): _GR_ONE}
+        return self._num == _ONE_POLY and self._den == _ONE_POLY
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -552,16 +374,20 @@ class Scalar:
     def _coerce(value):
         if isinstance(value, Scalar):
             return value
-        if isinstance(value, (int, Fraction)):
-            return Scalar({} if value == 0 else {(0, 0): GaussianRational(value)})
+        if isinstance(value, int):
+            return Scalar.from_int(value)
+        if isinstance(value, Fraction):
+            return Scalar.gaussian(value)
         return NotImplemented
 
     def __add__(self, other):
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        num = _padd(_pmul(self._num, other._den), _pmul(other._num, self._den))
-        return Scalar(num, _pmul(self._den, other._den))
+        n1, d1, n2, d2 = self._num, self._den, other._num, other._den
+        if d1 == d2:
+            return _quotient(_padd(n1, n2), d1)
+        return _quotient(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
 
     __radd__ = __add__
 
@@ -575,17 +401,19 @@ class Scalar:
         return (-self) + other
 
     def __neg__(self):
-        s = Scalar.__new__(Scalar)
-        s._num = _pneg(self._num)
-        s._den = self._den
-        s._hash = None
-        return s
+        return Scalar(_pneg(self._num), self._den)
 
     def __mul__(self, other):
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Scalar(_pmul(self._num, other._num), _pmul(self._den, other._den))
+        if not self._num or not other._num:
+            return _ZERO
+        # both inputs are reduced, so only the cross pairs can share a factor
+        # (Henrici, J. ACM 3, 1956)
+        n1, d2 = _cancel(self._num, other._den)
+        n2, d1 = _cancel(other._num, self._den)
+        return Scalar(_pmul(n1, n2), _pmul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -593,9 +421,7 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisorError()
-        return Scalar(_pmul(self._num, other._den), _pmul(self._den, other._num))
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         other = Scalar._coerce(other)
@@ -606,18 +432,17 @@ class Scalar:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisorError()
-        return Scalar(dict(self._den), dict(self._num))
+        na, nb = _mins(self._num)
+        return Scalar(_pshift(self._den, -na, -nb), _pshift(self._num, -na, -nb))
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        if n == 0:
-            return _ONE
-        base = self if n > 0 else self.inverse()
-        out = _ONE
+        base = self if n >= 0 else self.inverse()
+        num, den = _ONE_POLY, _ONE_POLY
         for _ in range(abs(n)):
-            out = out * base
-        return out
+            num, den = _pmul(num, base._num), _pmul(den, base._den)
+        return Scalar(num, den)
 
     def conjugate(self):
         """Ring involution: swap q with qb and negate the imaginary unit."""
@@ -631,10 +456,11 @@ class Scalar:
         if qv == 0:
             raise PoleError("pole-at-q: q must be nonzero")
         qbv = qv.conjugate()
-        den = _peval(self._den, qv, qbv)
-        if abs(den) < 1e-12:
+        den, size = _peval(self._den, qv, qbv)
+        # relative to the terms' size, so that scaling den does not move poles
+        if abs(den) <= 1e-12 * size:
             raise PoleError()
-        return _peval(self._num, qv, qbv) / den
+        return _peval(self._num, qv, qbv)[0] / den
 
     # -- comparison / hashing --------------------------------------------------
 
@@ -657,15 +483,13 @@ class Scalar:
         """Canonical ASCII form, parseable by the expression front-end."""
         if self.is_zero():
             return "0"
-        num = _poly_str(self._num)
-        if self._den == {(0, 0): _GR_ONE}:
+        lc = GaussianRational(*self._den[max(self._den)])
+        num = _poly_str(self._num, lc)
+        if len(self._den) == 1:
             return num
-        den = _poly_str(self._den)
         if len(self._num) > 1 or num.startswith("-"):
             num = f"({num})"
-        if len(self._den) > 1:
-            den = f"({den})"
-        return f"{num}/{den}"
+        return f"{num}/({_poly_str(self._den, lc)})"
 
     def render_unicode(self):
         return self.render().replace("qb", "q̄")
@@ -676,51 +500,23 @@ class Scalar:
     def __repr__(self):
         return f"Scalar({self.render()!r})"
 
-    def is_monomial(self):
-        return len(self._num) == 1 and self._den == {(0, 0): _GR_ONE}
-
-
-def _canonical(num, den):
-    if not num:
-        return {}, {(0, 0): _GR_ONE}
-    na = min(a for a, _ in num)
-    nb = min(b for _, b in num)
-    da = min(a for a, _ in den)
-    db = min(b for _, b in den)
-    n_poly = _pshift(num, -na, -nb)
-    d_poly = _pshift(den, -da, -db)
-    g = _pgcd(n_poly, d_poly)
-    if g != {(0, 0): _GR_ONE}:
-        n_poly = _pdivexact(n_poly, g)
-        d_poly = _pdivexact(d_poly, g)
-    _, lc = _plead(d_poly)
-    if not (lc.re == 1 and lc.im == 0):
-        n_poly = {k: c / lc for k, c in n_poly.items()}
-        d_poly = {k: c / lc for k, c in d_poly.items()}
-    n_poly = _pshift(n_poly, na - da, nb - db)
-    return n_poly, d_poly
-
 
 # -- rendering helpers --------------------------------------------------------
-
-
-def _frac_str(fr):
-    return str(fr)
 
 
 def _gr_str(c):
     """Coefficient text; second component tells whether it is a sum."""
     if c.im == 0:
-        return _frac_str(c.re), False
+        return str(c.re), False
     if c.re == 0:
         if c.im == 1:
             return "i", False
         if c.im == -1:
             return "-i", False
-        return f"{_frac_str(c.im)}*i", False
-    im = "i" if c.im == 1 else ("-i" if c.im == -1 else f"{_frac_str(c.im)}*i")
+        return f"{c.im}*i", False
+    im = "i" if c.im == 1 else ("-i" if c.im == -1 else f"{c.im}*i")
     joiner = "" if im.startswith("-") else "+"
-    return f"{_frac_str(c.re)}{joiner}{im}", True
+    return f"{c.re}{joiner}{im}", True
 
 
 def _mono_str(key):
@@ -737,12 +533,12 @@ def _mono_str(key):
     return "*".join(parts)
 
 
-def _poly_str(poly):
+def _poly_str(poly, lc):
+    """Text of poly / lc, terms in descending lex order."""
     chunks = []
     for key in sorted(poly, reverse=True):
-        c = poly[key]
         mono = _mono_str(key)
-        cs, is_sum = _gr_str(c)
+        cs, is_sum = _gr_str(GaussianRational(*poly[key]) / lc)
         if is_sum:
             cs = f"({cs})"
         if mono:
@@ -765,8 +561,8 @@ def _poly_str(poly):
 
 
 _ZERO = Scalar({})
-_ONE = Scalar({(0, 0): _GR_ONE})
-_Q = Scalar({(1, 0): _GR_ONE})
-_QBAR = Scalar({(0, 1): _GR_ONE})
-_ZETA = Scalar({(1, -1): _GR_ONE})
-_I = Scalar({(0, 0): GaussianRational(0, 1)})
+_ONE = Scalar(_ONE_POLY)
+_Q = Scalar({(1, 0): (1, 0)})
+_QBAR = Scalar({(0, 1): (1, 0)})
+_ZETA = Scalar({(1, -1): (1, 0)})
+_I = Scalar({(0, 0): (0, 1)})

@@ -50,11 +50,22 @@ def test_tensor_algebra_normal_form(capsys):
     assert report["result"] == "q^-1*qb*j1(g)*j2(g)"
 
 
-def test_parse_error_exit_code(capsys):
-    code = main(["nf", "a*("])
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("a*(", "column 3"),
+        ("1/0", "error: zero-divisor"),
+        ("0^-1", "error: zero-divisor"),
+        ("(q - q)^-1", "error: zero-divisor"),
+    ],
+    ids=["syntax", "one-over-zero", "zero-inverse", "cancelled-zero-inverse"],
+)
+def test_parse_error_exit_code(capsys, expr, message):
+    code = main(["nf", expr])
     captured = capsys.readouterr()
     assert code == 2
-    assert "column 3" in captured.err
+    assert message in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_verify_single_check(capsys):

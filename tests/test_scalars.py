@@ -1,11 +1,15 @@
 """Field arithmetic, conjugation, and numeric evaluation of scalars."""
 
 import cmath
+import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from suq2 import PoleError, Scalar, ZeroDivisorError
+from suq2 import PoleError, Scalar, ZeroDivisorError, parse, suq2_presentation
+from suq2 import scalars as scalars_module
 from suq2.scalars import GaussianRational
 
 Q = Scalar.q()
@@ -85,10 +89,12 @@ def test_evaluate_examples():
 
 
 def test_evaluate_pole_on_unit_circle():
-    f = ONE / (ONE - Q * QB)
-    for qv in (1.0, 1j, 0.6 + 0.8j):
-        with pytest.raises(PoleError, match="pole-at-q"):
-            f.evaluate(qv)
+    thousand = Scalar.from_int(1000)
+    # the last point has q*qb = 1 + 1e-14
+    for f in (ONE / (ONE - Q * QB), ONE / (thousand - thousand * Q * QB)):
+        for qv in (1.0, 1j, 0.6 + 0.8j, math.sqrt(1 + 1e-14)):
+            with pytest.raises(PoleError, match="pole-at-q"):
+                f.evaluate(qv)
 
 
 def test_evaluate_rejects_zero():
@@ -97,11 +103,59 @@ def test_evaluate_rejects_zero():
 
 
 def test_render_round_trip_via_parser():
-    from suq2 import parse, suq2_presentation
-
     A = suq2_presentation()
     for s in (ZETA, Q**-2, (Q**2 - QB) / (ONE - Q * QB), I * Q + Scalar.from_int(2)):
         assert parse(s.render(), A) == A.scalar(s)
+
+
+def test_reduced_pairs_skip_the_multi_term_gcd(monkeypatch):
+    x = (Q * QB + 2 * Q + I) / (3 * Q**2 + QB + 1)
+    assert len(x._num) > 1 and len(x._den) > 1
+    calls = []
+    gcd = scalars_module._pgcd_nontrivial
+
+    def counted(f, g):
+        calls.append((f, g))
+        return gcd(f, g)
+
+    monkeypatch.setattr(scalars_module, "_pgcd_nontrivial", counted)
+    assert x.conjugate().conjugate() == x
+    assert x.inverse().inverse() == x
+    assert x * Scalar.one() == x
+    assert calls == []
+    assert (x * x.inverse()).is_one()
+    assert calls
+
+
+def _random_poly(rng, sympy, q, qb):
+    """A random polynomial with fractional, imaginary, non-monic coefficients."""
+    scalar, expr = Scalar.zero(), sympy.Integer(0)
+    for _ in range(rng.randint(1, 3)):
+        re = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        im = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        a, b = rng.randint(0, 2), rng.randint(0, 2)
+        scalar = scalar + Scalar.monomial(a, b, GaussianRational(re, im))
+        expr += (sympy.Rational(re) + sympy.I * sympy.Rational(im)) * q**a * qb**b
+    return scalar, expr
+
+
+def test_canonical_form_matches_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    q, qb = sympy.symbols("q qb")
+    A = suq2_presentation()
+    rng = random.Random(11)
+    checked = 0
+    while checked < 40:
+        (n, en), (d, ed), (c, ec) = (_random_poly(rng, sympy, q, qb) for _ in range(3))
+        if d.is_zero() or c.is_zero():
+            continue
+        x = (n * c) / (d * c)
+        expected = sympy.cancel((en * ec) / (ed * ec))
+        text = str(expected).replace("**", "^").replace("I", "i")
+        assert parse(text, A) == A.scalar(x), (x, expected)
+        den = sympy.Poly(sympy.fraction(expected)[1], q, qb)
+        assert max(a + b for a, b in x._den) <= den.total_degree(), (x, expected)
+        checked += 1
 
 
 # -- laws ----------------------------------------------------------------------
