@@ -230,13 +230,13 @@ def _numeric_command(args):
         tol = args.tol if args.tol is not None else 1e-12
         got = numeric.gamma_singular_values(rep)
         want = numeric.expected_singular_values(rep)
-        dev = float(np.max(np.abs(got - want)))
+        dev = float(np.max(np.abs(got - want) / want))
         ok = dev <= tol
         base.update(
             {
                 "result": "pass" if ok else "fail",
                 "tolerance": tol,
-                "residuals": [f"max singular-value deviation {dev:.3e}"],
+                "residuals": [f"max relative singular-value deviation {dev:.3e}"],
                 "paper_anchor": "the ladder operator has singular values "
                 "|q|^n, each with the winding multiplicity",
             }

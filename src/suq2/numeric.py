@@ -26,6 +26,14 @@ and transporting the generators along the parameter-inversion isomorphism
 The oracle is deliberately independent of the rewrite engine: it multiplies
 concrete matrices, so agreement between a raw word and its normal form is
 evidence that the directed rule system computes honest algebra.
+
+Every letter matrix has at most one nonzero per column, so words are never
+multiplied densely.  Each letter is stored in column form (target row and
+amplitude per column, plus a sink slot at index ``dim`` that collects killed
+columns), and a word costs two gathers per letter.  ``oracle_compare``
+evaluates only the interior columns it compares and keeps both sides as flat
+entry lists merged by key; its sums are bit-identical to accumulating the
+dense matrices.  ``evaluate_element`` still returns the dense matrix.
 """
 
 from __future__ import annotations
@@ -65,11 +73,14 @@ class TruncatedRep:
     def index(self, n, k):
         return n * self.M + (k % self.M)
 
+    def interior_columns(self, depth=1):
+        """Number of leading columns with n <= N - depth."""
+        return min(max(self.N - depth + 1, 0), self.N + 1) * self.M
+
     def interior_mask(self, depth=1):
         """Column selector for n <= N - depth."""
         mask = np.zeros(self.dim, dtype=bool)
-        cut = max(self.N - depth + 1, 0)
-        mask[: cut * self.M] = True
+        mask[: self.interior_columns(depth)] = True
         return mask
 
     def letter_matrices(self):
@@ -85,8 +96,10 @@ class TruncatedRep:
         """Sparse (target_row, amplitude) column form of each letter matrix.
 
         Every letter has at most one nonzero per column, and products of such
-        matrices keep that shape, so words evaluate in O(dim) per letter.
-        A target row of -1 marks a killed column.
+        matrices keep that shape, so words evaluate in O(columns) per letter.
+        Both arrays have one extra sink slot at index ``dim``: a killed column
+        maps there with amplitude 0, and the sink maps to itself, so a word is
+        evaluated by plain gathers and a killed column stays killed.
         """
         if not hasattr(self, "_letters"):
             forms = []
@@ -94,8 +107,8 @@ class TruncatedRep:
                 rows, cols = np.nonzero(mat)
                 if len(set(cols)) != len(cols):
                     raise AssertionError("letter matrix is not column-sparse")
-                perm = np.full(self.dim, -1, dtype=int)
-                amp = np.zeros(self.dim, dtype=complex)
+                perm = np.full(self.dim + 1, self.dim, dtype=int)
+                amp = np.zeros(self.dim + 1, dtype=complex)
                 perm[cols] = rows
                 amp[cols] = mat[rows, cols]
                 forms.append((perm, amp))
@@ -168,47 +181,56 @@ def relation_residuals(rep):
     return out
 
 
-def _word_columns(rep, word):
-    """(target_row, amplitude) per column for one operator word."""
+def _word_columns(rep, word, ncols):
+    """(target_row, amplitude) of one operator word on the columns ``0 .. ncols-1``.
+
+    A killed column ends in the sink slot ``rep.dim`` with amplitude 0.
+    """
     letters = rep.letter_columns()
-    idx = np.arange(rep.dim)
-    val = np.ones(rep.dim, dtype=complex)
+    idx = np.arange(ncols)
+    val = np.ones(ncols, dtype=complex)
     for i in reversed(word):
         perm, amp = letters[i]
-        alive = idx >= 0
-        safe = np.where(alive, idx, 0)
-        val = np.where(alive, val * amp[safe], 0.0)
-        idx = np.where(alive, perm[safe], -1)
+        val = val * amp[idx]
+        idx = perm[idx]
     return idx, val
 
 
-def _accumulate(rep, total, word, scale):
-    idx, val = _word_columns(rep, word)
-    keep = idx >= 0
-    np.add.at(total, (idx[keep], np.arange(rep.dim)[keep]), scale * val[keep])
+def _term_entries(rep, terms, ncols):
+    """Surviving entries of each ``(coeff, word)`` term on the first ``ncols`` columns.
+
+    Yields one ``(key, value)`` pair of arrays per term, with
+    ``key = row * ncols + col``.  A word has at most one entry per column, so
+    no key repeats within one term.
+    """
+    for coeff, word in terms:
+        scale = coeff.evaluate(rep.qval)
+        idx, val = _word_columns(rep, word, ncols)
+        keep = np.flatnonzero(idx < rep.dim)
+        yield idx[keep] * ncols + keep, scale * val[keep]
+
+
+def _check_four_letters(pres):
+    if pres.n_gens != 4 or [g.name for g in pres.generators] != ["g", "g'", "a", "a'"]:
+        raise ValueError("element must live over the 4-generator algebra")
 
 
 def evaluate_element(rep, x):
     """Substitute the model's operators into an element over the 4-letter algebra."""
-    if x.pres.n_gens != 4 or [g.name for g in x.pres.generators] != [
-        "g",
-        "g'",
-        "a",
-        "a'",
-    ]:
-        raise ValueError("element must live over the 4-generator algebra")
-    total = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for word, coeff in x.terms():
-        _accumulate(rep, total, word, coeff.evaluate(rep.qval))
-    return total
+    _check_four_letters(x.pres)
+    total = np.zeros(rep.dim * rep.dim, dtype=complex)
+    for key, value in _term_entries(rep, ((c, w) for w, c in x.terms()), rep.dim):
+        total[key] += value
+    return total.reshape(rep.dim, rep.dim)
 
 
-def evaluate_raw(rep, raw_terms):
-    """Like evaluate_element but for unnormalized (coeff, word) pairs."""
-    total = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for coeff, word in raw_terms:
-        _accumulate(rep, total, word, coeff.evaluate(rep.qval))
-    return total
+def _side(rep, terms, ncols):
+    """Concatenated keys and values of all terms, in term order."""
+    keys, values = [np.empty(0, dtype=int)], [np.empty(0, dtype=complex)]
+    for key, value in _term_entries(rep, terms, ncols):
+        keys.append(key)
+        values.append(value)
+    return np.concatenate(keys), np.concatenate(values)
 
 
 def oracle_compare(rep, pres, raw_terms, depth=None):
@@ -216,7 +238,21 @@ def oracle_compare(rep, pres, raw_terms, depth=None):
 
     The comparison is restricted to columns with n <= N - depth, where depth
     bounds the word length: raising chains started there never touch the
-    truncated boundary row, so the model is exact on that block.
+    truncated boundary row, so the model is exact on that block.  Only those
+    interior columns are evaluated.
+
+    Both sides stay column-sparse: each is a flat list of entries keyed by
+    ``row * ncols + col``.  The two key lists are merged with ``np.unique``
+    and each side is summed per key with ``np.bincount``, separately on the
+    real and imaginary parts, as complex addition does.  ``bincount`` adds
+    the weights in input order starting from 0.0, and the entries are listed
+    in term order, so every sum is bit for bit the one a dense accumulation
+    into a zeroed matrix produces; only then are the two sides subtracted.
+    The modulus is ``np.abs`` of the complex difference, as in a dense
+    comparison (``np.hypot`` on the parts rounds differently).  An entry
+    present on neither side adds |0 - 0| = 0 to the dense maximum, so the
+    maximum over the merged keys is the same number, and 0.0 when no entry
+    survives.
     """
     raw = []
     maxlen = 0
@@ -228,19 +264,40 @@ def oracle_compare(rep, pres, raw_terms, depth=None):
         depth = maxlen
     if depth > rep.N - 1:
         raise ValueError("word length exceeds the exact interior of the model")
-    direct = evaluate_raw(rep, raw)
-    normal = evaluate_element(rep, pres.normalize_raw(raw))
-    mask = rep.interior_mask(depth)
-    return float(np.max(np.abs((direct - normal)[:, mask])))
+    _check_four_letters(pres)
+    ncols = rep.interior_columns(depth)
+    dkeys, dvals = _side(rep, raw, ncols)
+    normal = pres.normalize_raw(raw)
+    nkeys, nvals = _side(rep, ((c, w) for w, c in normal.terms()), ncols)
+    keys, inverse = np.unique(np.concatenate((dkeys, nkeys)), return_inverse=True)
+    if not len(keys):
+        return 0.0
+    dinv, ninv = inverse[: len(dkeys)], inverse[len(dkeys):]
+    size = len(keys)
+
+    def summed(inv, vals):
+        out = np.empty(size, dtype=complex)
+        out.real = np.bincount(inv, weights=vals.real, minlength=size)
+        out.imag = np.bincount(inv, weights=vals.imag, minlength=size)
+        return out
+
+    return float(np.max(np.abs(summed(dinv, dvals) - summed(ninv, nvals))))
 
 
 def gamma_singular_values(rep):
-    """Sorted distinct singular values; must be {|q|^n : 0 <= n <= N}."""
+    """Singular values of gamma, descending; compare with expected_singular_values."""
     return np.linalg.svd(rep.gamma, compute_uv=False)
 
 
 def expected_singular_values(rep):
-    base = sorted(
-        (abs(rep.qval) ** n for n in range(rep.N + 1)), reverse=True
-    )
-    return np.repeat(base, rep.M)
+    """|q|^n for 0 <= n <= N, each M times, in descending order.
+
+    A model transported from 1/q has gamma = gamma(1/q) / q, whose singular
+    values are |q|^-(n+1) instead.
+    """
+    r = abs(rep.qval)
+    if rep.transported:
+        base = [r ** -(n + 1) for n in range(rep.N + 1)]
+    else:
+        base = [r**n for n in range(rep.N + 1)]
+    return np.repeat(sorted(base, reverse=True), rep.M)

@@ -1,9 +1,13 @@
 """End-to-end CLI behaviour: JSON reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import suq2
 from suq2.cli import main
 
 
@@ -126,6 +130,13 @@ def test_numeric_compare_and_spectrum(capsys):
     assert code == 0 and report["result"] == "pass"
 
 
+@pytest.mark.parametrize("qval", ["1.7,-0.4", "2"])
+def test_numeric_spectrum_transported(capsys, qval):
+    code, report = run_cli(capsys, "numeric", "spectrum", "--q", qval)
+    assert code == 0 and report["result"] == "pass"
+    assert report["residuals"][0].startswith("max relative singular-value deviation")
+
+
 def test_numeric_tolerance_override_can_fail(capsys):
     code, report = run_cli(
         capsys, "numeric", "relations", "--q", "0.5", "--N", "8", "--M", "3",
@@ -147,3 +158,25 @@ def test_bad_q_value_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["numeric", "relations", "--q", "nope"])
     assert exc.value.code == 2
+
+
+def _run_module(*argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(suq2.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "suq2", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_python_dash_m_entry_point():
+    ok = _run_module("nf", "a a'")
+    assert ok.returncode == 0
+    assert json.loads(ok.stdout)["command"] == "nf"
+    bad = _run_module("nf", "1/0")
+    assert bad.returncode == 2
+    assert "error: zero-divisor" in bad.stderr
+    assert "Traceback" not in bad.stderr

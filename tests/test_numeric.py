@@ -7,9 +7,38 @@ import pytest
 
 from suq2 import Scalar, suq2_presentation
 from suq2 import numeric
+from suq2.algebra import Presentation, RewriteRule
 
 A = suq2_presentation()
 ONE = Scalar.one()
+
+
+def _wrong_r2():
+    """The suq2 presentation with R2 miswritten as a g -> q g a (q for qb)."""
+    q = A.params["q"]
+    rules = [
+        RewriteRule(r.lhs, ((q, (0, 2)),)) if r.lhs == (2, 0) else r
+        for r in A.rules.values()
+    ]
+    return Presentation("wrong-r2", A.generators, rules, params=dict(A.params))
+
+
+def _dense(rep, terms):
+    """Sum of coeff * (product of letter matrices) by plain dense products."""
+    letters = rep.letter_matrices()
+    total = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for coeff, word in terms:
+        mat = np.eye(rep.dim, dtype=complex)
+        for i in word:
+            mat = mat @ letters[i]
+        total += coeff.evaluate(rep.qval) * mat
+    return total
+
+
+def _dense_deviation(rep, pres, raw, depth):
+    normal = pres.normalize_raw(raw)
+    diff = _dense(rep, raw) - _dense(rep, [(c, w) for w, c in normal.terms()])
+    return float(np.max(np.abs(diff[:, rep.interior_mask(depth)])))
 
 
 def test_build_validates_arguments():
@@ -27,6 +56,15 @@ def test_singular_values_of_gamma():
     assert np.allclose(got, numeric.expected_singular_values(rep), atol=1e-12)
     distinct = sorted({float(round(s, 10)) for s in got})
     assert distinct == [0.125, 0.25, 0.5, 1.0]
+
+
+def test_singular_values_of_transported_gamma():
+    rep = numeric.build(2.0, 3, 4)
+    got = numeric.gamma_singular_values(rep)
+    want = numeric.expected_singular_values(rep)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    distinct = sorted({float(round(s, 10)) for s in got})
+    assert distinct == [0.0625, 0.125, 0.25, 0.5]
 
 
 def test_alpha_kills_the_bottom_row():
@@ -103,6 +141,61 @@ def test_oracle_compare_random_words_random_parameters():
         for _ in range(40):
             word = tuple(rng.randrange(4) for _ in range(rng.randint(1, 6)))
             assert numeric.oracle_compare(rep, A, [(ONE, word)]) <= 1e-11
+
+
+def test_oracle_detects_a_wrong_rule():
+    rep = numeric.build(0.5 + 0.3j, 12, 5)
+    assert numeric.oracle_compare(rep, A, [(ONE, (2, 0))]) <= 1e-12
+    assert numeric.oracle_compare(rep, _wrong_r2(), [(ONE, (2, 0))]) > 1e-11
+
+
+def test_oracle_compare_nothing_survives():
+    # alpha^3 kills every column with n <= 2, which is the whole interior
+    rep = numeric.build(0.5, 4, 3)
+    assert numeric.oracle_compare(rep, A, [(ONE, (2, 2, 2))]) == 0.0
+
+
+def test_oracle_compare_cancelling_terms():
+    rep = numeric.build(0.4 + 0.3j, 10, 4)
+    w = (1, 0, 2, 3)
+    assert numeric.oracle_compare(rep, A, [(ONE, w), (-ONE, w)]) == 0.0
+
+
+def test_oracle_compare_merges_repeated_words_across_terms():
+    rep = numeric.build(0.4 + 0.3j, 10, 4)
+    q = Scalar.q()
+    w, w2 = (2, 0, 3), (0, 3, 2)
+    raw = [(q, w), (q, w), (ONE, w2)]
+    depth = len(w) + 1
+    # the normal form carries 2q nf(w): both raw copies of w must be summed
+    dev = numeric.oracle_compare(rep, A, raw, depth=depth)
+    assert dev <= 1e-12
+    assert abs(dev - _dense_deviation(rep, A, raw, depth)) <= 1e-13
+
+
+@pytest.mark.parametrize("qv", [0.5 + 0.3j, 0.9, 1.7 - 0.4j])
+def test_oracle_compare_matches_dense_products(qv):
+    rep = numeric.build(qv, 10, 4)
+    rng = random.Random(5)
+    coeffs = [ONE, -ONE, Scalar.q(), Scalar.qbar(), Scalar.imag_unit() + Scalar.q()]
+    worst_wrong = 0.0
+    for pres in (A, _wrong_r2()):
+        for _ in range(15):
+            raw = [
+                (rng.choice(coeffs), tuple(rng.randrange(4) for _ in range(rng.randint(0, 5))))
+                for _ in range(rng.randint(1, 3))
+            ]
+            depth = max(len(w) for _, w in raw)
+            got = numeric.oracle_compare(rep, pres, raw)
+            assert abs(got - _dense_deviation(rep, pres, raw, depth)) <= 1e-13
+            if pres is not A:
+                worst_wrong = max(worst_wrong, got)
+            x = pres.normalize_raw(raw)
+            dense = _dense(rep, [(c, w) for w, c in x.terms()])
+            assert np.max(np.abs(numeric.evaluate_element(rep, x) - dense)) <= 1e-13
+    # the wrong rule makes the comparison non-trivial at complex q
+    if qv.imag:
+        assert worst_wrong > 1e-3
 
 
 def test_word_length_beyond_interior_rejected():
