@@ -27,6 +27,7 @@ from .errors import (
     ParseError,
     PoleError,
     PresentationMismatchError,
+    RewriteLimitError,
     UnverifiedMorphismError,
     ZeroDivisorError,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "Presentation",
     "PresentationMismatchError",
     "QUBIT",
+    "RewriteLimitError",
     "RewriteRule",
     "Scalar",
     "UnverifiedMorphismError",

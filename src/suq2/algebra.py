@@ -5,9 +5,18 @@ generator table (name, degree, adjoint partner, leg tag) plus directed
 rewrite rules whose left-hand sides are one- or two-letter words.  Elements
 are finite sums of scalar-weighted rule-irreducible words; equality is
 structural equality of these normal forms, so the rewrite system doubles as
-the algebra's decision procedure.  Soundness of that reading rests on two
-gates: the confluence checker in this module and the numeric operator oracle
-in :mod:`suq2.numeric`.
+the algebra's decision procedure.
+
+That reading is proved, not sampled, by Bergman's diamond lemma (G. M.
+Bergman, "The diamond lemma for ring theory", Adv. Math. 29, 1978).  Words
+are ordered by deglex: length first, then lexicographically by generator
+index.  This is a well-order compatible with concatenation.  When every rule
+replaces its left-hand side by deglex-smaller words (the termination
+certificate, checked once per presentation), every reduction terminates.
+When in addition every overlap and inclusion ambiguity of the rule table
+resolves (:func:`confluence_check`), every word has exactly one normal form
+and the irreducible words are a linear basis.  The numeric operator oracle in
+:mod:`suq2.numeric` is an independent cross-check of the relations.
 
 Shipped presentations:
 
@@ -26,7 +35,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .errors import PresentationMismatchError
+from .errors import PresentationMismatchError, RewriteLimitError
 from .scalars import Scalar
 
 _ONE = Scalar.one()
@@ -36,8 +45,9 @@ _token_counter = itertools.count()
 _PRESENTATION_CACHE: dict = {}
 
 
-class RewriteLimitError(RuntimeError):
-    """Reduction exceeded its step budget (non-terminating rule set)."""
+def deglex_key(word):
+    """Sort key of the deglex word order: length, then generator indices."""
+    return (len(word), word)
 
 
 @dataclass(frozen=True)
@@ -55,10 +65,13 @@ class RewriteRule:
     """A directed rule ``lhs -> sum of coeff * word``.
 
     The left-hand side has one or two letters; every right-hand word must be
-    homogeneous of the same total degree as the left-hand side.  Each shipped
-    rule strictly decreases the word measure (number of letters removable by
-    unitarity rules, then number of order inversions), which is what makes
-    reduction terminate.
+    homogeneous of the same total degree as the left-hand side.  Reduction
+    terminates when every right-hand word is deglex-smaller than the
+    left-hand side (see :func:`deglex_key`): deglex is a well-order that is
+    compatible with concatenation, so each rewrite step strictly lowers the
+    multiset of words in play.  Every shipped rule satisfies this; a
+    presentation records the first rule that does not in
+    ``Presentation.deglex_violation``.
     """
 
     lhs: tuple
@@ -70,6 +83,10 @@ class Presentation:
 
     An optional memo table caches word reductions; it is transparent
     (results are identical with it disabled, see ``memo_enabled``).
+
+    ``deglex_violation`` is the termination certificate: ``None`` when every
+    rule's right-hand words are deglex-smaller than its left-hand side, else
+    the left-hand side of the first rule that breaks this.
     """
 
     DEFAULT_STEP_LIMIT = 5_000_000
@@ -86,6 +103,14 @@ class Presentation:
             self.rules[rule.lhs] = rule
         self._rules1 = {l: r for l, r in self.rules.items() if len(l) == 1}
         self._rules2 = {l: r for l, r in self.rules.items() if len(l) == 2}
+        self.deglex_violation = next(
+            (
+                lhs
+                for lhs, rule in self.rules.items()
+                if any(deglex_key(w) >= deglex_key(lhs) for _, w in rule.rhs)
+            ),
+            None,
+        )
         self._memo = {}
         self.memo_enabled = True
         self._token = next(_token_counter)
@@ -213,9 +238,7 @@ class Presentation:
                         acc.pop(w2, None)
                     else:
                         acc[w2] = s
-            memo[w] = tuple(sorted(acc.items(), key=lambda t: (len(t[0]), t[0])))
-            # stored as (word, Scalar); normalise to (Scalar, word) on read
-            memo[w] = tuple((c, w2) for w2, c in memo[w])
+            memo[w] = tuple((acc[w2], w2) for w2 in sorted(acc, key=deglex_key))
             stack.pop()
         return memo[word]
 
@@ -319,7 +342,7 @@ class Element:
         """Canonically ordered (word, coeff) pairs."""
         return tuple(
             (w, self._terms[w])
-            for w in sorted(self._terms, key=lambda w: (len(w), w))
+            for w in sorted(self._terms, key=deglex_key)
         )
 
     def coefficient(self, word):
@@ -613,12 +636,21 @@ def free_presentation(names, degrees, label="free"):
 
 @dataclass
 class ConfluenceReport:
+    """Outcome of :func:`confluence_check`.
+
+    ``words_checked`` counts the ambiguity words examined and
+    ``critical_pairs`` the pairs of rule applications shown to resolve.
+    ``certificate`` describes the termination order and the number of
+    ambiguities; it is ``None`` when the rule set has no certificate.
+    """
+
     presentation: str
     max_length: int
     trials: int
     seed: int
     words_checked: int = 0
     critical_pairs: int = 0
+    certificate: dict | None = None
     divergences: list = field(default_factory=list)
 
     @property
@@ -626,70 +658,83 @@ class ConfluenceReport:
         return not self.divergences
 
 
-def confluence_check(pres, maxlen=4, trials=500, seed=1):
-    """Exhaustive critical-pair joinability plus randomised-order reduction.
+def _ambiguity_words(pres):
+    """The overlap and inclusion ambiguities of the rule table, in deglex order.
 
-    Part (a) enumerates every word of length <= maxlen whose redexes overlap,
-    applies each overlapping redex once, fully reduces both results and
-    requires them to agree.  Part (b) reduces ``trials`` random words under a
-    randomised rule-application order and compares with the deterministic
-    normal form.  Failures (including step-limit hits, which indicate a
-    non-terminating rule set) become report entries, never exceptions.
+    Overlaps are the words xyz where xy and yz are both left-hand sides;
+    inclusions are the words xy where xy and x or y alone are left-hand sides.
+    """
+    r1, r2 = pres._rules1, pres._rules2
+    followers = {}
+    for x, y in r2:
+        followers.setdefault(x, []).append(y)
+    words = [(x, y, z) for x, y in r2 for z in followers.get(y, ())]
+    words += [(x, y) for x, y in r2 if (x,) in r1 or (y,) in r1]
+    return sorted(words, key=deglex_key)
+
+
+def confluence_check(pres, maxlen=4, trials=500, seed=1):
+    """Diamond-lemma proof of confluence, plus randomised-order reduction.
+
+    By Bergman's diamond lemma, a rule set whose right-hand words are all
+    deglex-smaller than their left-hand sides (``pres.deglex_violation`` is
+    ``None``) is confluent as soon as every overlap and inclusion ambiguity
+    resolves.  Each ambiguity word gets every matching rule applied once;
+    each result is fully reduced and all the normal forms must agree.  That
+    proves normal form equals algebra equality for words of every length, so
+    ``maxlen`` bounds only the random trials below.
+
+    A rule set without the certificate is reported at once as
+    ``non-termination``, naming the offending left-hand side, and nothing is
+    reduced.  An unresolved ambiguity is a ``critical-pair`` entry.  As an
+    independent cross-check, ``trials`` random words of length <= maxlen are
+    reduced under a randomised rule-application order and compared with the
+    deterministic normal form.  Failures (including step-limit hits) become
+    report entries, never exceptions.
     """
     if maxlen < 3:
         raise ValueError("maxlen must be at least 3")
     report = ConfluenceReport(pres.label, maxlen, trials, seed)
-    alphabet = range(pres.n_gens)
-    # words of this length reduce in far fewer steps under a terminating
-    # rule set; hitting the cap is itself evidence of non-termination
+    if pres.deglex_violation is not None:
+        report.divergences.append(
+            {"kind": "non-termination", "rule": list(pres.deglex_violation)}
+        )
+        return report
+    from .render import render_word
+
+    ambiguities = _ambiguity_words(pres)
+    report.certificate = {
+        "order": "deglex",
+        "generators": [render_word(pres, (i,)) for i in range(pres.n_gens)],
+        "ambiguities": len(ambiguities),
+    }
+    # short words reduce in far fewer steps under a terminating rule set
     step_cap = 10_000
     max_divergences = 10
 
-    for length in range(2, maxlen + 1):
+    for word in ambiguities:
         if len(report.divergences) >= max_divergences:
             break
-        for word in itertools.product(alphabet, repeat=length):
-            if len(report.divergences) >= max_divergences:
-                break
-            report.words_checked += 1
-            redexes = pres._all_redexes(word)
-            if len(redexes) < 2:
-                continue
-            overlapping = []
-            for (p1, r1), (p2, r2) in itertools.combinations(redexes, 2):
-                lo, hi = sorted([(p1, r1), (p2, r2)], key=lambda t: t[0])
-                if hi[0] < lo[0] + len(lo[1].lhs):
-                    overlapping.append(((p1, r1), (p2, r2)))
-            if not overlapping:
-                continue
-            outcomes = {}
-            try:
-                for pair in overlapping:
-                    report.critical_pairs += 1
-                    for pos, rule in pair:
-                        cut = pos + len(rule.lhs)
-                        acc = {}
-                        for coeff, rw in rule.rhs:
-                            for c2, w2 in pres.reduce_word(
-                                word[:pos] + rw + word[cut:], max_steps=step_cap
-                            ):
-                                s = acc.get(w2)
-                                s = coeff * c2 if s is None else s + coeff * c2
-                                if s.is_zero():
-                                    acc.pop(w2, None)
-                                else:
-                                    acc[w2] = s
-                        key = tuple(sorted(acc.items(), key=lambda t: (len(t[0]), t[0])))
-                        outcomes.setdefault(key, (pos, rule.lhs))
-            except RewriteLimitError:
-                report.divergences.append(
-                    {"kind": "non-termination", "word": list(word)}
+        report.words_checked += 1
+        redexes = pres._all_redexes(word)
+        try:
+            forms = [
+                pres.normalize_raw(
+                    [
+                        (coeff, word[:pos] + rw + word[pos + len(rule.lhs) :])
+                        for coeff, rw in rule.rhs
+                    ],
+                    max_steps=step_cap,
                 )
-                continue
-            if len(outcomes) > 1:
-                report.divergences.append(
-                    {"kind": "critical-pair", "word": list(word)}
-                )
+                for pos, rule in redexes
+            ]
+        except RewriteLimitError:
+            report.divergences.append({"kind": "non-termination", "word": list(word)})
+            continue
+        if any(f != forms[0] for f in forms[1:]):
+            report.divergences.append({"kind": "critical-pair", "word": list(word)})
+        else:
+            report.critical_pairs += len(forms) * (len(forms) - 1) // 2
 
     rng = random.Random(seed)
     for _ in range(trials):

@@ -7,7 +7,8 @@ Subcommands::
     mul        product of two expressions, normalized
     adjoint    adjoint of an expression, normalized
     verify     run one named identity check, or all of them
-    confluence critical-pair and random-order soundness check of a rule set
+    confluence diamond-lemma proof (deglex termination certificate plus
+               resolved ambiguities) and random-order check of a rule set
     numeric    truncated-operator oracle: relation residuals, normal-form
                comparisons, spectrum of the ladder operator
 
@@ -32,7 +33,12 @@ from .algebra import (
 )
 from .braided import grading_flip, twisted_tensor
 from .checks import CHECKS, run_all, run_check
-from .errors import PoleError, ZeroDivisorError
+from .errors import (
+    PoleError,
+    RewriteLimitError,
+    UnverifiedMorphismError,
+    ZeroDivisorError,
+)
 from .parser import parse
 from .scalars import Scalar
 
@@ -154,9 +160,11 @@ def _confluence_command(args):
         "algebra": args.algebra,
         "result": "pass" if rep.ok else "fail",
         "residuals": [json.dumps(d, sort_keys=True) for d in rep.divergences],
-        "paper_anchor": "every overlapping pair of directed rules resolves to "
-        "one normal form; random application orders agree",
+        "paper_anchor": "every rule rewrites to deglex-smaller words and every "
+        "overlap and inclusion ambiguity resolves to one normal form (Bergman's "
+        "diamond lemma); random application orders agree",
         "details": {
+            "certificate": rep.certificate,
             "critical_pairs": rep.critical_pairs,
             "max_length": rep.max_length,
             "seed": rep.seed,
@@ -237,8 +245,13 @@ def _numeric_command(args):
                 "result": "pass" if ok else "fail",
                 "tolerance": tol,
                 "residuals": [f"max relative singular-value deviation {dev:.3e}"],
-                "paper_anchor": "the ladder operator has singular values "
-                "|q|^n, each with the winding multiplicity",
+                "paper_anchor": (
+                    "the ladder operator, transported through 1/q, has "
+                    "singular values |q|^-(n+1), each with the winding multiplicity"
+                    if rep.transported
+                    else "the ladder operator has singular values "
+                    "|q|^n, each with the winding multiplicity"
+                ),
             }
         )
     _emit(base, args.out)
@@ -278,7 +291,9 @@ def build_parser():
 
     p = sub.add_parser("confluence", help="rewrite-system soundness check")
     p.add_argument("--algebra", choices=ALGEBRAS, default="suq2")
-    p.add_argument("--maxlen", type=int, default=4)
+    p.add_argument("--maxlen", type=int, default=4, help="word length bound for "
+                   "the random-order trials; the diamond-lemma proof covers "
+                   "every length")
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--seed", type=int, default=1)
     add_common(p)
@@ -311,7 +326,13 @@ def main(argv=None):
         if args.command == "numeric":
             return _numeric_command(args)
         raise AssertionError("unreachable")
-    except (PoleError, ZeroDivisorError, ValueError) as ex:
+    except (
+        PoleError,
+        ZeroDivisorError,
+        RewriteLimitError,
+        UnverifiedMorphismError,
+        ValueError,
+    ) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
 

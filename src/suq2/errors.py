@@ -33,6 +33,13 @@ class UnverifiedMorphismError(RuntimeError):
         super().__init__(msg)
 
 
+class RewriteLimitError(RuntimeError):
+    """Reduction exceeded its step budget."""
+
+    def __init__(self, detail="reduction exceeded its step budget"):
+        super().__init__(f"rewrite-limit: {detail}")
+
+
 class NotInvariantError(ValueError):
     """A matrix that must be circle-invariant is not."""
 

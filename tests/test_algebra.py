@@ -115,6 +115,25 @@ def test_memo_is_transparent():
     assert with_memo == without
 
 
+def test_reduce_word_pairs_in_deglex_order():
+    one = Scalar.one()
+    assert A.reduce_word((3, 2, 2)) == ((one, (2,)), (-one, (0, 1, 2)))
+    assert A.reduce_word((2, 3)) == ((one, ()), (-(Q * QB), (0, 1)))
+
+
+def test_step_budget_raises_labelled_error():
+    from suq2.algebra import RewriteLimitError
+    from suq2.errors import RewriteLimitError as FromErrors
+
+    assert RewriteLimitError is FromErrors
+    A.memo_enabled = False
+    try:
+        with pytest.raises(RewriteLimitError, match="^rewrite-limit: .* 2 steps"):
+            A.reduce_word((3, 2, 0, 1, 2), max_steps=2)
+    finally:
+        A.memo_enabled = True
+
+
 def test_mixed_presentations_error():
     B = uq2_presentation()
     with pytest.raises(PresentationMismatchError):

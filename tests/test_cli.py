@@ -107,6 +107,12 @@ def test_confluence_command(capsys):
     assert code == 0
     assert report["result"] == "pass"
     assert report["details"]["critical_pairs"] > 0
+    assert report["details"]["certificate"] == {
+        "order": "deglex",
+        "generators": ["g", "g'", "a", "a'", "z", "z'"],
+        "ambiguities": 32,
+    }
+    assert report["details"]["words_checked"] == 32
 
 
 def test_numeric_relations(capsys):
@@ -135,6 +141,37 @@ def test_numeric_spectrum_transported(capsys, qval):
     code, report = run_cli(capsys, "numeric", "spectrum", "--q", qval)
     assert code == 0 and report["result"] == "pass"
     assert report["residuals"][0].startswith("max relative singular-value deviation")
+
+
+@pytest.mark.parametrize(
+    "qval, values", [("0.4,0.1", "|q|^n,"), ("2", "|q|^-(n+1),")]
+)
+def test_numeric_spectrum_anchor_follows_q(capsys, qval, values):
+    code, report = run_cli(capsys, "numeric", "spectrum", "--q", qval, "--N", "8")
+    assert code == 0 and report["result"] == "pass"
+    assert f"singular values {values}" in report["paper_anchor"]
+
+
+def test_rewrite_limit_error_exit_code(capsys, monkeypatch):
+    # a fresh presentation cache, so the word below is not yet memoized
+    monkeypatch.setattr(suq2.algebra, "_PRESENTATION_CACHE", {})
+    monkeypatch.setattr(suq2.algebra.Presentation, "DEFAULT_STEP_LIMIT", 2)
+    code = main(["nf", "a*a'"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: rewrite-limit: reduction exceeded 2 steps" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_unverified_morphism_error_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(suq2.morphisms.GenMorphism, "check", lambda self: False)
+    code = main(["verify", "delta-coassoc"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: unverified-morphism" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_numeric_tolerance_override_can_fail(capsys):

@@ -1,5 +1,8 @@
 """Soundness gate for treating normal forms as a linear basis."""
 
+import itertools
+import random
+
 import pytest
 
 from suq2 import (
@@ -11,6 +14,62 @@ from suq2 import (
     uq2_presentation,
 )
 from suq2.algebra import Generator, Presentation, RewriteRule
+from suq2.cli import ALGEBRAS, _algebra
+
+SU_GENS = (
+    Generator("g", 1, 1),
+    Generator("g'", -1, 0),
+    Generator("a", 0, 3),
+    Generator("a'", 0, 2),
+)
+
+
+def exhaustive_critical_pairs(pres, maxlen):
+    """Reference oracle: enumerate every word up to ``maxlen``.
+
+    For each word with overlapping redexes, apply each overlapping redex once,
+    fully reduce, and return the words whose results disagree.  This is the
+    exhaustive search that the diamond-lemma check replaced; it proves
+    nothing about longer words but needs no termination order.
+    """
+    diverging = []
+    for length in range(2, maxlen + 1):
+        for word in itertools.product(range(pres.n_gens), repeat=length):
+            redexes = pres._all_redexes(word)
+            outcomes = set()
+            for (p1, r1), (p2, r2) in itertools.combinations(redexes, 2):
+                lo, hi = sorted([(p1, r1), (p2, r2)], key=lambda t: t[0])
+                if hi[0] >= lo[0] + len(lo[1].lhs):
+                    continue
+                for pos, rule in ((p1, r1), (p2, r2)):
+                    cut = pos + len(rule.lhs)
+                    acc = {}
+                    for coeff, rw in rule.rhs:
+                        for c2, w2 in pres.reduce_word(
+                            word[:pos] + rw + word[cut:], max_steps=10_000
+                        ):
+                            s = acc.get(w2)
+                            s = coeff * c2 if s is None else s + coeff * c2
+                            if s.is_zero():
+                                acc.pop(w2, None)
+                            else:
+                                acc[w2] = s
+                    outcomes.add(frozenset(acc.items()))
+            if len(outcomes) > 1:
+                diverging.append(word)
+    return diverging
+
+
+def _looping_presentation():
+    qb = Scalar.qbar()
+    return Presentation(
+        "looping",
+        SU_GENS,
+        [
+            RewriteRule((2, 0), ((qb, (0, 2)),)),
+            RewriteRule((0, 2), ((qb.inverse(), (2, 0)),)),
+        ],
+    )
 
 
 @pytest.mark.parametrize(
@@ -31,24 +90,121 @@ def test_tensor_square_confluent():
 
 
 def test_looping_rule_pair_is_flagged():
-    q, qb, one = Scalar.q(), Scalar.qbar(), Scalar.one()
-    gens = (
-        Generator("g", 1, 1),
-        Generator("g'", -1, 0),
-        Generator("a", 0, 3),
-        Generator("a'", 0, 2),
-    )
-    looping = Presentation(
-        "looping",
-        gens,
-        [
-            RewriteRule((2, 0), ((qb, (0, 2)),)),
-            RewriteRule((0, 2), ((qb.inverse(), (2, 0)),)),
-        ],
-    )
+    looping = _looping_presentation()
     report = confluence_check(looping, maxlen=3, trials=20, seed=1)
     assert not report.ok
     assert any(d["kind"] == "non-termination" for d in report.divergences)
+
+
+def test_looping_rule_pair_fails_certificate_without_reducing(monkeypatch):
+    looping = _looping_presentation()
+    assert looping.deglex_violation == (0, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no word may be reduced without a certificate")
+
+    monkeypatch.setattr(looping, "reduce_word", refuse)
+    monkeypatch.setattr(looping, "reduce_word_random", refuse)
+    report = confluence_check(looping, maxlen=3, trials=20, seed=1)
+    assert report.divergences == [{"kind": "non-termination", "rule": [0, 2]}]
+    assert report.certificate is None
+    assert (report.words_checked, report.critical_pairs) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "rhs_word, violation",
+    [
+        ((), None),
+        ((0, 0), None),
+        ((0, 1), (0, 1)),
+        ((1, 0), (0, 1)),
+        ((0, 0, 0), (0, 1)),
+    ],
+    ids=["shorter", "lex-smaller", "equal", "lex-larger", "longer"],
+)
+def test_certificate_needs_strictly_smaller_words(rhs_word, violation):
+    gens = (Generator("x", 0, 1), Generator("y", 0, 0))
+    pres = Presentation(
+        "shrink", gens, [RewriteRule((0, 1), ((Scalar.from_int(2), rhs_word),))]
+    )
+    assert pres.deglex_violation == violation
+
+
+AMBIGUITIES = {
+    "suq2": 8,
+    "torus": 12,
+    "uq2": 32,
+    "suq2-tensor2": 72,
+    "suq2-tensor3": 256,
+    "suq2-flip": 8,
+}
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_certificate_and_ambiguity_counts(name):
+    ambiguities = AMBIGUITIES[name]
+    pres = _algebra(name)
+    assert pres.deglex_violation is None
+    report = confluence_check(pres, maxlen=3, trials=20, seed=1)
+    assert report.ok, report.divergences
+    assert report.certificate["order"] == "deglex"
+    assert report.certificate["ambiguities"] == ambiguities
+    assert len(report.certificate["generators"]) == pres.n_gens
+    assert report.words_checked == ambiguities
+    # every shipped ambiguity word has exactly two matching rules
+    assert report.critical_pairs == ambiguities
+
+
+def test_inclusion_ambiguity_divergence_is_a_critical_pair():
+    one, two = Scalar.one(), Scalar.from_int(2)
+    gens = (Generator("x", 0, 1), Generator("y", 0, 0))
+    # y -> x and y x -> 2 both terminate under deglex, but the inclusion
+    # ambiguity y x gives x x on one side and 2 on the other
+    pres = Presentation(
+        "inclusion",
+        gens,
+        [RewriteRule((1,), ((one, (0,)),)), RewriteRule((1, 0), ((two, ()),))],
+    )
+    assert pres.deglex_violation is None
+    report = confluence_check(pres, maxlen=3, trials=0, seed=1)
+    assert report.certificate["ambiguities"] == 1
+    assert report.divergences == [{"kind": "critical-pair", "word": [1, 0]}]
+    assert exhaustive_critical_pairs(pres, 3)
+
+
+@pytest.mark.parametrize(
+    "pres_factory",
+    [
+        suq2_presentation,
+        torus_presentation,
+        uq2_presentation,
+        lambda: _algebra("suq2-tensor2"),
+    ],
+    ids=["suq2", "torus", "uq2", "tensor2"],
+)
+def test_diamond_lemma_agrees_with_exhaustive_oracle(pres_factory):
+    pres = pres_factory()
+    assert confluence_check(pres, maxlen=4, trials=0, seed=1).ok
+    assert exhaustive_critical_pairs(pres, 4) == []
+
+
+@pytest.mark.parametrize("slot", range(9))
+def test_mutated_suq2_rules_flagged_by_both(slot):
+    # one seeded factor on each of the nine right-hand coefficients of R1-R7
+    rng = random.Random(slot)
+    q, qb, one = Scalar.q(), Scalar.qbar(), Scalar.one()
+    rules = list(suq2_presentation().rules.values())
+    k, t = [(k, t) for k, r in enumerate(rules) for t in range(len(r.rhs))][slot]
+    factor = rng.choice([Scalar.from_int(2), -one, q, qb.inverse()])
+    rhs = list(rules[k].rhs)
+    rhs[t] = (rhs[t][0] * factor, rhs[t][1])
+    rules[k] = RewriteRule(rules[k].lhs, tuple(rhs))
+    mutant = Presentation("mutant", SU_GENS, rules)
+    report = confluence_check(mutant, maxlen=4, trials=0, seed=1)
+    assert mutant.deglex_violation is None
+    assert not report.ok
+    assert {d["kind"] for d in report.divergences} == {"critical-pair"}
+    assert exhaustive_critical_pairs(mutant, 4)
 
 
 def test_genuinely_divergent_rules_reported():
