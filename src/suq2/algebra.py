@@ -50,6 +50,16 @@ def deglex_key(word):
     return (len(word), word)
 
 
+def _accumulate(acc, word, c):
+    """Add ``c`` to ``acc[word]``, dropping the entry when the sum cancels."""
+    s = acc.get(word)
+    s = c if s is None else s + c
+    if s.is_zero():
+        acc.pop(word, None)
+    else:
+        acc[word] = s
+
+
 @dataclass(frozen=True)
 class Generator:
     """One letter of a presentation."""
@@ -101,8 +111,6 @@ class Presentation:
             if rule.lhs in self.rules:
                 raise ValueError(f"duplicate rule left-hand side {rule.lhs}")
             self.rules[rule.lhs] = rule
-        self._rules1 = {l: r for l, r in self.rules.items() if len(l) == 1}
-        self._rules2 = {l: r for l, r in self.rules.items() if len(l) == 2}
         self.deglex_violation = next(
             (
                 lhs
@@ -167,28 +175,21 @@ class Presentation:
 
     # -- reduction engine ------------------------------------------------------
 
-    def _find_redex(self, word):
-        r1, r2 = self._rules1, self._rules2
-        n = len(word)
-        for p in range(n):
-            rule = r1.get(word[p : p + 1])
-            if rule is not None:
-                return p, rule
-            if p + 1 < n:
-                rule = r2.get(word[p : p + 2])
-                if rule is not None:
-                    return p, rule
-        return None
+    def _redexes(self, word):
+        """Every ``(position, rule)`` that matches in ``word``, leftmost first.
 
-    def _all_redexes(self, word):
+        One- and two-letter left-hand sides never collide, so ``rules`` is the
+        one lookup table; at a position the one-letter match comes first.
+        """
+        rules = self.rules
         out = []
         n = len(word)
         for p in range(n):
-            rule = self._rules1.get(word[p : p + 1])
+            rule = rules.get(word[p : p + 1])
             if rule is not None:
                 out.append((p, rule))
             if p + 1 < n:
-                rule = self._rules2.get(word[p : p + 2])
+                rule = rules.get(word[p : p + 2])
                 if rule is not None:
                     out.append((p, rule))
         return out
@@ -212,12 +213,12 @@ class Presentation:
                 raise RewriteLimitError(
                     f"reduction exceeded {budget} steps in '{self.label}'"
                 )
-            red = self._find_redex(w)
-            if red is None:
+            redexes = self._redexes(w)
+            if not redexes:
                 memo[w] = ((_ONE, w),)
                 stack.pop()
                 continue
-            pos, rule = red
+            pos, rule = redexes[0]
             cut = pos + len(rule.lhs)
             subs = []
             pending = []
@@ -232,12 +233,7 @@ class Presentation:
             acc = {}
             for coeff, nw in subs:
                 for c2, w2 in memo[nw]:
-                    s = acc.get(w2)
-                    s = coeff * c2 if s is None else s + coeff * c2
-                    if s.is_zero():
-                        acc.pop(w2, None)
-                    else:
-                        acc[w2] = s
+                    _accumulate(acc, w2, coeff * c2)
             memo[w] = tuple((acc[w2], w2) for w2 in sorted(acc, key=deglex_key))
             stack.pop()
         return memo[word]
@@ -250,14 +246,9 @@ class Presentation:
         while pending:
             w = rng.choice(sorted(pending))
             c = pending.pop(w)
-            redexes = self._all_redexes(w)
+            redexes = self._redexes(w)
             if not redexes:
-                s = done.get(w)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    done.pop(w, None)
-                else:
-                    done[w] = s
+                _accumulate(done, w, c)
                 continue
             steps += 1
             if steps > max_steps:
@@ -265,13 +256,7 @@ class Presentation:
             pos, rule = redexes[rng.randrange(len(redexes))]
             cut = pos + len(rule.lhs)
             for coeff, rw in rule.rhs:
-                nw = w[:pos] + rw + w[cut:]
-                s = pending.get(nw)
-                s = c * coeff if s is None else s + c * coeff
-                if s.is_zero():
-                    pending.pop(nw, None)
-                else:
-                    pending[nw] = s
+                _accumulate(pending, w[:pos] + rw + w[cut:], c * coeff)
         return done
 
     # -- element factories -----------------------------------------------------
@@ -289,12 +274,7 @@ class Presentation:
                 if not (0 <= i < self.n_gens):
                     raise ValueError(f"generator index {i} out of range")
             for c2, w2 in self.reduce_word(word, max_steps=max_steps):
-                s = acc.get(w2)
-                s = coeff * c2 if s is None else s + coeff * c2
-                if s.is_zero():
-                    acc.pop(w2, None)
-                else:
-                    acc[w2] = s
+                _accumulate(acc, w2, coeff * c2)
         return Element(self, acc)
 
     def element(self, raw_terms):
@@ -366,12 +346,7 @@ class Element:
         self._check_same(other)
         acc = dict(self._terms)
         for w, c in other._terms.items():
-            s = acc.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                acc.pop(w, None)
-            else:
-                acc[w] = s
+            _accumulate(acc, w, c)
         return Element(self.pres, acc)
 
     __radd__ = __add__
@@ -664,12 +639,13 @@ def _ambiguity_words(pres):
     Overlaps are the words xyz where xy and yz are both left-hand sides;
     inclusions are the words xy where xy and x or y alone are left-hand sides.
     """
-    r1, r2 = pres._rules1, pres._rules2
+    rules = pres.rules
+    pairs = [lhs for lhs in rules if len(lhs) == 2]
     followers = {}
-    for x, y in r2:
+    for x, y in pairs:
         followers.setdefault(x, []).append(y)
-    words = [(x, y, z) for x, y in r2 for z in followers.get(y, ())]
-    words += [(x, y) for x, y in r2 if (x,) in r1 or (y,) in r1]
+    words = [(x, y, z) for x, y in pairs for z in followers.get(y, ())]
+    words += [(x, y) for x, y in pairs if (x,) in rules or (y,) in rules]
     return sorted(words, key=deglex_key)
 
 
@@ -716,7 +692,7 @@ def confluence_check(pres, maxlen=4, trials=500, seed=1):
         if len(report.divergences) >= max_divergences:
             break
         report.words_checked += 1
-        redexes = pres._all_redexes(word)
+        redexes = pres._redexes(word)
         try:
             forms = [
                 pres.normalize_raw(

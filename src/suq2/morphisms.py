@@ -16,10 +16,11 @@ degree-scaling automorphisms.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
-from .algebra import Element, suq2_presentation, uq2_presentation
-from .braided import embed, grading_flip, retag, twisted_tensor
+from .algebra import suq2_presentation, uq2_presentation
+from .braided import embed, grading_flip, twisted_tensor
 from .errors import PresentationMismatchError, UnverifiedMorphismError
 from .scalars import Scalar
 
@@ -315,14 +316,6 @@ class CancellationReport:
         )
 
 
-def _fundamental_entries(pres):
-    q = pres.params["q"]
-    return [
-        [pres.gen("a"), pres.gen("g'").scale(-q)],
-        [pres.gen("g"), pres.gen("a'")],
-    ]
-
-
 def cancellation_witness(qparam=None, max_len=3):
     """Finite-level witnesses for the cancellation law of the comultiplication.
 
@@ -334,10 +327,12 @@ def cancellation_witness(qparam=None, max_len=3):
     generators, an explicit finite sum  j1(w) = sum c_i delta(a_i) j2(b_i)
     built by the inductive commutation argument, and verifies it by rewriting.
     """
+    from .repcalc import fundamental_matrix
+
     delta = delta_su(qparam)
     A, AA = delta.source, delta.target
     delta.check()
-    u = _fundamental_entries(A)
+    u = fundamental_matrix(A).entries
     j1 = lambda x: embed(AA, 1, x)
     j2 = lambda x: embed(AA, 2, x)
 
@@ -395,8 +390,6 @@ def cancellation_witness(qparam=None, max_len=3):
                     new.append((c1 * c2, a1 * a2, b2 * moved))
             rep = new
         return rep
-
-    import itertools
 
     for length in range(0, max_len + 1):
         for word in itertools.product(range(A.n_gens), repeat=length):

@@ -75,12 +75,6 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op):
-        kind, value, col = self.peek()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", col)
-        return self.advance()
-
     # -- grammar ------------------------------------------------------------
 
     def parse_expr(self, pres=None):
@@ -137,7 +131,8 @@ class _Parser:
                     raise ParseError("expected an integer exponent", col2)
                 self.advance()
                 n = sign * value2
-                if n >= 0:
+                # a scalar base takes Scalar.__pow__, which squares repeatedly
+                if n >= 0 and any(w for w, _ in out.terms()):
                     out = out**n
                 else:
                     out = out.pres.scalar(self._as_scalar(out, col) ** n)

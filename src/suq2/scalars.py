@@ -439,9 +439,16 @@ class Scalar:
         if not isinstance(n, int):
             return NotImplemented
         base = self if n >= 0 else self.inverse()
+        bnum, bden = base._num, base._den
         num, den = _ONE_POLY, _ONE_POLY
-        for _ in range(abs(n)):
-            num, den = _pmul(num, base._num), _pmul(den, base._den)
+        n = abs(n)
+        # repeated squaring; a reduced pair stays reduced under powers
+        while n:
+            if n & 1:
+                num, den = _pmul(num, bnum), _pmul(den, bden)
+            n >>= 1
+            if n:
+                bnum, bden = _pmul(bnum, bnum), _pmul(bden, bden)
         return Scalar(num, den)
 
     def conjugate(self):

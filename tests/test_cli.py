@@ -217,3 +217,10 @@ def test_python_dash_m_entry_point():
     assert bad.returncode == 2
     assert "error: zero-divisor" in bad.stderr
     assert "Traceback" not in bad.stderr
+
+
+def test_huge_scalar_powers(capsys):
+    code, report = run_cli(capsys, "nf", "q^3000000")
+    assert (code, report["result"]) == (0, "q^3000000")
+    code, report = run_cli(capsys, "nf", "qb^-3000000*a")
+    assert (code, report["result"]) == (0, "qb^-3000000*a")

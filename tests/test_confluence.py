@@ -35,7 +35,7 @@ def exhaustive_critical_pairs(pres, maxlen):
     diverging = []
     for length in range(2, maxlen + 1):
         for word in itertools.product(range(pres.n_gens), repeat=length):
-            redexes = pres._all_redexes(word)
+            redexes = pres._redexes(word)
             outcomes = set()
             for (p1, r1), (p2, r2) in itertools.combinations(redexes, 2):
                 lo, hi = sorted([(p1, r1), (p2, r2)], key=lambda t: t[0])
@@ -170,6 +170,27 @@ def test_inclusion_ambiguity_divergence_is_a_critical_pair():
     assert report.certificate["ambiguities"] == 1
     assert report.divergences == [{"kind": "critical-pair", "word": [1, 0]}]
     assert exhaustive_critical_pairs(pres, 3)
+
+
+def test_redex_enumerator_at_the_end_of_a_word():
+    # U' alone is a left-hand side, so the last letter of U U' is a redex
+    # exactly once, after the two-letter redex at position 0
+    one = Scalar.one()
+    U, Us = 0, 1
+    incl = Presentation(
+        "incl",
+        (Generator("U", 0, 1), Generator("U'", 0, 0)),
+        [
+            RewriteRule((U, Us), ((one, (U, U)),)),
+            RewriteRule((Us,), ((one, (U,)),)),
+        ],
+    )
+    assert incl.deglex_violation is None
+    assert incl._redexes((U, Us)) == [(0, incl.rules[U, Us]), (1, incl.rules[Us,])]
+    assert incl._redexes((Us,)) == [(0, incl.rules[Us,])]
+    report = confluence_check(incl, maxlen=3, trials=50, seed=1)
+    assert report.ok, report.divergences
+    assert (report.words_checked, report.critical_pairs) == (1, 1)
 
 
 @pytest.mark.parametrize(

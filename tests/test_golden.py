@@ -1,0 +1,53 @@
+"""Golden reports: CLI output must stay byte-identical across rewrites.
+
+Each file in ``tests/golden/`` is the exact stdout of ``suq2 <argv>`` for the
+argv listed below, captured before the layers it covers were last rewritten.
+These reports do not depend on ``PYTHONHASHSEED``.  A difference here is a
+behaviour change: only a deliberate report change may update a file, and
+the change log must say so.
+"""
+
+import pathlib
+
+import pytest
+
+from suq2.cli import ALGEBRAS, main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+CASES = {
+    "verify-all": ["verify", "all", "--seed", "1"],
+    **{f"confluence-{name}": ["confluence", "--algebra", name] for name in ALGEBRAS},
+    "nf-suq2": ["nf", "a'*a*g^2 + (2/3 - i/5)*q^-2*a*g'*a' + a^3*g'"],
+    "nf-torus": ["nf", "--algebra", "torus", "V'*U*V*U' - zeta + U'^2*V*U"],
+    "nf-scalar-powers": ["nf", "((1 + q)/(2 - i*qb))^3*g + (q*qb)^-2*a^2 - zeta^5"],
+    "nf-uq2": ["nf", "--algebra", "uq2", "z*g*z'*a' + (qb/q)*z'^2*g'*z^2"],
+    "nf-suq2-tensor3": [
+        "nf",
+        "--algebra",
+        "suq2-tensor3",
+        "j3(a)*j2(g)*j1(g') + j2(a')*j1(a)",
+    ],
+    "mul-suq2": ["mul", "(1 + q*qb)*a^2 - g'", "a'^2*g + (q - qb)/(1 + q)"],
+    "mul-suq2-tensor2": [
+        "mul",
+        "--algebra",
+        "suq2-tensor2",
+        "j2(g)*j1(a)",
+        "j1(g')*j2(a') + i",
+    ],
+    "adjoint-suq2": ["adjoint", "(3/q^2)*a*g + i*g'^2*a' - zeta"],
+    "adjoint-suq2-flip": ["adjoint", "--algebra", "suq2-flip", "(q + i)*a*g*a'"],
+}
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(capsys, name):
+    code = main(CASES[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode("ascii") == (GOLDEN / f"{name}.json").read_bytes()

@@ -25,6 +25,7 @@ from suq2 import (
     tensor_morphism,
     twisted_tensor,
 )
+from suq2.checks import _coassoc
 from suq2.morphisms import GenMorphism
 
 A = suq2_presentation()
@@ -98,6 +99,18 @@ def test_coassociativity():
     left = compose(tensor_morphism([d, ident], A3), d)
     right = compose(tensor_morphism([ident, d], A3), d)
     assert equal_on_generators(left, right)
+
+
+def test_coassoc_helper_names_every_failing_generator():
+    # (rho x id) o delta is a verified equivariant hom, but not coassociative
+    d = delta_su()
+    rho_x_id = tensor_morphism([rho_scale(A, 1), identity_morphism(A)], d.target)
+    skewed = compose(rho_x_id, d)
+    assert skewed.check() and skewed.is_equivariant()
+    residuals, left, right = _coassoc(skewed, A.params["zeta"])
+    assert [line.split(":")[0] for line in residuals] == ["g", "g'", "a", "a'"]
+    assert not equal_on_generators(left, right)
+    assert _coassoc(d, A.params["zeta"])[0] == []
 
 
 def test_comultiplication_preserves_total_degree():

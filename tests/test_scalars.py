@@ -127,6 +127,29 @@ def test_reduced_pairs_skip_the_multi_term_gcd(monkeypatch):
     assert calls
 
 
+def test_powers_use_repeated_squaring(monkeypatch):
+    x = (Q * QB + 2 * Q + I) / (3 * Q**2 + QB + 1)
+    linear = ONE
+    for _ in range(13):
+        linear = linear * x
+    assert x**13 == linear
+    assert x**-13 == linear.inverse()
+    calls = []
+    pmul = scalars_module._pmul
+
+    def counted(f, g):
+        calls.append(None)
+        return pmul(f, g)
+
+    monkeypatch.setattr(scalars_module, "_pmul", counted)
+    for n in (1024, -1024):
+        calls.clear()
+        power = Q**n
+        # two products (num and den) per squaring and per set bit
+        assert len(calls) <= 4 * abs(n).bit_length()
+        assert power == Scalar.monomial(n, 0)
+
+
 def _random_poly(rng, sympy, q, qb):
     """A random polynomial with fractional, imaginary, non-monic coefficients."""
     scalar, expr = Scalar.zero(), sympy.Integer(0)
