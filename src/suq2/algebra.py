@@ -412,13 +412,6 @@ class Element:
             return degrees.pop()
         return "inhomogeneous"
 
-    def homogeneous_components(self):
-        out = {}
-        for w, c in self._terms.items():
-            d = self.pres.degree_of_word(w)
-            out.setdefault(d, {})[w] = c
-        return {d: Element(self.pres, terms) for d, terms in sorted(out.items())}
-
     # -- comparison ------------------------------------------------------------------
 
     def __eq__(self, other):

@@ -12,12 +12,9 @@ twist, and bracketed forms are identified with it letter-for-letter.
 
 from __future__ import annotations
 
-from .algebra import (
-    Generator,
-    Presentation,
-    RewriteRule,
-    _PRESENTATION_CACHE,
-)
+import itertools
+
+from .algebra import Generator, Presentation, RewriteRule, _cached
 from .errors import PresentationMismatchError
 from .scalars import Scalar
 
@@ -36,47 +33,44 @@ def twisted_tensor(factors, zeta=None):
         raise TypeError("zeta must be a Scalar")
     if not (zeta * zeta.conjugate()).is_one():
         raise ValueError("zeta must be formally unimodular")
-    key = ("tensor", tuple(f._token for f in factors), zeta)
-    cached = _PRESENTATION_CACHE.get(key)
-    if cached is not None:
-        return cached
 
-    gens = []
-    offsets = [0]
-    for leg, f in enumerate(factors, start=1):
-        base = offsets[-1]
-        for g in f.generators:
-            gens.append(Generator(g.name, g.degree, g.adjoint + base, leg))
-        offsets.append(base + f.n_gens)
+    def build():
+        gens = []
+        offsets = [0]
+        for leg, f in enumerate(factors, start=1):
+            base = offsets[-1]
+            for g in f.generators:
+                gens.append(Generator(g.name, g.degree, g.adjoint + base, leg))
+            offsets.append(base + f.n_gens)
 
-    rules = []
-    for leg, f in enumerate(factors, start=1):
-        base = offsets[leg - 1]
-        for rule in f.rules.values():
-            lhs = tuple(i + base for i in rule.lhs)
-            rhs = tuple((c, tuple(i + base for i in w)) for c, w in rule.rhs)
-            rules.append(RewriteRule(lhs, rhs))
-    # cross-leg rules: [y][x] -> zeta^(-deg(x)*deg(y)) [x][y] for legs(y) > legs(x)
-    for i_leg in range(1, len(factors) + 1):
-        for j_leg in range(i_leg + 1, len(factors) + 1):
-            fi, fj = factors[i_leg - 1], factors[j_leg - 1]
-            bi, bj = offsets[i_leg - 1], offsets[j_leg - 1]
-            for xi, gx in enumerate(fi.generators):
-                for yj, gy in enumerate(fj.generators):
-                    coeff = zeta ** (-(gx.degree * gy.degree))
-                    rules.append(
-                        RewriteRule(
-                            (yj + bj, xi + bi),
-                            ((coeff, (xi + bi, yj + bj)),),
+        rules = []
+        for leg, f in enumerate(factors, start=1):
+            base = offsets[leg - 1]
+            for rule in f.rules.values():
+                lhs = tuple(i + base for i in rule.lhs)
+                rhs = tuple((c, tuple(i + base for i in w)) for c, w in rule.rhs)
+                rules.append(RewriteRule(lhs, rhs))
+        # cross-leg rules: [y][x] -> zeta^(-deg(x)*deg(y)) [x][y] for legs(y) > legs(x)
+        for i_leg in range(1, len(factors) + 1):
+            for j_leg in range(i_leg + 1, len(factors) + 1):
+                fi, fj = factors[i_leg - 1], factors[j_leg - 1]
+                bi, bj = offsets[i_leg - 1], offsets[j_leg - 1]
+                for xi, gx in enumerate(fi.generators):
+                    for yj, gy in enumerate(fj.generators):
+                        coeff = zeta ** (-(gx.degree * gy.degree))
+                        rules.append(
+                            RewriteRule(
+                                (yj + bj, xi + bi),
+                                ((coeff, (xi + bi, yj + bj)),),
+                            )
                         )
-                    )
 
-    label = " x ".join(f.label for f in factors)
-    params = dict(factors[0].params)
-    params["zeta"] = zeta
-    pres = Presentation(label, gens, rules, params=params, factors=factors)
-    _PRESENTATION_CACHE[key] = pres
-    return pres
+        label = " x ".join(f.label for f in factors)
+        params = dict(factors[0].params)
+        params["zeta"] = zeta
+        return Presentation(label, gens, rules, params=params, factors=factors)
+
+    return _cached(("tensor", tuple(f._token for f in factors), zeta), build)
 
 
 def retag(x, target, offset):
@@ -97,6 +91,25 @@ def embed(product, leg, x):
     return retag(x, product, product.leg_offsets[leg - 1])
 
 
+def braiding_failures(product):
+    """Generator pairs on which the cross-leg law fails in a twisted square.
+
+    Checks ``j1(x) j2(y) = zeta^(deg x deg y) j2(y) j1(x)`` for every pair of
+    generators x, y of the first factor and returns the failing pairs as
+    ``(name of x, name of y)``.  Both sides are multiplicative in x and in y
+    and the degree pairing is a bicharacter, so an empty list proves the law
+    for every pair of monomials by induction on word length.
+    """
+    A = product.factors[0]
+    zeta = product.params["zeta"]
+    failures = []
+    for gx, gy in itertools.product(A.generators, repeat=2):
+        x, y = embed(product, 1, A.gen(gx.name)), embed(product, 2, A.gen(gy.name))
+        if x * y != (y * x).scale(zeta ** (gx.degree * gy.degree)):
+            failures.append((gx.name, gy.name))
+    return failures
+
+
 def grading_flip(pres):
     """The same presentation with every degree negated.
 
@@ -111,20 +124,15 @@ def grading_flip(pres):
             [grading_flip(f) for f in pres.factors], pres.params["zeta"]
         )
     else:
-        key = ("flip", pres._token)
-        flipped = _PRESENTATION_CACHE.get(key)
-        if flipped is None:
-            gens = [
-                Generator(g.name, -g.degree, g.adjoint, g.leg)
-                for g in pres.generators
-            ]
-            flipped = Presentation(
+        flipped = _cached(
+            ("flip", pres._token),
+            lambda: Presentation(
                 pres.label + "-flip",
-                gens,
+                [Generator(g.name, -g.degree, g.adjoint, g.leg) for g in pres.generators],
                 list(pres.rules.values()),
                 params=pres.params,
-            )
-            _PRESENTATION_CACHE[key] = flipped
+            ),
+        )
     pres._flip = flipped
     flipped._flip = pres
     return flipped

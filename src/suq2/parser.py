@@ -203,7 +203,12 @@ class _Parser:
 def parse(text, pres):
     """Parse an expression into a normalized element of ``pres``."""
     parser = _Parser(pres, tokenize(text))
-    out = parser.parse_expr()
+    try:
+        out = parser.parse_expr()
+    except RecursionError:
+        raise ParseError(
+            "parse-depth: expression nests too deeply", parser.peek()[2]
+        ) from None
     kind, value, col = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected token {value!r}", col)

@@ -308,31 +308,31 @@ def mixed_leg_matrices(v, product):
     return a, b
 
 
+def _times_vector(m, xi):
+    """The entries sum_c m[r, c] xi[c] of m applied to a Scalar vector xi."""
+    out = []
+    for row in m.entries:
+        acc = m.pres.zero()
+        for el, coeff in zip(row, xi):
+            if not coeff.is_zero():
+                acc = acc + el.scale(coeff)
+        out.append(acc)
+    return out
+
+
 def invariant_vector_check(v, xi):
     """Does v fix the vector with Scalar coordinates xi (against the unit)?
 
     Returns ``(verdict, residual elements per coordinate)`` for the equation
     ``v (xi (x) 1) = xi (x) 1``.
     """
-    n = v.dim
-    xi = list(xi)
-    if len(xi) != n:
+    xi = [c if isinstance(c, Scalar) else Scalar.from_int(c) for c in xi]
+    if len(xi) != v.dim:
         raise ValueError("vector length must match the matrix dimension")
-    residuals = []
-    ok = True
-    for r in range(n):
-        acc = v.pres.zero()
-        for c in range(n):
-            coeff = xi[c] if isinstance(xi[c], Scalar) else Scalar.from_int(xi[c])
-            if coeff.is_zero():
-                continue
-            acc = acc + v.entries[r][c].scale(coeff)
-        coeff_r = xi[r] if isinstance(xi[r], Scalar) else Scalar.from_int(xi[r])
-        res = acc - v.pres.scalar(coeff_r)
-        residuals.append(res)
-        if not res.is_zero():
-            ok = False
-    return ok, residuals
+    residuals = [
+        acc - v.pres.scalar(c) for acc, c in zip(_times_vector(v, xi), xi)
+    ]
+    return all(res.is_zero() for res in residuals), residuals
 
 
 @dataclass
@@ -374,19 +374,8 @@ def constraint_derivation(qparam=None):
     m1 = AlgMatrix(F, space, _leg1_matrix(u.adjoint(), 2))
     m2 = AlgMatrix(F, space, _leg2_matrix(u, QUBIT, zeta))
 
-    def apply_to(m):
-        out = []
-        for r in range(4):
-            acc = F.zero()
-            for cc in range(4):
-                if xi[cc].is_zero():
-                    continue
-                acc = acc + m.entries[r][cc].scale(xi[cc])
-            out.append(acc)
-        return out
-
-    lhs = apply_to(m1)
-    rhs = apply_to(m2)
+    lhs = _times_vector(m1, xi)
+    rhs = _times_vector(m2, xi)
 
     report = ConstraintReport()
     coords = ["e0e0", "e0e1", "e1e0", "e1e1"]

@@ -55,9 +55,10 @@ def test_criterion_03_coassociativity():
 
 
 def test_criterion_04_cancellation_witnesses():
-    res = run_check("cancellation-witness", {"maxlen": 3})
-    assert res.details["words_checked"] == 85
-    _report(4, "matrix identities + closure to length 3", res.ok)
+    res = run_check("cancellation-witness")
+    assert res.details["certificate"]["method"] == "induction on word length"
+    assert len(res.details["certificate"]["base"]) == 4
+    _report(4, "matrix identities + span witnesses for every word length", res.ok)
 
 
 def test_criterion_05_representation_theory():

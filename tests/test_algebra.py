@@ -172,12 +172,6 @@ def test_degree_examples():
     assert A.zero().degree() == "zero"
 
 
-def test_homogeneous_components():
-    comps = (G + AL + ALS * G).homogeneous_components()
-    assert set(comps) == {0, 1}
-    assert comps[0] == AL
-
-
 # -- algebra laws -----------------------------------------------------------------------
 
 

@@ -224,3 +224,20 @@ def test_huge_scalar_powers(capsys):
     assert (code, report["result"]) == (0, "q^3000000")
     code, report = run_cli(capsys, "nf", "qb^-3000000*a")
     assert (code, report["result"]) == (0, "qb^-3000000*a")
+
+
+@pytest.mark.parametrize(
+    "algebra, template",
+    [("suq2", "{open}q{close}"), ("suq2-tensor2", "j1({open}a{close})")],
+    ids=["nested-parentheses", "nested-leg-embedding"],
+)
+def test_deep_nesting_is_a_parse_error(algebra, template):
+    def nested(depth):
+        return template.format(open="(" * depth, close=")" * depth)
+
+    ok = _run_module("nf", "--algebra", algebra, nested(200))
+    assert ok.returncode == 0, ok.stderr
+    deep = _run_module("nf", "--algebra", algebra, nested(250))
+    assert deep.returncode == 2
+    assert "error: parse-depth" in deep.stderr
+    assert "Traceback" not in deep.stderr

@@ -51,3 +51,11 @@ def test_report_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("ascii") == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_verify_options_are_inert(capsys):
+    # every check is a finite proof, so no check reads --seed, --maxlen or --trials
+    code = main(["verify", "all", "--seed", "7", "--maxlen", "5", "--trials", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode("ascii") == (GOLDEN / "verify-all.json").read_bytes()

@@ -1,5 +1,7 @@
 """Generator morphisms: relation checking, application, the named catalog."""
 
+import itertools
+
 import pytest
 
 from suq2 import (
@@ -25,8 +27,10 @@ from suq2 import (
     tensor_morphism,
     twisted_tensor,
 )
+from suq2 import morphisms
 from suq2.checks import _coassoc
 from suq2.morphisms import GenMorphism
+from suq2.repcalc import fundamental_matrix
 
 A = suq2_presentation()
 Q = A.params["q"]
@@ -101,16 +105,21 @@ def test_coassociativity():
     assert equal_on_generators(left, right)
 
 
-def test_coassoc_helper_names_every_failing_generator():
-    # (rho x id) o delta is a verified equivariant hom, but not coassociative
+def _skewed_delta():
+    # (rho_scale(1) x id) o delta: a verified, equivariant hom that is not delta
     d = delta_su()
     rho_x_id = tensor_morphism([rho_scale(A, 1), identity_morphism(A)], d.target)
-    skewed = compose(rho_x_id, d)
+    return compose(rho_x_id, d)
+
+
+def test_coassoc_helper_names_every_failing_generator():
+    # the skewed map is a verified equivariant hom, but not coassociative
+    skewed = _skewed_delta()
     assert skewed.check() and skewed.is_equivariant()
     residuals, left, right = _coassoc(skewed, A.params["zeta"])
     assert [line.split(":")[0] for line in residuals] == ["g", "g'", "a", "a'"]
     assert not equal_on_generators(left, right)
-    assert _coassoc(d, A.params["zeta"])[0] == []
+    assert _coassoc(delta_su(), A.params["zeta"])[0] == []
 
 
 def test_comultiplication_preserves_total_degree():
@@ -194,12 +203,91 @@ def test_delta_uq2_well_defined_and_coassociative():
     assert equal_on_generators(left, right)
 
 
+# -- cancellation: test-only enumeration oracle ----------------------------------------
+
+# (generator, entry (r, c) of matrix identity one, factor): entry (r, c) of
+# j1(u) = delta(u) j2(u)* expands j1(x) for x = factor * u[r][c]
+LETTER_EXPANSIONS = [
+    ("a", (0, 0), Scalar.one()),
+    ("g", (1, 0), Scalar.one()),
+    ("a'", (1, 1), Scalar.one()),
+    ("g'", (0, 1), -Q.inverse()),
+]
+
+
+def span_witness_failures(delta, max_len, letters=LETTER_EXPANSIONS):
+    """Every word of length <= max_len whose span witness does not rewrite to j1(w).
+
+    The witness j1(w) = sum c delta(a) j2(b) is built letter by letter as in
+    the induction: j2(b) j1(x) = zeta^(-deg b deg x) j1(x) j2(b), then the
+    letter expansion of x.  The degree scaling is the automorphism rho_scale.
+    """
+    AA = delta.target
+    u = fundamental_matrix(A).entries
+    letter_rep = {
+        A.gen_index(name): [(coeff, u[r][k], u[c][k].adjoint()) for k in range(2)]
+        for name, (r, c), coeff in letters
+    }
+    rho = {}
+
+    def scaled(x, m):
+        if m not in rho:
+            rho[m] = rho_scale(A, m)
+            rho[m].check()
+        return rho[m].apply(x)
+
+    reps = {(): [(Scalar.one(), A.unit(), A.unit())]}
+    failures = []
+    for length in range(max_len + 1):
+        for word in itertools.product(range(A.n_gens), repeat=length):
+            if word:
+                x, k = word[-1], A.generators[word[-1]].degree
+                reps[word] = [
+                    (c1 * c2, a1 * a2, b2 * scaled(b1, -k))
+                    for c1, a1, b1 in reps[word[:-1]]
+                    for c2, a2, b2 in letter_rep[x]
+                ]
+            acc = AA.zero()
+            for coeff, a_el, b_el in reps[word]:
+                acc = acc + (delta.apply(a_el) * embed(AA, 2, b_el)).scale(coeff)
+            if acc != embed(AA, 1, A.element([(1, word)])):
+                failures.append(word)
+    return failures
+
+
 def test_cancellation_witness_passes():
-    report = cancellation_witness(max_len=3)
+    report = cancellation_witness()
     assert report.ok
+    assert not report.hom_residuals
     assert not report.matrix_one_residuals
     assert not report.matrix_two_residuals
-    assert report.words_checked == 1 + 4 + 16 + 64
+    assert not report.braiding_failures
+
+
+@pytest.mark.parametrize("max_len", [3, 4])
+def test_cancellation_oracle_agrees_with_the_proof(max_len):
+    assert cancellation_witness().ok
+    assert span_witness_failures(delta_su(), max_len) == []
+
+
+def test_cancellation_rejects_a_skewed_comultiplication(monkeypatch):
+    skewed = _skewed_delta()
+    assert skewed.check() and skewed.is_equivariant()
+    monkeypatch.setattr(morphisms, "delta_su", lambda qparam=None: skewed)
+    report = cancellation_witness()
+    assert not report.ok
+    assert not report.hom_residuals and not report.braiding_failures
+    assert [rc for rc, _ in report.matrix_one_residuals] == [(0, 1), (1, 0)]
+    # the oracle agrees: the span witnesses of g and g' no longer rewrite
+    failures = span_witness_failures(skewed, 3)
+    assert (A.gen_index("g"),) in failures and (A.gen_index("g'"),) in failures
+
+
+def test_cancellation_oracle_flags_a_broken_letter_expansion():
+    broken = LETTER_EXPANSIONS[:3] + [("g'", (0, 1), -Q)]
+    failures = span_witness_failures(delta_su(), 2, broken)
+    assert (A.gen_index("g'"),) in failures
+    assert all(A.gen_index("g'") in w for w in failures)
 
 
 def test_cancellation_witness_single_letter_expansion():
