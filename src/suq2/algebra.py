@@ -15,8 +15,10 @@ replaces its left-hand side by deglex-smaller words (the termination
 certificate, checked once per presentation), every reduction terminates.
 When in addition every overlap and inclusion ambiguity of the rule table
 resolves (:func:`confluence_check`), every word has exactly one normal form
-and the irreducible words are a linear basis.  The numeric operator oracle in
-:mod:`suq2.numeric` is an independent cross-check of the relations.
+and the irreducible words are a linear basis.  :func:`confluence_check` is
+that proof and nothing else: it reduces no sampled word.  The numeric
+operator oracle in :mod:`suq2.numeric` is an independent cross-check of the
+relations.
 
 Shipped presentations:
 
@@ -32,7 +34,6 @@ Shipped presentations:
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 
 from .errors import PresentationMismatchError, RewriteLimitError
@@ -237,27 +238,6 @@ class Presentation:
             memo[w] = tuple((acc[w2], w2) for w2 in sorted(acc, key=deglex_key))
             stack.pop()
         return memo[word]
-
-    def reduce_word_random(self, word, rng, max_steps=20000):
-        """Normal form with randomly chosen redexes; used by the confluence check."""
-        pending = {tuple(word): _ONE}
-        done = {}
-        steps = 0
-        while pending:
-            w = rng.choice(sorted(pending))
-            c = pending.pop(w)
-            redexes = self._redexes(w)
-            if not redexes:
-                _accumulate(done, w, c)
-                continue
-            steps += 1
-            if steps > max_steps:
-                raise RewriteLimitError("randomised reduction exceeded step budget")
-            pos, rule = redexes[rng.randrange(len(redexes))]
-            cut = pos + len(rule.lhs)
-            for coeff, rw in rule.rhs:
-                _accumulate(pending, w[:pos] + rw + w[cut:], c * coeff)
-        return done
 
     # -- element factories -----------------------------------------------------
 
@@ -613,9 +593,6 @@ class ConfluenceReport:
     """
 
     presentation: str
-    max_length: int
-    trials: int
-    seed: int
     words_checked: int = 0
     critical_pairs: int = 0
     certificate: dict | None = None
@@ -642,28 +619,27 @@ def _ambiguity_words(pres):
     return sorted(words, key=deglex_key)
 
 
-def confluence_check(pres, maxlen=4, trials=500, seed=1):
-    """Diamond-lemma proof of confluence, plus randomised-order reduction.
+def confluence_check(pres, maxlen=None, trials=None, seed=None):
+    """Diamond-lemma proof of confluence.
 
     By Bergman's diamond lemma, a rule set whose right-hand words are all
     deglex-smaller than their left-hand sides (``pres.deglex_violation`` is
     ``None``) is confluent as soon as every overlap and inclusion ambiguity
     resolves.  Each ambiguity word gets every matching rule applied once;
     each result is fully reduced and all the normal forms must agree.  That
-    proves normal form equals algebra equality for words of every length, so
-    ``maxlen`` bounds only the random trials below.
+    proves normal form equals algebra equality for words of every length.
 
     A rule set without the certificate is reported at once as
     ``non-termination``, naming the offending left-hand side, and nothing is
-    reduced.  An unresolved ambiguity is a ``critical-pair`` entry.  As an
-    independent cross-check, ``trials`` random words of length <= maxlen are
-    reduced under a randomised rule-application order and compared with the
-    deterministic normal form.  Failures (including step-limit hits) become
-    report entries, never exceptions.
+    reduced.  An unresolved ambiguity is a ``critical-pair`` entry, and an
+    ambiguity whose reduction hits the step cap a ``non-termination`` entry;
+    failures become report entries, never exceptions.
+
+    ``maxlen``, ``trials`` and ``seed`` are accepted and read by nothing:
+    they sized a random-order sampling pass that the proof makes redundant,
+    and existing callers still pass them.
     """
-    if maxlen < 3:
-        raise ValueError("maxlen must be at least 3")
-    report = ConfluenceReport(pres.label, maxlen, trials, seed)
+    report = ConfluenceReport(pres.label)
     if pres.deglex_violation is not None:
         report.divergences.append(
             {"kind": "non-termination", "rule": list(pres.deglex_violation)}
@@ -705,20 +681,4 @@ def confluence_check(pres, maxlen=4, trials=500, seed=1):
         else:
             report.critical_pairs += len(forms) * (len(forms) - 1) // 2
 
-    rng = random.Random(seed)
-    for _ in range(trials):
-        if len(report.divergences) >= max_divergences:
-            break
-        length = rng.randint(1, maxlen)
-        word = tuple(rng.randrange(pres.n_gens) for _ in range(length))
-        try:
-            randomized = pres.reduce_word_random(word, rng, max_steps=step_cap)
-            expected = {w: c for c, w in pres.reduce_word(word, max_steps=step_cap)}
-        except RewriteLimitError:
-            report.divergences.append({"kind": "non-termination", "word": list(word)})
-            continue
-        if randomized != expected:
-            report.divergences.append(
-                {"kind": "order-dependent", "word": list(word)}
-            )
     return report

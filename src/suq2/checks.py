@@ -27,7 +27,6 @@ from .morphisms import (
     su_to_uq2,
 )
 from .repcalc import (
-    QUBIT,
     constraint_derivation,
     corep_check,
     fundamental_matrix,
@@ -36,7 +35,6 @@ from .repcalc import (
     matrix_embed,
     rep_tensor,
     uq2_from_su2_rep,
-    zpower_matrix,
 )
 from .scalars import Scalar
 
@@ -390,12 +388,8 @@ def check_uq2_coassoc():
 def check_uq2_corep_bijection():
     inc = su_to_uq2()
     inc.check()
-    B = inc.target
-    d = delta_uq2()
-    u_su = fundamental_matrix(inc.source)
-    v = matrix_apply(inc, u_su).map_entries(lambda e: e, space=QUBIT)
-    udiag = zpower_matrix(B, QUBIT)
-    rep = uq2_from_su2_rep(v, udiag, d)
+    v = matrix_apply(inc, fundamental_matrix(inc.source))
+    rep = uq2_from_su2_rep(v, delta_uq2())
     residuals = []
     if not rep.unitary:
         residuals.append("v U* is not unitary")
@@ -427,7 +421,7 @@ def check_torus_relations():
             residuals.append(f"{name} != 1")
     if Vs * U != (U * Vs).scale(zeta):
         residuals.append("V' U != zeta U V'")
-    rep = confluence_check(T, maxlen=4, trials=200, seed=1)
+    rep = confluence_check(T)
     if not rep.ok:
         residuals.append(f"confluence divergences: {rep.divergences}")
     return _result(

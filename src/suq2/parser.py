@@ -12,7 +12,9 @@ Scalar names: ``q``, ``qb``, ``zeta``, ``i``.  Generator names depend on the
 selected algebra (``a g`` / ``a g z`` / ``U V``); the postfix apostrophe is
 the adjoint, on scalars the conjugate.  Division requires a scalar divisor;
 negative powers require a scalar base.  ``j1`` / ``j2`` / ``j3`` wrap an
-expression of the corresponding tensor factor.
+expression of the corresponding tensor factor.  Parentheses nest at most
+``MAX_DEPTH`` (200) levels deep, not counting the one of ``jN(``; deeper
+input is a ``parse-depth`` error.
 
 Everything evaluates directly to an element of the selected presentation, so
 scalar arithmetic and algebra words share one grammar.
@@ -27,6 +29,12 @@ from .errors import ParseError
 from .scalars import Scalar
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(['^()*/+-]))")
+
+# nesting bound for parentheses: at four frames a level the recursive descent
+# leaves about 180 frames of Python's default recursion limit to the caller,
+# so the bound, not the caller's stack depth, decides; RecursionError in
+# parse() stays as a backstop for callers deeper than that
+MAX_DEPTH = 200
 
 _SCALARS = {
     "q": Scalar.q,
@@ -145,6 +153,11 @@ class _Parser:
             return pres.scalar(Scalar.from_int(value))
         if kind == "op" and value == "(":
             self.open_parens.append(col)
+            # the "jN(" of an enclosing leg embedding is not a nesting level
+            if len(self.open_parens) - (pres is not self.pres) > MAX_DEPTH:
+                raise ParseError(
+                    f"parse-depth: more than {MAX_DEPTH} nested parentheses", col
+                )
             inner = self.parse_expr(pres)
             k2, v2, _ = self.peek()
             if not (k2 == "op" and v2 == ")"):

@@ -100,10 +100,7 @@ def test_verify_report_is_byte_stable(capsys):
 
 
 def test_confluence_command(capsys):
-    code, report = run_cli(
-        capsys, "confluence", "--algebra", "uq2", "--maxlen", "4",
-        "--trials", "100", "--seed", "1",
-    )
+    code, report = run_cli(capsys, "confluence", "--algebra", "uq2")
     assert code == 0
     assert report["result"] == "pass"
     assert report["details"]["critical_pairs"] > 0
@@ -191,6 +188,16 @@ def test_out_file(tmp_path, capsys):
     assert on_disk == report
 
 
+def test_unwritable_out_file_is_a_usage_error(tmp_path):
+    missing = tmp_path / "missing-dir" / "report.json"
+    res = _run_module("nf", "a", "--out", str(missing))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "error: out-file:" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not missing.parent.exists()
+
+
 def test_bad_q_value_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["numeric", "relations", "--q", "nope"])
@@ -237,7 +244,8 @@ def test_deep_nesting_is_a_parse_error(algebra, template):
 
     ok = _run_module("nf", "--algebra", algebra, nested(200))
     assert ok.returncode == 0, ok.stderr
-    deep = _run_module("nf", "--algebra", algebra, nested(250))
-    assert deep.returncode == 2
-    assert "error: parse-depth" in deep.stderr
-    assert "Traceback" not in deep.stderr
+    for depth in (201, 250):
+        deep = _run_module("nf", "--algebra", algebra, nested(depth))
+        assert deep.returncode == 2
+        assert "error: parse-depth" in deep.stderr
+        assert "Traceback" not in deep.stderr

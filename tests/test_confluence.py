@@ -13,8 +13,9 @@ from suq2 import (
     twisted_tensor,
     uq2_presentation,
 )
-from suq2.algebra import Generator, Presentation, RewriteRule
+from suq2.algebra import Generator, Presentation, RewriteRule, _accumulate
 from suq2.cli import ALGEBRAS, _algebra
+from suq2.errors import RewriteLimitError
 
 SU_GENS = (
     Generator("g", 1, 1),
@@ -60,6 +61,45 @@ def exhaustive_critical_pairs(pres, maxlen):
     return diverging
 
 
+def reduce_word_random(pres, word, rng, max_steps=20_000):
+    """Reference oracle: the normal form of ``word`` under a random rule order.
+
+    Each step picks a pending word and one of its redexes at random.  Under a
+    terminating, confluent rule set the result is ``pres.reduce_word(word)``
+    whatever the choices; this is the sampling cross-check that the
+    diamond-lemma proof replaced.  Returns a ``{word: coefficient}`` dict.
+    """
+    pending = {tuple(word): Scalar.one()}
+    done = {}
+    steps = 0
+    while pending:
+        w = rng.choice(sorted(pending))
+        c = pending.pop(w)
+        redexes = pres._redexes(w)
+        if not redexes:
+            _accumulate(done, w, c)
+            continue
+        steps += 1
+        if steps > max_steps:
+            raise RewriteLimitError("randomised reduction exceeded step budget")
+        pos, rule = redexes[rng.randrange(len(redexes))]
+        cut = pos + len(rule.lhs)
+        for coeff, rw in rule.rhs:
+            _accumulate(pending, w[:pos] + rw + w[cut:], c * coeff)
+    return done
+
+
+def _order_dependent_words(pres, rng, count, maxlen):
+    """Seeded words whose random-order normal form differs from ``reduce_word``."""
+    found = []
+    for _ in range(count):
+        word = tuple(rng.randrange(pres.n_gens) for _ in range(rng.randint(1, maxlen)))
+        expected = {w: c for c, w in pres.reduce_word(word)}
+        if reduce_word_random(pres, word, rng) != expected:
+            found.append(word)
+    return found
+
+
 def _looping_presentation():
     qb = Scalar.qbar()
     return Presentation(
@@ -72,12 +112,25 @@ def _looping_presentation():
     )
 
 
+def _diverging_presentation():
+    # U U' -> 1 and U' U -> 2 disagree on the overlap U U' U
+    one, two = Scalar.one(), Scalar.from_int(2)
+    return Presentation(
+        "diverging",
+        (Generator("U", 0, 1), Generator("U'", 0, 0)),
+        [
+            RewriteRule((0, 1), ((one, ()),)),
+            RewriteRule((1, 0), ((two, ()),)),
+            RewriteRule((0, 0), ((one, ()),)),  # U^2 -> 1 overlaps both ways
+        ],
+    )
+
+
 @pytest.mark.parametrize(
-    "pres_factory, trials",
-    [(suq2_presentation, 500), (torus_presentation, 200), (uq2_presentation, 500)],
+    "pres_factory", [suq2_presentation, torus_presentation, uq2_presentation]
 )
-def test_shipped_presentations_confluent(pres_factory, trials):
-    report = confluence_check(pres_factory(), maxlen=4, trials=trials, seed=1)
+def test_shipped_presentations_confluent(pres_factory):
+    report = confluence_check(pres_factory())
     assert report.ok, report.divergences
     assert report.critical_pairs > 0
 
@@ -85,13 +138,13 @@ def test_shipped_presentations_confluent(pres_factory, trials):
 def test_tensor_square_confluent():
     A = suq2_presentation()
     AA = twisted_tensor([A, A], A.params["zeta"])
-    report = confluence_check(AA, maxlen=3, trials=200, seed=1)
+    report = confluence_check(AA)
     assert report.ok, report.divergences
 
 
 def test_looping_rule_pair_is_flagged():
     looping = _looping_presentation()
-    report = confluence_check(looping, maxlen=3, trials=20, seed=1)
+    report = confluence_check(looping)
     assert not report.ok
     assert any(d["kind"] == "non-termination" for d in report.divergences)
 
@@ -104,8 +157,7 @@ def test_looping_rule_pair_fails_certificate_without_reducing(monkeypatch):
         raise AssertionError("no word may be reduced without a certificate")
 
     monkeypatch.setattr(looping, "reduce_word", refuse)
-    monkeypatch.setattr(looping, "reduce_word_random", refuse)
-    report = confluence_check(looping, maxlen=3, trials=20, seed=1)
+    report = confluence_check(looping)
     assert report.divergences == [{"kind": "non-termination", "rule": [0, 2]}]
     assert report.certificate is None
     assert (report.words_checked, report.critical_pairs) == (0, 0)
@@ -145,7 +197,7 @@ def test_certificate_and_ambiguity_counts(name):
     ambiguities = AMBIGUITIES[name]
     pres = _algebra(name)
     assert pres.deglex_violation is None
-    report = confluence_check(pres, maxlen=3, trials=20, seed=1)
+    report = confluence_check(pres)
     assert report.ok, report.divergences
     assert report.certificate["order"] == "deglex"
     assert report.certificate["ambiguities"] == ambiguities
@@ -166,7 +218,7 @@ def test_inclusion_ambiguity_divergence_is_a_critical_pair():
         [RewriteRule((1,), ((one, (0,)),)), RewriteRule((1, 0), ((two, ()),))],
     )
     assert pres.deglex_violation is None
-    report = confluence_check(pres, maxlen=3, trials=0, seed=1)
+    report = confluence_check(pres)
     assert report.certificate["ambiguities"] == 1
     assert report.divergences == [{"kind": "critical-pair", "word": [1, 0]}]
     assert exhaustive_critical_pairs(pres, 3)
@@ -188,7 +240,7 @@ def test_redex_enumerator_at_the_end_of_a_word():
     assert incl.deglex_violation is None
     assert incl._redexes((U, Us)) == [(0, incl.rules[U, Us]), (1, incl.rules[Us,])]
     assert incl._redexes((Us,)) == [(0, incl.rules[Us,])]
-    report = confluence_check(incl, maxlen=3, trials=50, seed=1)
+    report = confluence_check(incl)
     assert report.ok, report.divergences
     assert (report.words_checked, report.critical_pairs) == (1, 1)
 
@@ -205,7 +257,7 @@ def test_redex_enumerator_at_the_end_of_a_word():
 )
 def test_diamond_lemma_agrees_with_exhaustive_oracle(pres_factory):
     pres = pres_factory()
-    assert confluence_check(pres, maxlen=4, trials=0, seed=1).ok
+    assert confluence_check(pres).ok
     assert exhaustive_critical_pairs(pres, 4) == []
 
 
@@ -221,7 +273,7 @@ def test_mutated_suq2_rules_flagged_by_both(slot):
     rhs[t] = (rhs[t][0] * factor, rhs[t][1])
     rules[k] = RewriteRule(rules[k].lhs, tuple(rhs))
     mutant = Presentation("mutant", SU_GENS, rules)
-    report = confluence_check(mutant, maxlen=4, trials=0, seed=1)
+    report = confluence_check(mutant)
     assert mutant.deglex_violation is None
     assert not report.ok
     assert {d["kind"] for d in report.divergences} == {"critical-pair"}
@@ -229,36 +281,36 @@ def test_mutated_suq2_rules_flagged_by_both(slot):
 
 
 def test_genuinely_divergent_rules_reported():
-    # two rules rewriting the same pair to different normal scalars
-    one = Scalar.one()
-    two = Scalar.from_int(2)
-    gens = (Generator("U", 0, 1), Generator("U'", 0, 0))
-    diverging = Presentation(
-        "diverging",
-        gens,
-        [
-            RewriteRule((0, 1), ((one, ()),)),
-            RewriteRule((1, 0), ((two, ()),)),
-            RewriteRule((0, 0), ((one, ()),)),  # U^2 -> 1 overlaps both ways
-        ],
-    )
-    report = confluence_check(diverging, maxlen=3, trials=10, seed=1)
+    report = confluence_check(_diverging_presentation())
     assert not report.ok
     assert any(d["kind"] == "critical-pair" for d in report.divergences)
 
 
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_random_order_oracle_agrees_with_reduce_word(name):
+    pres = _algebra(name)
+    maxlen = 5 if name == "uq2" else 4
+    assert _order_dependent_words(pres, random.Random(1), 500, maxlen) == []
+
+
+def test_random_order_oracle_flags_diverging_rules():
+    # the engine reports these rules as a critical pair (test above)
+    diverging = _diverging_presentation()
+    assert _order_dependent_words(diverging, random.Random(1), 500, 4)
+
+
 def test_randomized_reduction_matches_deterministic():
-    import random
-
     A = suq2_presentation()
-    rng = random.Random(3)
-    for _ in range(50):
-        word = tuple(rng.randrange(A.n_gens) for _ in range(rng.randint(1, 5)))
-        randomized = A.reduce_word_random(word, rng)
-        expected = {w: c for c, w in A.reduce_word(word)}
-        assert randomized == expected
+    assert _order_dependent_words(A, random.Random(3), 50, 5) == []
 
 
-def test_maxlen_floor():
-    with pytest.raises(ValueError):
-        confluence_check(suq2_presentation(), maxlen=2)
+def test_inert_keywords_leave_the_report_unchanged():
+    # the confluence-tensor benchmark still passes maxlen, trials and seed
+    T3 = _algebra("suq2-tensor3")
+
+    def fields(r):
+        return r.ok, r.words_checked, r.critical_pairs, r.certificate, r.divergences
+
+    assert fields(confluence_check(T3, maxlen=4, trials=500, seed=9)) == fields(
+        confluence_check(T3)
+    )

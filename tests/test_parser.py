@@ -113,3 +113,14 @@ def test_render_parse_round_trip(raw):
 def test_render_parse_round_trip_two_legs(raw):
     el = AA.normalize_raw(raw)
     assert parse(el.render(), AA) == el
+
+
+def test_parse_depth_bound_does_not_depend_on_the_caller():
+    def nested(depth):
+        return "(" * depth + "q" + ")" * depth
+
+    def called_deep(frames, text):
+        return called_deep(frames - 1, text) if frames else parse(text, A)
+
+    # 201 levels are a parse-depth error (test_cli.py); 200 parse from deep
+    assert called_deep(100, nested(200)) == A.scalar(Q)

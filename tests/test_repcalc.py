@@ -158,27 +158,15 @@ def test_uq2_corep_bijection_fundamental_case():
     inc.check()
     B = inc.target
     d = delta_uq2()
-    v = matrix_apply(inc, U_FUND).map_entries(lambda e: e, space=QUBIT)
-    udiag = zpower_matrix(B, QUBIT)
-    report = uq2_from_su2_rep(v, udiag, d)
+    v = matrix_apply(inc, U_FUND)
+    report = uq2_from_su2_rep(v, d)
     assert report.unitary
     assert report.corep
     assert report.roundtrip
     assert report.diagonal_alone
     # the converted matrix has the expected entries ((a z', -q g'), (g z', a'))
-    u = v * udiag.adjoint()
+    u = v * zpower_matrix(B, QUBIT).adjoint()
     assert u[0, 0] == B.gen("a") * B.gen("z'")
     assert u[0, 1] == B.gen("g'").scale(-Q)
     assert u[1, 0] == B.gen("g") * B.gen("z'")
     assert u[1, 1] == B.gen("a'")
-
-
-def test_uq2_from_su2_rep_rejects_non_diagonal():
-    inc = su_to_uq2()
-    inc.check()
-    B = inc.target
-    d = delta_uq2()
-    v = matrix_apply(inc, U_FUND).map_entries(lambda e: e, space=QUBIT)
-    bad = AlgMatrix(B, QUBIT, [[B.gen("z"), B.unit()], [B.zero(), B.unit()]])
-    with pytest.raises(ValueError, match="diagonal"):
-        uq2_from_su2_rep(v, bad, d)
