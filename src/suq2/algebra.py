@@ -346,6 +346,10 @@ class Element:
         if isinstance(other, (int, Scalar)):
             return self.scale(other)
         self._check_same(other)
+        # a scalar side only scales the other's words, which are already normal
+        for s, x in ((self, other), (other, self)):
+            if len(s._terms) == 1 and () in s._terms:
+                return x.scale(s._terms[()])
         raw = []
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():

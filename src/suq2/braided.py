@@ -91,20 +91,22 @@ def embed(product, leg, x):
     return retag(x, product, product.leg_offsets[leg - 1])
 
 
-def braiding_failures(product):
-    """Generator pairs on which the cross-leg law fails in a twisted square.
+def braiding_failures(A, j1, j2):
+    """Generator pairs on which the cross-leg law fails for two leg maps.
 
-    Checks ``j1(x) j2(y) = zeta^(deg x deg y) j2(y) j1(x)`` for every pair of
-    generators x, y of the first factor and returns the failing pairs as
-    ``(name of x, name of y)``.  Both sides are multiplicative in x and in y
-    and the degree pairing is a bicharacter, so an empty list proves the law
-    for every pair of monomials by induction on word length.
+    ``j1`` and ``j2`` are homomorphisms from ``A`` into one algebra, such as
+    the two leg embeddings of a twisted square.  Checks
+    ``j1(x) j2(y) = zeta^(deg x deg y) j2(y) j1(x)``, with ``zeta`` the twist
+    of ``A``, for every pair of generators x, y of ``A`` and returns the
+    failing pairs as ``(name of x, name of y)``.  Both sides are
+    multiplicative in x and in y and the degree pairing is a bicharacter, so
+    an empty list proves the law for every pair of monomials by induction on
+    word length.
     """
-    A = product.factors[0]
-    zeta = product.params["zeta"]
+    zeta = A.params["zeta"]
     failures = []
     for gx, gy in itertools.product(A.generators, repeat=2):
-        x, y = embed(product, 1, A.gen(gx.name)), embed(product, 2, A.gen(gy.name))
+        x, y = j1(A.gen(gx.name)), j2(A.gen(gy.name))
         if x * y != (y * x).scale(zeta ** (gx.degree * gy.degree)):
             failures.append((gx.name, gy.name))
     return failures

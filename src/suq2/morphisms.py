@@ -17,8 +17,9 @@ degree-scaling automorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from .algebra import suq2_presentation, uq2_presentation
+from .algebra import Element, _accumulate, suq2_presentation, uq2_presentation
 from .braided import braiding_failures, embed, grading_flip, twisted_tensor
 from .errors import PresentationMismatchError, UnverifiedMorphismError
 from .scalars import Scalar
@@ -93,10 +94,11 @@ class GenMorphism:
             raise UnverifiedMorphismError(
                 f"unverified-morphism: '{self.name}' does not respect the relations"
             )
-        out = self.target.zero()
+        acc = {}
         for word, coeff in x.terms():
-            out = out + self._image_of_word(word).scale(coeff)
-        return out
+            for w, c in self._image_of_word(word)._terms.items():
+                _accumulate(acc, w, c * coeff)
+        return Element(self.target, acc)
 
     def __call__(self, x):
         return self.apply(x)
@@ -344,7 +346,10 @@ def cancellation_witness(qparam=None):
     delta = delta_su(qparam)
     AA = delta.target
     report = CancellationReport(
-        hom_residuals=delta.residuals, braiding_failures=braiding_failures(AA)
+        hom_residuals=delta.residuals,
+        braiding_failures=braiding_failures(
+            delta.source, partial(embed, AA, 1), partial(embed, AA, 2)
+        ),
     )
     if report.hom_residuals:
         return report

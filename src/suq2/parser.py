@@ -23,6 +23,7 @@ scalar arithmetic and algebra words share one grammar.
 from __future__ import annotations
 
 import re
+import sys
 
 from .braided import embed
 from .errors import ParseError
@@ -58,7 +59,15 @@ def tokenize(text):
         number, name, op = m.groups()
         col = m.start(m.lastindex) + 1
         if number is not None:
-            tokens.append(("int", int(number), col))
+            try:
+                value = int(number)
+            except ValueError:  # Python's int-from-str digit limit
+                raise ParseError(
+                    f"int-digits: integer literal has {len(number)} digits, over "
+                    f"the limit of {sys.get_int_max_str_digits()}",
+                    col,
+                ) from None
+            tokens.append(("int", value, col))
         elif name is not None:
             tokens.append(("name", name, col))
         else:

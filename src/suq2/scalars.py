@@ -19,11 +19,20 @@ denominator's lexicographically leading coefficient is the associate with
 structural equality of canonical forms.  :class:`GaussianRational` is used
 only for input (:meth:`Scalar.monomial`, :meth:`Scalar.gaussian`) and for
 rendering, which divides through by that leading coefficient.
+
+Products cancel only the cross pairs of two reduced fractions (Henrici).  A
+factor that is a single monomial ``c*q^a*qb^b`` over 1 skips even that: the
+other factor's numerator is shifted and scaled term by term and its
+denominator kept.  That is canonical because a canonical denominator has no
+monomial factor, but ``c`` itself can share a Gaussian-integer factor with
+the denominator's content, so the shortcut is taken only when the other
+denominator is 1 or ``c`` is a unit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .errors import PoleError, ZeroDivisorError
@@ -409,6 +418,21 @@ class Scalar:
             return NotImplemented
         if not self._num or not other._num:
             return _ZERO
+        # monomial fast path: c*q^a*qb^b times N/D is (c*q^a*qb^b*N)/D, already
+        # reduced, because a canonical D has zero minimum exponents and so no
+        # monomial factor.  Only c can share a Gaussian-integer factor with D's
+        # content (2 * 1/(2q+2) is 1/(q+1)), so D must be 1 or c a unit.
+        for m, s in ((self, other), (other, self)):
+            if len(m._num) == 1 and m._den == _ONE_POLY:
+                ((a, b), (x, y)), = m._num.items()
+                if s._den == _ONE_POLY or x * x + y * y == 1:
+                    return Scalar(
+                        {
+                            (a + a2, b + b2): (x * x2 - y * y2, x * y2 + y * x2)
+                            for (a2, b2), (x2, y2) in s._num.items()
+                        },
+                        s._den,
+                    )
         # both inputs are reduced, so only the cross pairs can share a factor
         # (Henrici, J. ACM 3, 1956)
         n1, d2 = _cancel(self._num, other._den)
@@ -491,12 +515,20 @@ class Scalar:
         if self.is_zero():
             return "0"
         lc = GaussianRational(*self._den[max(self._den)])
-        num = _poly_str(self._num, lc)
-        if len(self._den) == 1:
+        try:
+            num = _poly_str(self._num, lc)
+            den = _poly_str(self._den, lc) if len(self._den) > 1 else None
+        except ValueError:
+            # Python's int-to-str digit limit: reported with a label, not lifted
+            raise ValueError(
+                "int-digits: a coefficient or exponent has more than "
+                f"{sys.get_int_max_str_digits()} decimal digits"
+            ) from None
+        if den is None:
             return num
         if len(self._num) > 1 or num.startswith("-"):
             num = f"({num})"
-        return f"{num}/({_poly_str(self._den, lc)})"
+        return f"{num}/({den})"
 
     def render_unicode(self):
         return self.render().replace("qb", "q̄")

@@ -1,11 +1,14 @@
 """End-to-end CLI behaviour: JSON reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import suq2
 from suq2.cli import main
@@ -249,3 +252,116 @@ def test_deep_nesting_is_a_parse_error(algebra, template):
         assert deep.returncode == 2
         assert "error: parse-depth" in deep.stderr
         assert "Traceback" not in deep.stderr
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("2^14300", "error: int-digits: a coefficient"),
+        ("1" * 4301, "error: int-digits: integer literal has 4301 digits"),
+    ],
+    ids=["rendered-power", "literal"],
+)
+def test_int_digit_limit_is_a_labelled_error(capsys, expr, message):
+    code = main(["nf", expr])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(message)
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_long_integers_under_the_digit_limit(capsys):
+    code, report = run_cli(capsys, "nf", "2^14000")
+    assert code == 0
+    assert report["result"] == str(2**14000)
+
+
+# -- fuzzing the expression front-end through the CLI -------------------------
+
+_SCALAR_ATOMS = ("q", "qb", "zeta", "i", "0", "1", "2", "17")
+# z is no generator of the default algebra: an unknown-name error
+_GENERATOR_ATOMS = ("a", "a'", "g", "g'", "z")
+# longest word an expression may expand to: the rewriting cost of words like
+# a'^n a^n grows steeply with n, and the fuzz test is after crashes, not load
+_MAX_LETTERS = 8
+
+
+@st.composite
+def _factor(draw, budget, depth):
+    """(text, letters) of one factor using at most ``budget`` letters."""
+    kinds = ["scalar"] + ["generator"] * (budget > 0) + ["group"] * (depth > 0)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "scalar":
+        text, letters = draw(st.sampled_from(_SCALAR_ATOMS)), 0
+    elif kind == "generator":
+        text, letters = draw(st.sampled_from(_GENERATOR_ATOMS)), 1
+    else:
+        inner, letters = draw(_expression(budget, depth - 1))
+        text = f"({inner})"
+    postfix = draw(st.sampled_from(("", "'", "^", "^-")))
+    if postfix == "'":
+        text += "'"
+    elif postfix:
+        # a power of a group multiplies out its terms, so it stays small
+        top = 3 if kind == "group" else 50
+        if postfix == "^" and letters:
+            top = min(top, budget // letters)
+        n = draw(st.integers(min_value=0, max_value=top))
+        text += f"{postfix}{n}"
+        letters *= n if postfix == "^" else 1
+    return text, letters
+
+
+@st.composite
+def _expression(draw, budget=_MAX_LETTERS, depth=2):
+    """(text, letters) of a sum of products of factors."""
+    terms, longest = [], 0
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        factors, used = [], 0
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            text, letters = draw(_factor(budget - used, depth))
+            factors.append(text)
+            used += letters
+        joiners = [draw(st.sampled_from(("*", "/", " "))) for _ in factors[1:]]
+        term = factors[0] + "".join(j + f for j, f in zip(joiners, factors[1:]))
+        terms.append(term)
+        longest = max(longest, used)
+    signs = [draw(st.sampled_from((" + ", " - "))) for _ in terms[1:]]
+    lead = draw(st.sampled_from(("", "-")))
+    return lead + terms[0] + "".join(s + t for s, t in zip(signs, terms[1:])), longest
+
+
+@st.composite
+def expression_text(draw):
+    """Bounded expression text, sometimes broken by one stray character."""
+    text, _ = draw(_expression())
+    assume(len(text) <= 60)
+    if draw(st.booleans()):
+        # no digit or "^" is inserted, so no power can grow
+        pos = draw(st.integers(min_value=0, max_value=len(text)))
+        if draw(st.booleans()):
+            text = text[:pos] + draw(st.sampled_from("()'*/+-")) + text[pos:]
+        elif pos < len(text) and text[pos] in "()":
+            text = text[:pos] + text[pos + 1 :]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(expression_text())
+@example("1/0")
+@example("q^3000000")
+@example("(" * 201 + "q" + ")" * 201)
+@example("2^14300")
+def test_cli_survives_any_bounded_expression(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["nf", text])
+        except SystemExit as ex:
+            # argparse's usage error, e.g. for text that starts like an option
+            code = ex.code
+    assert code in (0, 1, 2), (text, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["command"] == "nf"

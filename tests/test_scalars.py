@@ -150,6 +150,122 @@ def test_powers_use_repeated_squaring(monkeypatch):
         assert power == Scalar.monomial(n, 0)
 
 
+# -- the monomial fast path of __mul__ against the full quotient ----------------
+
+_UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+# Gaussian integers with a non-unit norm: 2 = -i(1+i)^2, 1+i, 3, 2+2i, 1+2i
+_CONTENTS = ((2, 0), (1, 1), (3, 0), (2, 2), (1, 2))
+
+
+def _gi(rng, bound=4):
+    c = (0, 0)
+    while c == (0, 0):
+        c = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+    return c
+
+
+def _zi_poly(rng, nterms, low):
+    """A random polynomial over Z[i] with exponents in [low, 2]."""
+    out = {}
+    while len(out) < nterms:
+        out[(rng.randint(low, 2), rng.randint(low, 2))] = _gi(rng)
+    return out
+
+
+def _mono(rng, coeff):
+    """c*q^a*qb^b over 1."""
+    return Scalar({(rng.randint(-3, 3), rng.randint(-3, 3)): coeff})
+
+
+def _rational(rng):
+    num, den = (_zi_poly(rng, rng.randint(1, 3), low) for low in (-2, 0))
+    return scalars_module._quotient(num, den)
+
+
+def _content_pair(rng):
+    """c times N/D where c shares a Gaussian-integer factor with D's content."""
+    (x, y), (u, v) = rng.choice(_CONTENTS), _gi(rng, 2)
+    den = scalars_module._pmul({(0, 0): (x, y)}, _zi_poly(rng, rng.randint(2, 3), 0))
+    other = scalars_module._quotient({(rng.randint(-2, 2), 0): rng.choice(_UNITS)}, den)
+    return _mono(rng, (x * u - y * v, x * v + y * u)), other
+
+
+def test_monomial_fast_path_matches_the_full_quotient():
+    quotient, pmul = scalars_module._quotient, scalars_module._pmul
+    rng = random.Random(8)
+    kinds = {
+        "monomial x monomial": lambda: (_mono(rng, _gi(rng)), _mono(rng, _gi(rng))),
+        "monomial x rational": lambda: (_mono(rng, _gi(rng)), _rational(rng)),
+        "unit x rational": lambda: (_mono(rng, rng.choice(_UNITS)), _rational(rng)),
+        "content": lambda: _content_pair(rng),
+    }
+    shared_content = 0
+    for _ in range(500):
+        for kind, draw in kinds.items():
+            a, b = draw()
+            expected = quotient(pmul(a._num, b._num), pmul(a._den, b._den))
+            assert a * b == expected, (kind, a, b)
+            assert b * a == expected, (kind, a, b)
+            if kind == "content" and expected._den != b._den:
+                shared_content += 1
+    # the content draws really do cancel a Gaussian integer
+    assert shared_content > 400
+    assert Scalar.from_int(2) * (ONE / (2 * Q + 2)) == ONE / (Q + 1)
+    x = ONE / ((1 + I) * Q + 1 + I)
+    assert (1 + I) * x == ONE / (Q + 1)
+
+
+def test_monomial_products_skip_pmul_and_gcd(monkeypatch):
+    rng = random.Random(9)
+    pairs = [(_mono(rng, _gi(rng)), _mono(rng, _gi(rng))) for _ in range(50)]
+    pairs += [(_mono(rng, rng.choice(_UNITS)), _rational(rng)) for _ in range(50)]
+    pairs += [(_mono(rng, _gi(rng)), (Q * QB + 2 * Q + I) * Q**-3)]
+    content_case = (Scalar.from_int(2), ONE / (2 * Q + 2))
+    calls = []
+
+    def counted(name):
+        real = getattr(scalars_module, name)
+
+        def wrapper(f, g):
+            calls.append(name)
+            return real(f, g)
+
+        return wrapper
+
+    monkeypatch.setattr(scalars_module, "_pmul", counted("_pmul"))
+    monkeypatch.setattr(scalars_module, "_pgcd", counted("_pgcd"))
+    for a, b in pairs:
+        a * b
+        b * a
+    assert calls == []
+    # a non-unit c over a denominator with content must take the cancelling path
+    a, b = content_case
+    assert a * b == ONE / (Q + 1)
+    assert "_pgcd" in calls
+
+
+def test_scalar_element_products_match_normalize_raw():
+    from suq2.cli import ALGEBRAS, _algebra
+
+    rng = random.Random(10)
+    for name in ALGEBRAS:
+        pres = _algebra(name)
+
+        def word():
+            return tuple(rng.randrange(pres.n_gens) for _ in range(rng.randint(0, 3)))
+
+        for _ in range(20):
+            s = pres.scalar(_rational(rng))
+            x = pres.normalize_raw([(_rational(rng), word()) for _ in range(3)])
+            for left, right in ((s, x), (x, s), (s, s)):
+                raw = [
+                    (c1 * c2, w1 + w2)
+                    for w1, c1 in left.terms()
+                    for w2, c2 in right.terms()
+                ]
+                assert left * right == pres.normalize_raw(raw), name
+
+
 def _random_poly(rng, sympy, q, qb):
     """A random polynomial with fractional, imaginary, non-monic coefficients."""
     scalar, expr = Scalar.zero(), sympy.Integer(0)
