@@ -258,8 +258,25 @@ def _numeric_command(args):
     return 0 if base["result"] == "pass" else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads an argument that starts with one '-' and names no option as a
+    positional, so that expression text such as ``-q`` or ``-g*a`` needs no
+    ``--`` before it.  Arguments that start with ``--`` are options as usual:
+    no expression starts with two minus signs.
+    """
+
+    def _parse_optional(self, arg_string):
+        if (
+            arg_string.startswith("-")
+            and not arg_string.startswith("--")
+            and arg_string not in self._option_string_actions
+        ):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="suq2",
         description="Symbolic engine for the braided q-deformed SU(2) family "
         "at complex parameters, with a numeric operator oracle.",

@@ -16,8 +16,11 @@ expression of the corresponding tensor factor.  Parentheses nest at most
 ``MAX_DEPTH`` (200) levels deep, not counting the one of ``jN(``; deeper
 input is a ``parse-depth`` error.
 
-Everything evaluates directly to an element of the selected presentation, so
-scalar arithmetic and algebra words share one grammar.
+Scalar subexpressions (integers, scalar names and everything built from them
+alone) evaluate as :class:`~suq2.scalars.Scalar`; a scalar becomes an element
+of the selected presentation only where it meets a generator, a ``jN(...)``
+or the end of the input, so scalar arithmetic and algebra words share one
+grammar and ``parse`` always returns an element.
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ class _Parser:
             kind, value, col = self.peek()
             if kind == "op" and value == "'":
                 self.advance()
-                out = out.adjoint()
+                out = out.conjugate() if isinstance(out, Scalar) else out.adjoint()
             elif kind == "op" and value == "^":
                 self.advance()
                 kind2, value2, col2 = self.peek()
@@ -149,17 +152,21 @@ class _Parser:
                 self.advance()
                 n = sign * value2
                 # a scalar base takes Scalar.__pow__, which squares repeatedly
-                if n >= 0 and any(w for w, _ in out.terms()):
+                if (
+                    n >= 0
+                    and not isinstance(out, Scalar)
+                    and any(w for w, _ in out.terms())
+                ):
                     out = out**n
                 else:
-                    out = out.pres.scalar(self._as_scalar(out, col) ** n)
+                    out = self._as_scalar(out, col) ** n
             else:
                 return out
 
     def parse_primary(self, pres):
         kind, value, col = self.advance()
         if kind == "int":
-            return pres.scalar(Scalar.from_int(value))
+            return Scalar.from_int(value)
         if kind == "op" and value == "(":
             self.open_parens.append(col)
             # the "jN(" of an enclosing leg embedding is not a nesting level
@@ -176,7 +183,7 @@ class _Parser:
             return inner
         if kind == "name":
             if value in _SCALARS:
-                return pres.scalar(_SCALARS[value]())
+                return _SCALARS[value]()
             m = re.fullmatch(r"j(\d)", value)
             if m:
                 leg = int(m.group(1))
@@ -191,12 +198,15 @@ class _Parser:
                     raise ParseError(f"expected '(' after {value}", col2)
                 self.advance()
                 self.open_parens.append(col2)
-                inner = self.parse_expr(pres.factors[leg - 1])
+                factor = pres.factors[leg - 1]
+                inner = self.parse_expr(factor)
                 k3, v3, _ = self.peek()
                 if not (k3 == "op" and v3 == ")"):
                     raise ParseError("unclosed parenthesis", col2)
                 self.advance()
                 self.open_parens.pop()
+                if isinstance(inner, Scalar):
+                    inner = factor.scalar(inner)
                 return embed(pres, leg, inner)
             # generator name; a following apostrophe is handled as the
             # adjoint postfix, which on a generator is its starred partner
@@ -214,6 +224,8 @@ class _Parser:
 
     @staticmethod
     def _as_scalar(el, col):
+        if isinstance(el, Scalar):
+            return el
         terms = el.terms()
         if not terms:
             return Scalar.zero()
@@ -234,4 +246,4 @@ def parse(text, pres):
     kind, value, col = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected token {value!r}", col)
-    return out
+    return pres.scalar(out) if isinstance(out, Scalar) else out

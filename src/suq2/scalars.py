@@ -20,13 +20,20 @@ structural equality of canonical forms.  :class:`GaussianRational` is used
 only for input (:meth:`Scalar.monomial`, :meth:`Scalar.gaussian`) and for
 rendering, which divides through by that leading coefficient.
 
-Products cancel only the cross pairs of two reduced fractions (Henrici).  A
-factor that is a single monomial ``c*q^a*qb^b`` over 1 skips even that: the
-other factor's numerator is shifted and scaled term by term and its
-denominator kept.  That is canonical because a canonical denominator has no
-monomial factor, but ``c`` itself can share a Gaussian-integer factor with
-the denominator's content, so the shortcut is taken only when the other
-denominator is 1 or ``c`` is a unit.
+Sums and products of two reduced fractions follow Henrici (J. ACM 3, 1956;
+Knuth, TAOCP vol. 2, 4.5.1), so no gcd ever sees a whole cross-multiplied
+numerator.  A sum n1/d1 + n2/d2 with d1 != d2 first takes g = gcd(d1, d2).
+If g is a unit, (n1*d2 + n2*d1) / (d1*d2) is already reduced.  Otherwise,
+with d1 = e1*g and d2 = e2*g, only g can share a factor with
+t = n1*e2 + n2*e1, so the sum is t / (e1*e2*g) after cancelling t against g
+alone; g may be a Gaussian integer (1/(2q+2) + 1/2).  Products cancel only
+the cross pairs n1 with d2 and n2 with d1.  A factor that is a single
+monomial ``c*q^a*qb^b`` over 1 skips even that: the other factor's numerator
+is shifted and scaled term by term and its denominator kept.  That is
+canonical because a canonical denominator has no monomial factor, but ``c``
+itself can share a Gaussian-integer factor with the denominator's content,
+so the shortcut is taken only when the other denominator is 1 or ``c`` is a
+unit.
 """
 
 from __future__ import annotations
@@ -393,10 +400,21 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other._num:
+            return self
+        if not self._num:
+            return other
         n1, d1, n2, d2 = self._num, self._den, other._num, other._den
         if d1 == d2:
             return _quotient(_padd(n1, n2), d1)
-        return _quotient(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+        # Henrici (module docstring): with d1 = e1*g and d2 = e2*g, only g can
+        # share a factor with n1*e2 + n2*e1, as gcd(n1*e2 + n2*e1, e1) = 1
+        g = _pgcd(d1, d2)
+        if _is_unit(g):
+            return Scalar(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+        e1, e2 = _pdivexact(d1, g), _pdivexact(d2, g)
+        t, g = _cancel(_padd(_pmul(n1, e2), _pmul(n2, e1)), g)
+        return Scalar(t, _pmul(_pmul(e1, e2), g))
 
     __radd__ = __add__
 

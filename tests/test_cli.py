@@ -207,12 +207,16 @@ def test_bad_q_value_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def _run_module(*argv):
+def _module_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(suq2.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _run_module(*argv):
     return subprocess.run(
         [sys.executable, "-m", "suq2", *argv],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_module_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -227,6 +231,43 @@ def test_python_dash_m_entry_point():
     assert bad.returncode == 2
     assert "error: zero-divisor" in bad.stderr
     assert "Traceback" not in bad.stderr
+
+
+def test_leading_minus_is_expression_text(tmp_path):
+    out = tmp_path / "report.json"
+    cases = [
+        (("nf", "-q"), 0, "-q"),
+        (("nf", "-2*q"), 0, "-2*q"),
+        (("mul", "a", "-g"), 0, "-qb*g*a"),
+        (("deg", "-g*a"), 0, 1),
+        (("adjoint", "-g"), 0, "-g'"),
+        (("nf", "-U", "--algebra", "torus"), 0, "-U"),
+        (("nf", "--unicode", "-g'", "--out", str(out)), 0, "-γ*"),
+        (("nf", "-q", "-h"), 0, None),
+        (("nf", "-h", "-q"), 0, None),
+        (("nf", "-q", "--bogus"), 2, None),
+    ]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "suq2", *argv],
+            env=_module_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for argv, _, _ in cases
+    ]
+    for (argv, code, result), proc in zip(cases, procs):
+        stdout, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == code, (argv, stderr)
+        assert "Traceback" not in stderr
+        if result is not None:
+            assert json.loads(stdout)["result"] == result, argv
+        elif code == 0:
+            assert stdout.startswith("usage: suq2 nf"), argv
+        else:
+            assert "unrecognized arguments: --bogus" in stderr
+    assert json.loads(out.read_text())["result"] == "-γ*"
 
 
 def test_huge_scalar_powers(capsys):

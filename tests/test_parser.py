@@ -1,5 +1,7 @@
 """The expression front-end: grammar, errors, round-trips."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -93,6 +95,88 @@ def test_three_leg_expressions():
     el = parse("j1(g)*j2(a)*j3(g')", A3)
     assert el.degree() == 0
     assert parse(el.render(), A3) == el
+
+
+# -- the scalar lane against the Element API -------------------------------------
+
+_SCALAR_ATOMS = {
+    "q": Scalar.q(),
+    "qb": Scalar.qbar(),
+    "zeta": Scalar.zeta(),
+    "i": Scalar.imag_unit(),
+}
+
+
+def _mixed(rng, pres, depth, leg=None, scalar_only=False):
+    """A random (text, value, is_scalar): value built from pres.scalar, pres.gen,
+    +, *, .scale and .adjoint; generators come from leg ``leg`` of a tensor product."""
+    if depth == 0 or rng.random() < 0.25:
+        if scalar_only or rng.random() < 0.5:
+            if rng.random() < 0.4:
+                k = rng.randint(1, 5)
+                return str(k), pres.scalar(Scalar.from_int(k)), True
+            name = rng.choice(sorted(_SCALAR_ATOMS))
+            return name, pres.scalar(_SCALAR_ATOMS[name]), True
+        name = rng.choice(["a", "g", "a'", "g'"])
+        return name, pres.gen(name, leg), False
+    op = rng.choice("+-*/'^~")
+    t1, v1, s1 = _mixed(rng, pres, depth - 1, leg, scalar_only)
+    if op in "+-*":
+        t2, v2, s2 = _mixed(rng, pres, depth - 1, leg, scalar_only)
+        value = v1 + v2 if op == "+" else (v1 + (-v2) if op == "-" else v1 * v2)
+        return f"({t1} {op} {t2})", value, s1 and s2
+    if op == "/":
+        t2, v2, _ = _mixed(rng, pres, depth - 1, leg, scalar_only=True)
+        if v2.is_zero():
+            return t1, v1, s1
+        return f"({t1})/({t2})", v1.scale(v2.coefficient(()).inverse()), s1
+    if op == "'":
+        return f"({t1})'", v1.adjoint(), s1
+    if op == "~":
+        return f"(-{t1})", v1.scale(Scalar.from_int(-1)), s1
+    k = rng.randint(0, 3)
+    if s1 and not v1.is_zero() and rng.random() < 0.5:
+        # a negative power of a parenthesised scalar
+        k = max(k, 1)
+        inverse = pres.scalar(v1.coefficient(()).inverse())
+        value = pres.unit()
+        for _ in range(k):
+            value = value * inverse
+        return f"({t1})^-{k}", value, True
+    value = pres.unit()
+    for _ in range(k if s1 else min(k, 2)):
+        value = value * v1
+    return f"({t1})^{k if s1 else min(k, 2)}", value, s1
+
+
+def test_scalar_lane_matches_the_element_api():
+    rng = random.Random(13)
+    scalar_only = 0
+    for _ in range(300):
+        text, value, is_scalar = _mixed(rng, A, 3)
+        scalar_only += is_scalar
+        assert parse(text, A) == value, text
+        assert parse("-" + text, A) == -value, text
+    assert scalar_only > 40
+    for _ in range(100):
+        legs = [_mixed(rng, AA, 2, leg=n) for n in (1, 2)]
+        text = "*".join(f"j{n}({t})" for n, (t, _, _) in zip((1, 2), legs))
+        assert parse(text, AA) == legs[0][1] * legs[1][1], text
+    assert parse("j1(2*q)", AA) == AA.scalar(Scalar.from_int(2) * Q)
+    assert parse("j2(2*q)*j1(a)", AA) == AA.gen("a", 1).scale(Scalar.from_int(2) * Q)
+    assert parse("(q+1)^3", A) == (A.scalar(Q) + 1) ** 3
+    assert parse("(q+1)'^-2 * a", A) == A.gen("a").scale((Scalar.qbar() + 1) ** -2)
+    assert parse("-q/(qb+1)", A) == A.scalar(-Q * (Scalar.qbar() + 1).inverse())
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [("q/(a+1)", 2), ("(q+a)^-1", 6), ("2*q/g", 4), ("j1(q)/j2(a)", 6)],
+)
+def test_scalar_operand_error_column(text, column):
+    with pytest.raises(ParseError, match="needs a scalar operand") as err:
+        parse(text, AA)
+    assert err.value.column == column
 
 
 words = st.lists(st.integers(0, 3), min_size=0, max_size=4).map(tuple)

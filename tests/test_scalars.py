@@ -266,6 +266,168 @@ def test_scalar_element_products_match_normalize_raw():
                 assert left * right == pres.normalize_raw(raw), name
 
 
+# -- Henrici addition against the full quotient ---------------------------------
+
+
+def _sum_reference(a, b):
+    """a + b by the full cross-multiplied quotient: one gcd of the whole thing."""
+    pmul = scalars_module._pmul
+    (n1, d1), (n2, d2) = (a._num, a._den), (b._num, b._den)
+    return scalars_module._quotient(
+        scalars_module._padd(pmul(n1, d2), pmul(n2, d1)), pmul(d1, d2)
+    )
+
+
+def _linear(rng):
+    """c1*m + c0 with m one of q, qb, q*qb: small, so the reference stays quick."""
+    return {rng.choice(((1, 0), (0, 1), (1, 1))): _gi(rng), (0, 0): _gi(rng)}
+
+
+def _over(rng, den):
+    """A random Laurent numerator over den, brought to canonical form."""
+    return scalars_module._quotient(_zi_poly(rng, rng.randint(1, 3), -2), den)
+
+
+def _partly_cancelling(rng):
+    """x + y whose numerator over g = f1*f2 is a multiple of f2."""
+    pmul, padd, pneg = scalars_module._pmul, scalars_module._padd, scalars_module._pneg
+    f1, f2, e2 = _linear(rng), _linear(rng), _linear(rng)
+    g = pmul(f1, f2)
+    n1 = _zi_poly(rng, rng.randint(1, 2), 0)
+    # n1*e2 + n2 = k*f2 for the sum n1/g + n2/(g*e2)
+    n2 = padd(pmul(_zi_poly(rng, 1, 0), f2), pneg(pmul(n1, e2)))
+    return (
+        scalars_module._quotient(n1, g),
+        scalars_module._quotient(n2, pmul(g, e2)),
+    )
+
+
+def test_henrici_addition_matches_the_full_quotient():
+    pmul = scalars_module._pmul
+    rng = random.Random(12)
+
+    def planted():
+        f = _linear(rng)
+        return _over(rng, pmul(f, _linear(rng))), _over(rng, pmul(f, _linear(rng)))
+
+    def equal_dens():
+        den = pmul(_linear(rng), _linear(rng))
+        return _over(rng, den), _over(rng, den)
+
+    def content():
+        (x, y), (u, v) = rng.choice(_CONTENTS), rng.choice(_CONTENTS)
+        c1 = {(0, 0): (x, y)}
+        return _over(rng, pmul(c1, _linear(rng))), _over(rng, {(0, 0): (u, v)})
+
+    def one_den_1():
+        return _mono(rng, _gi(rng)) + _mono(rng, _gi(rng)), _rational(rng)
+
+    def cancels_to_zero():
+        a, b = _rational(rng), _rational(rng)
+        return a, (b - a if rng.randrange(2) else -a)
+
+    kinds = {
+        "coprime": lambda: (_rational(rng), _rational(rng)),
+        "planted factor": planted,
+        "equal denominators": equal_dens,
+        "denominator 1": one_den_1,
+        "content": content,
+        "cancels to zero": cancels_to_zero,
+        "cancels part of g": lambda: _partly_cancelling(rng),
+    }
+    partly = 0
+    for _ in range(286):
+        for kind, draw in kinds.items():
+            a, b = draw()
+            expected = _sum_reference(a, b)
+            assert a + b == expected, (kind, a, b)
+            assert b + a == expected, (kind, a, b)
+            if kind == "cancels part of g":
+                g = scalars_module._pgcd(a._den, b._den)
+                lcm = pmul(a._den, scalars_module._pdivexact(b._den, g))
+                partly += max(map(sum, expected._den)) < max(map(sum, lcm))
+    # the planted draws really do cancel a factor of the denominators' gcd
+    assert partly > 200
+    assert ONE / (2 * Q + 2) + Scalar.gaussian(1, 0) / 2 == (Q + 2) / (2 * Q + 2)
+    x = ONE / ((1 + I) * Q + 1 + I)
+    assert x + ONE / (1 + I) == (Q + 2) / ((1 + I) * Q + 1 + I)
+    assert x - x == Scalar.zero()
+
+
+def _counting(monkeypatch, name, top_level_only=False):
+    """Record the argument pairs of the module function ``name``."""
+    calls, depth = [], [0]
+    real = getattr(scalars_module, name)
+
+    def wrapper(f, g):
+        if not (top_level_only and depth[0]):
+            calls.append((f, g))
+        depth[0] += 1
+        try:
+            return real(f, g)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(scalars_module, name, wrapper)
+    return calls
+
+
+def test_coprime_sums_compute_one_gcd_and_no_cancel(monkeypatch):
+    x = (Q * QB + 2 * Q + I) / (3 * Q**2 + QB + 1)
+    y = (Q - 5 * I) / (QB**2 + 2 * Q * QB + 7)
+    assert len(x._den) > 1 and len(y._den) > 1
+    # a shared Gaussian-integer content is cancelled against g alone
+    a, b = ONE / (2 * Q + 2), Scalar.gaussian(1, 0) / 2
+    expected = _sum_reference(x, y), (Q + 2) / (2 * Q + 2)
+    cancels = _counting(monkeypatch, "_cancel")
+    gcds = _counting(monkeypatch, "_pgcd", top_level_only=True)
+    assert x + y == expected[0]
+    assert cancels == []
+    assert gcds == [(x._den, y._den)]
+    gcds.clear()
+    assert a + b == expected[1]
+    assert gcds[0] == (a._den, b._den)
+    assert [den for _, den in cancels] == [{(0, 0): (2, 0)}]
+
+
+# the cliff reproducer: the products' denominators share a factor, and a single
+# gcd of the whole cross-multiplied sum grew PRS coefficients for seconds
+_CLIFF = (
+    "((7/5-6/5*i)*q*qb^-1 + (8/5+1/5*i)*q^-1*qb + (9/5-2/5*i)*q^-2*qb^2)"
+    "/(q*qb^2 + (-2/5+1/5*i))",
+    "((4-i)*q^4*qb^3 + (-4+2*i)*q^3 - q^2*qb^4)/(q^2*qb^2 + (-2+i))",
+    "((3-3*i)*q^2*qb^3 + (-1+i))/(q^2*qb + 4)",
+)
+_CLIFF_SUM = (
+    "(((22/5-31/5*i)*q^7*qb^3 + (-16/5+38/5*i)*q^6 + (33/5-4/5*i)*q^5*qb^5"
+    " + (-4/5-33/5*i)*q^5*qb^4 + (88/5-124/5*i)*q^5*qb^2"
+    " + (34/5-17/5*i)*q^4*qb^6 + (-34/5+12/5*i)*q^4*qb^2"
+    " + (-64/5+152/5*i)*q^4*qb^-1 + (19/5-22/5*i)*q^3*qb^6"
+    " + (132/5-16/5*i)*q^3*qb^4 + (-12+10*i)*q^3*qb^3"
+    " + (33/5+81/5*i)*q^3*qb^2 + (-1/5+13/5*i)*q^3*qb"
+    " + (12/5-31/5*i)*q^2*qb^7 + (136/5-68/5*i)*q^2*qb^5"
+    " + (-136/5+48/5*i)*q^2*qb + (-32/5-4/5*i)*q*qb^5"
+    " + (-33/5+69/5*i)*q*qb^4 + (-9/5+7/5*i)*q*qb^3"
+    " + (-128/5+104/5*i)*q*qb^2 + (-11/5-27/5*i)*q*qb^-1"
+    " + (-36/5+8/5*i)*qb^6 + (-9/5+87/5*i)*qb^5 + (-7/5+11/5*i)*qb^4"
+    " + (11/5-23/5*i)*q^-1*qb + (3/5-29/5*i)*q^-2*qb^2)/(q^5*qb^5"
+    " + (-2/5+1/5*i)*q^4*qb^3 + 4*q^3*qb^4 + (-2+i)*q^3*qb^3"
+    " + (-8/5+4/5*i)*q^2*qb^2 + (3/5-4/5*i)*q^2*qb + (-8+4*i)*q*qb^2"
+    " + (12/5-16/5*i)))"
+)
+
+
+def test_cliff_reproducer_sum_is_cheap(monkeypatch):
+    A = suq2_presentation()
+    a, b, c = (parse(text, A) for text in _CLIFF)
+    ab, ac = a * b, a * c
+    calls = _counting(monkeypatch, "_gi_gcd")
+    total = ab + ac
+    assert total.render() == _CLIFF_SUM
+    # the full-quotient sum made 14,246 Gaussian-integer gcd calls
+    assert len(calls) <= 1000
+
+
 def _random_poly(rng, sympy, q, qb):
     """A random polynomial with fractional, imaginary, non-monic coefficients."""
     scalar, expr = Scalar.zero(), sympy.Integer(0)
