@@ -122,6 +122,7 @@ class Presentation:
         )
         self._memo = {}
         self.memo_enabled = True
+        self._gens = {}
         self._token = next(_token_counter)
         self._flip = None
         if self.factors:
@@ -271,7 +272,11 @@ class Presentation:
             i = self.gen_index(name_or_index, leg)
         else:
             i = name_or_index
-        return self.normalize_raw([(_ONE, (i,))])
+        # elements are immutable, so one normalized element per generator
+        el = self._gens.get(i)
+        if el is None:
+            el = self._gens[i] = self.normalize_raw([(_ONE, (i,))])
+        return el
 
     def scalar(self, s):
         if not isinstance(s, Scalar):

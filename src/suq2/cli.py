@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -78,6 +79,30 @@ def _parse_qval(text):
     raise argparse.ArgumentTypeError(
         f"expected a complex value as 're' or 're,im', got {text!r}"
     )
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}"
+        )
+    return value
+
+
+def _tolerance(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite nonnegative number, got {text!r}"
+        )
+    return value
 
 
 def _emit(report, out_path=None):
@@ -317,10 +342,13 @@ def build_parser():
                    metavar="RE[,IM]", help="numeric parameter value")
     p.add_argument("--N", type=int, default=30, help="radial cutoff")
     p.add_argument("--M", type=int, default=8, help="winding modulus")
-    p.add_argument("--count", type=int, default=200, help="random words to compare")
-    p.add_argument("--maxlen", type=int, default=6, help="random word length bound")
+    p.add_argument("--count", type=_positive_int, default=200,
+                   help="random words to compare")
+    p.add_argument("--maxlen", type=_positive_int, default=6,
+                   help="random word length bound")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--tol", type=float, default=None, help="override the tolerance")
+    p.add_argument("--tol", type=_tolerance, default=None,
+                   help="override the tolerance")
     add_common(p)
 
     return ap

@@ -119,6 +119,8 @@ class TruncatedRep:
 def build(qval, N, M):
     """Build the truncated model; transports through 1/q when |q| >= 1."""
     qval = complex(qval)
+    if not (math.isfinite(qval.real) and math.isfinite(qval.imag)):
+        raise ValueError("qval must be finite")
     if qval == 0:
         raise ValueError("qval must be nonzero")
     if abs(qval) == 1.0:

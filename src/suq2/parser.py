@@ -32,7 +32,9 @@ from .braided import embed
 from .errors import ParseError
 from .scalars import Scalar
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(['^()*/+-]))")
+# one alternative per token kind; the last catches any other non-space
+# character, so a single finditer pass both tokenizes and finds strays
+_LEXEME = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|(['^()*/+-])|(\S)")
 
 # nesting bound for parentheses: at four frames a level the recursive descent
 # leaves about 180 frames of Python's default recursion limit to the caller,
@@ -50,17 +52,9 @@ _SCALARS = {
 
 def tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = len(text) - len(stripped) + 1
-            raise ParseError(f"unexpected character {stripped[0]!r}", col)
-        number, name, op = m.groups()
-        col = m.start(m.lastindex) + 1
+    for m in _LEXEME.finditer(text):
+        number, name, op, stray = m.groups()
+        col = m.start() + 1
         if number is not None:
             try:
                 value = int(number)
@@ -73,9 +67,10 @@ def tokenize(text):
             tokens.append(("int", value, col))
         elif name is not None:
             tokens.append(("name", name, col))
-        else:
+        elif op is not None:
             tokens.append(("op", op, col))
-        pos = m.end()
+        else:
+            raise ParseError(f"unexpected character {stray!r}", col)
     tokens.append(("end", None, len(text) + 1))
     return tokens
 

@@ -27,13 +27,27 @@ If g is a unit, (n1*d2 + n2*d1) / (d1*d2) is already reduced.  Otherwise,
 with d1 = e1*g and d2 = e2*g, only g can share a factor with
 t = n1*e2 + n2*e1, so the sum is t / (e1*e2*g) after cancelling t against g
 alone; g may be a Gaussian integer (1/(2q+2) + 1/2).  Products cancel only
-the cross pairs n1 with d2 and n2 with d1.  A factor that is a single
-monomial ``c*q^a*qb^b`` over 1 skips even that: the other factor's numerator
-is shifted and scaled term by term and its denominator kept.  That is
-canonical because a canonical denominator has no monomial factor, but ``c``
-itself can share a Gaussian-integer factor with the denominator's content,
-so the shortcut is taken only when the other denominator is 1 or ``c`` is a
-unit.
+the cross pairs n1 with d2 and n2 with d1.  A product by 1 returns the other
+factor itself, with no new Scalar.  A factor that is a single monomial
+``c*q^a*qb^b`` over 1 skips even the cross pairs: the other factor's
+numerator is shifted and scaled term by term and its denominator kept.  That
+is canonical because a canonical denominator has no monomial factor, but
+``c`` itself can share a Gaussian-integer factor with the denominator's
+content, so the shortcut is taken only when the other denominator is 1 or
+``c`` is a unit.
+
+Most gcds are of coprime pairs, and a modular certificate proves that
+without the PRS (Brown, J. ACM 18, 1971; Geddes, Czapor and Labahn,
+*Algorithms for Computer Algebra*, ch. 7).  Map Z[i] to GF(p) with
+p = 1,000,000,009 = 1 mod 4 (i goes to a square root of -1), fix qb at a
+point where both leading coefficients in q stay nonzero, and run Euclid over
+GF(p) in q; then the same with the variables exchanged.  A common factor h
+of f and g has lc(h) dividing lc(f), so at such a point the image of h keeps
+its degree and divides both images.  Coprime images in both directions
+therefore leave h no positive degree in q or qb: the gcd is the Gaussian gcd
+of the integer contents.  Any other outcome (a shared image factor, or a
+leading coefficient that vanishes at every point tried) only sends the pair
+to the primitive PRS, so the certificate never decides a gcd wrongly.
 """
 
 from __future__ import annotations
@@ -234,19 +248,73 @@ def _primitive(f):
     return cont, (f if _is_unit(cont) else _pdivexact(f, cont))
 
 
-def _at_qb(f, alpha):
-    """Specialise qb := alpha, an integer; a polynomial in q alone."""
-    out = {}
-    for (a, b), (x, y) in f.items():
-        p = alpha**b
-        u, v = out.get((a, 0), (0, 0))
-        out[(a, 0)] = (u + x * p, v + y * p)
-    return {k: c for k, c in out.items() if c != (0, 0)}
+# -- the coprimality certificate (module docstring) ------------------------------
+
+_P = 1_000_000_009
+_I_P = next(
+    pow(n, (_P - 1) // 4, _P) for n in range(2, _P) if pow(n, (_P - 1) // 2, _P) != 1
+)  # a square root of -1 mod _P, from the first quadratic non-residue
+_POINTS = (314_159, 271_828, 141_421, 173_205)
+
+
+def _image(f, var, point):
+    """f mod (p, i - _I_P) with the other variable at point: coefficients in
+    variable var (0 for q, 1 for qb), lowest degree first."""
+    out = [0] * (max(k[var] for k in f) + 1)
+    for k, (x, y) in f.items():
+        out[k[var]] += (x + y * _I_P) * pow(point, k[1 - var], _P)
+    return [c % _P for c in out]
+
+
+def _gf_coprime(u, v):
+    """Euclid over GF(p) on two coefficient lists with nonzero leading entries."""
+    while len(v) > 1:
+        inv = pow(v[-1], -1, _P)
+        dv = len(v) - 1
+        while len(u) > dv:
+            c = u.pop() * inv % _P
+            s = len(u) - dv
+            for j in range(dv):
+                u[s + j] = (u[s + j] - c * v[j]) % _P
+            while u and not u[-1]:
+                u.pop()
+        if not u:
+            return False
+        u, v = v, u
+    return True
+
+
+def _coprime_in(f, g, var):
+    """True when f and g provably share no factor of positive degree in var.
+
+    A common factor h has lc(h) | lc(f) as polynomials in var.  At a point
+    where the images of lc(f) and lc(g) are nonzero, the image of h keeps its
+    degree in var and divides both images, so coprime images prove that h has
+    degree 0 in var.  False means unproved, not shared: a vanishing leading
+    coefficient at every point, or images that share a factor.
+    """
+    if not (max(k[var] for k in f) and max(k[var] for k in g)):
+        return True
+    for point in _POINTS:
+        u, v = _image(f, var, point), _image(g, var, point)
+        if u[-1] and v[-1]:
+            return _gf_coprime(u, v)
+    return False
 
 
 def _pgcd(f, g):
-    """Gcd of two nonzero polynomials in Z[i][q, qb], up to a unit."""
-    if max(f) == (0, 0) or max(g) == (0, 0):
+    """Gcd of two nonzero polynomials in Z[i][q, qb], up to a unit.
+
+    When one side is a constant, or the certificate :func:`_coprime_in` holds
+    in q and in qb, every common factor has degree 0 in both variables, so the
+    gcd is the Gaussian gcd of the two integer contents; every other pair
+    takes the primitive PRS, whose recursion ends at the constants.
+    """
+    if (
+        max(f) == (0, 0)
+        or max(g) == (0, 0)
+        or _coprime_in(f, g, 0) and _coprime_in(f, g, 1)
+    ):
         return {(0, 0): _gi_content(g, _gi_content(f))}
     return _pgcd_nontrivial(f, g)
 
@@ -256,7 +324,10 @@ def _pgcd_nontrivial(f, g):
 
     The contents over Z[i][qb] and the gcd of the primitive parts are found
     separately, the latter by a primitive pseudo-remainder sequence in q over
-    the Gaussian integers (Brown, J. ACM 18, 1971).
+    the Gaussian integers (Brown, J. ACM 18, 1971).  The PRS is skipped when
+    :func:`_coprime_in` proves the primitive parts coprime in q: a common
+    factor would then lie in Z[i][qb] and divide their contents, which are
+    units.
     """
     if max(f)[0] == 0 and max(g)[0] == 0:
         # both in qb alone: the same gcd with the variables swapped
@@ -265,15 +336,8 @@ def _pgcd_nontrivial(f, g):
     cg, g = _primitive(g)
     if max(f)[0] < max(g)[0]:
         f, g = g, f
-    if max(g)[0] > 0 and (any(b for _, b in f) or any(b for _, b in g)):
-        # fast path: specialise qb at a point keeping both leading q-coefficients
-        # alive; a trivial gcd there proves the primitive parts are coprime.
-        for alpha in (2, 3, 5, 7, 11):
-            sf, sg = _at_qb(f, alpha), _at_qb(g, alpha)
-            if max(sf)[0] == max(f)[0] and max(sg)[0] == max(g)[0]:
-                if max(_pgcd(sf, sg))[0] == 0:
-                    g = _ONE_POLY
-                break
+    if _coprime_in(f, g, 0):
+        g = _ONE_POLY
     while max(g)[0] > 0:
         r = _prem(f, g)
         if not r:
@@ -436,6 +500,11 @@ class Scalar:
             return NotImplemented
         if not self._num or not other._num:
             return _ZERO
+        # a factor 1 returns the other factor itself: Scalars are immutable
+        if other._num == _ONE_POLY and other._den == _ONE_POLY:
+            return self
+        if self._num == _ONE_POLY and self._den == _ONE_POLY:
+            return other
         # monomial fast path: c*q^a*qb^b times N/D is (c*q^a*qb^b*N)/D, already
         # reduced, because a canonical D has zero minimum exponents and so no
         # monomial factor.  Only c can share a Gaussian-integer factor with D's

@@ -90,6 +90,24 @@ def test_already_normal_word_is_untouched():
     assert el.terms() == (((0, 2), Scalar.one()),)
 
 
+def test_normal_words_build_no_scalar(monkeypatch):
+    c = Scalar.q() + 2
+    A.normalize_raw([(c, (0, 1, 2))])  # memoise the normal word
+    built = []
+    init = Scalar.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    el = A.normalize_raw([(c, (0, 1, 2)), (Scalar.one(), (0, 0))])
+    assert built == []
+    # the memoised coefficient 1 returns the caller's Scalar itself
+    assert el.coefficient((0, 1, 2)) is c
+    assert A.gen("g") is A.gen(0)
+
+
 def test_normal_words_have_single_alpha_kind():
     # no normal word mixes a with a'
     import itertools

@@ -207,6 +207,54 @@ def test_bad_q_value_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("qval", ["nan", "inf,0", "0.5,-inf", "nan,nan"])
+def test_non_finite_q_is_an_error(capsys, qval):
+    assert main(["numeric", "compare", "--q", qval, "--count", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: qval must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+        ("--tol", "-1"),
+        ("--tol", "1e-3x"),
+        ("--count", "-5"),
+        ("--count", "0"),
+        ("--maxlen", "0"),
+        ("--maxlen", "-2"),
+    ],
+)
+def test_numeric_options_out_of_range_are_usage_errors(capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["numeric", "compare", "--q", "0.5", option, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}:" in captured.err
+
+
+def test_numeric_option_bounds_are_inclusive(capsys):
+    code, report = run_cli(
+        capsys, "numeric", "compare", "--q", "0.5", "--N", "8", "--M", "3",
+        "--tol", "0", "--count", "1", "--maxlen", "1",
+    )
+    assert code in (0, 1)
+    assert report["tolerance"] == 0.0
+    assert report["count"] == 1 and report["max_word_length"] == 1
+
+
+def test_numeric_errors_print_no_traceback():
+    for argv in (("--q", "nan"), ("--q", "0.5", "--tol", "nan")):
+        res = _run_module("numeric", "relations", *argv)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+
+
 def _module_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(suq2.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

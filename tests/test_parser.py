@@ -15,6 +15,7 @@ from suq2 import (
     twisted_tensor,
     uq2_presentation,
 )
+from suq2.parser import tokenize
 
 A = suq2_presentation()
 Q = A.params["q"]
@@ -176,6 +177,43 @@ def test_scalar_lane_matches_the_element_api():
 def test_scalar_operand_error_column(text, column):
     with pytest.raises(ParseError, match="needs a scalar operand") as err:
         parse(text, AA)
+    assert err.value.column == column
+
+
+@pytest.mark.parametrize(
+    "text, tokens",
+    [
+        ("a\t*\tg", [("name", "a", 1), ("op", "*", 3), ("name", "g", 5)]),
+        ("a\n+ q\n", [("name", "a", 1), ("op", "+", 3), ("name", "q", 5)]),
+        ("q  \t ", [("name", "q", 1)]),
+        ("q^-2 a'", [("name", "q", 1), ("op", "^", 2), ("op", "-", 3),
+                     ("int", 2, 4), ("name", "a", 6), ("op", "'", 7)]),
+        ("j1(", [("name", "j1", 1), ("op", "(", 3)]),
+        ("", []),
+        ("   ", []),
+        ("\t\n ", []),
+    ],
+)
+def test_tokens_and_columns(text, tokens):
+    # the end token sits one past the text, also after trailing whitespace
+    assert tokenize(text) == tokens + [("end", None, len(text) + 1)]
+
+
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        ("a  é", "unexpected character 'é'", 4),
+        ("  é", "unexpected character 'é'", 3),
+        ("a % b", "unexpected character '%'", 3),
+        ("2*" + "1" * 4301, "int-digits: integer literal has 4301 digits", 3),
+        ("q " + "9" * 4400 + " %", "int-digits: integer literal has 4400 digits", 3),
+        ("   ", "unexpected end of expression", 4),
+        ("\t", "unexpected end of expression", 2),
+    ],
+)
+def test_tokenizer_error_columns(text, message, column):
+    with pytest.raises(ParseError, match=message) as err:
+        parse(text, A)
     assert err.value.column == column
 
 

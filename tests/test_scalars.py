@@ -428,6 +428,110 @@ def test_cliff_reproducer_sum_is_cheap(monkeypatch):
     assert len(calls) <= 1000
 
 
+# -- the mod-p coprimality certificate of _pgcd against the PRS alone ------------
+
+
+def _assoc(p):
+    """The associate of p whose lex-leading coefficient has re > 0, im >= 0."""
+    return scalars_module._unit_normal(p, p)[0]
+
+
+def _vanishing_lc_factor(rng):
+    """(q - t)(qb - t) + c: both leading coefficients vanish at the first point t."""
+    t = scalars_module._POINTS[0]
+    c = (t * t + rng.randint(1, 5), rng.randint(-3, 3))
+    return {(1, 1): (1, 0), (1, 0): (-t, 0), (0, 1): (-t, 0), (0, 0): c}
+
+
+def test_gcd_certificate_matches_the_prs(monkeypatch):
+    pmul, pgcd = scalars_module._pmul, scalars_module._pgcd
+    rng = random.Random(14)
+
+    def poly(low=0):
+        return _zi_poly(rng, rng.randint(1, 3), low)
+
+    def planted(h):
+        return pmul(h, poly()), pmul(h, poly())
+
+    def q_factor():
+        h = {}
+        while not any(a for a, _ in h):
+            h = poly()
+        return planted(h)
+
+    def qb_factor():
+        h = {(0, rng.randint(1, 2)): _gi(rng), (0, 0): _gi(rng)}
+        return planted(h)
+
+    def content():
+        (x, y), (u, v) = rng.choice(_CONTENTS), rng.choice(_CONTENTS)
+        return pmul({(0, 0): (x, y)}, poly()), pmul({(0, 0): (u, v)}, poly())
+
+    def monomial():
+        k = rng.choice([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)])
+        return pmul({k: _gi(rng)}, poly()), pmul({k: _gi(rng)}, poly())
+
+    def vanishing_lc():
+        h = _vanishing_lc_factor(rng)
+        f = pmul(h, poly())
+        return (f, pmul(h, poly())) if rng.randrange(2) else (f, poly())
+
+    kinds = {
+        "coprime": lambda: (poly(), poly()),
+        "planted q factor": q_factor,
+        "qb factor": qb_factor,
+        "content": content,
+        "monomial": monomial,
+        "vanishing lc": vanishing_lc,
+    }
+    pairs = [(kind, *draw()) for _ in range(340) for kind, draw in kinds.items()]
+    got = [_assoc(pgcd(f, g)) for _, f, g in pairs]
+    with monkeypatch.context() as m:
+        m.setattr(scalars_module, "_coprime_in", lambda f, g, var: False)
+        want = [_assoc(pgcd(f, g)) for _, f, g in pairs]
+    certified = {kind: 0 for kind in kinds}
+    for (kind, f, g), x, y in zip(pairs, got, want):
+        assert x == y, (kind, f, g)
+        coprime_in = scalars_module._coprime_in
+        proved = coprime_in(f, g, 0) and coprime_in(f, g, 1)
+        # the certificate holds exactly when the gcd is a constant
+        assert proved == (max(y) == (0, 0)), (kind, f, g)
+        certified[kind] += proved
+        if kind == "vanishing lc":
+            assert scalars_module._image(f, 0, scalars_module._POINTS[0])[-1] == 0
+    assert certified["coprime"] > 150 and certified["content"] > 150
+    assert certified["vanishing lc"] > 100
+    assert certified["planted q factor"] == certified["qb factor"] == 0
+    assert certified["monomial"] == 0
+    assert len(pairs) >= 2000
+
+
+def test_certified_coprime_pairs_skip_the_prs(monkeypatch):
+    prems = _counting(monkeypatch, "_prem")
+    primitives = []
+    real = scalars_module._primitive
+    monkeypatch.setattr(
+        scalars_module, "_primitive", lambda f: primitives.append(f) or real(f)
+    )
+    f = (3 + Q * QB)._num
+    g = (2 + Q)._num
+    assert _assoc(scalars_module._pgcd(f, g)) == {(0, 0): (1, 0)}
+    assert prems == [] and primitives == []
+    # the same pair with a common factor still takes the PRS
+    h = (Q - QB + 1)._num
+    pmul = scalars_module._pmul
+    assert _assoc(scalars_module._pgcd(pmul(f, h), pmul(g, h))) == _assoc(h)
+    assert prems and primitives
+
+
+def test_product_by_one_is_the_other_factor():
+    x = (Q * QB + 2 * Q + I) / (3 * Q**2 + QB + 1)
+    for y in (x, Q, ZETA, Scalar.from_int(7), ONE):
+        assert y * Scalar.one() is y
+        assert Scalar.one() * y is y
+        assert y * 1 is y
+
+
 def _random_poly(rng, sympy, q, qb):
     """A random polynomial with fractional, imaginary, non-monic coefficients."""
     scalar, expr = Scalar.zero(), sympy.Integer(0)
