@@ -30,10 +30,14 @@ evidence that the directed rule system computes honest algebra.
 Every letter matrix has at most one nonzero per column, so words are never
 multiplied densely.  Each letter is stored in column form (target row and
 amplitude per column, plus a sink slot at index ``dim`` that collects killed
-columns), and a word costs two gathers per letter.  ``oracle_compare``
-evaluates only the interior columns it compares and keeps both sides as flat
-entry lists merged by key; its sums are bit-identical to accumulating the
-dense matrices.  ``evaluate_element`` still returns the dense matrix.
+columns), and a word costs two gathers per letter.  Each letter is also a
+fixed shift of the basis (g, g' move k by +-1 mod M; a, a' move n by -+1),
+so a word's bidegree ``(#a - #a', (#g - #g') mod M)`` alone fixes the row it
+sends every surviving column to.  ``oracle_compare`` evaluates only the
+interior columns it compares and sums each side per bidegree and column, in
+term order: those are the additions a dense accumulation performs on each
+entry, so the deviation is the same float.  ``evaluate_element`` returns
+the dense matrix.
 """
 
 from __future__ import annotations
@@ -198,18 +202,9 @@ def _word_columns(rep, word, ncols):
     return idx, val
 
 
-def _term_entries(rep, terms, ncols):
-    """Surviving entries of each ``(coeff, word)`` term on the first ``ncols`` columns.
-
-    Yields one ``(key, value)`` pair of arrays per term, with
-    ``key = row * ncols + col``.  A word has at most one entry per column, so
-    no key repeats within one term.
-    """
-    for coeff, word in terms:
-        scale = coeff.evaluate(rep.qval)
-        idx, val = _word_columns(rep, word, ncols)
-        keep = np.flatnonzero(idx < rep.dim)
-        yield idx[keep] * ncols + keep, scale * val[keep]
+def _letter_degree(word, M):
+    """Bidegree ``(#a - #a', (#g - #g') mod M)`` of a word in the letters (g, g', a, a')."""
+    return word.count(2) - word.count(3), (word.count(0) - word.count(1)) % M
 
 
 def _check_four_letters(pres):
@@ -220,19 +215,21 @@ def _check_four_letters(pres):
 def evaluate_element(rep, x):
     """Substitute the model's operators into an element over the 4-letter algebra."""
     _check_four_letters(x.pres)
-    total = np.zeros(rep.dim * rep.dim, dtype=complex)
-    for key, value in _term_entries(rep, ((c, w) for w, c in x.terms()), rep.dim):
-        total[key] += value
-    return total.reshape(rep.dim, rep.dim)
+    # one extra sink row collects the killed columns and is dropped at the end
+    total = np.zeros((rep.dim + 1, rep.dim), dtype=complex)
+    cols = np.arange(rep.dim)
+    for word, coeff in x.terms():
+        idx, val = _word_columns(rep, word, rep.dim)
+        total[idx, cols] += coeff.evaluate(rep.qval) * val
+    return total[: rep.dim]
 
 
-def _side(rep, terms, ncols):
-    """Concatenated keys and values of all terms, in term order."""
-    keys, values = [np.empty(0, dtype=int)], [np.empty(0, dtype=complex)]
-    for key, value in _term_entries(rep, terms, ncols):
-        keys.append(key)
-        values.append(value)
-    return np.concatenate(keys), np.concatenate(values)
+def _accumulate(rep, terms, ncols, groups, side):
+    """Add each ``(coeff, word)`` term's column amplitudes to its bidegree group."""
+    for coeff, word in terms:
+        amp = coeff.evaluate(rep.qval) * _word_columns(rep, word, ncols)[1]
+        sums = groups.setdefault(_letter_degree(word, rep.M), [0.0, 0.0])
+        sums[side] = sums[side] + amp
 
 
 def oracle_compare(rep, pres, raw_terms, depth=None):
@@ -241,20 +238,20 @@ def oracle_compare(rep, pres, raw_terms, depth=None):
     The comparison is restricted to columns with n <= N - depth, where depth
     bounds the word length: raising chains started there never touch the
     truncated boundary row, so the model is exact on that block.  Only those
-    interior columns are evaluated.
+    interior columns are evaluated.  A ``depth`` below the longest raw word
+    would let the direct side reach the boundary row and is rejected.
 
-    Both sides stay column-sparse: each is a flat list of entries keyed by
-    ``row * ncols + col``.  The two key lists are merged with ``np.unique``
-    and each side is summed per key with ``np.bincount``, separately on the
-    real and imaginary parts, as complex addition does.  ``bincount`` adds
-    the weights in input order starting from 0.0, and the entries are listed
-    in term order, so every sum is bit for bit the one a dense accumulation
-    into a zeroed matrix produces; only then are the two sides subtracted.
-    The modulus is ``np.abs`` of the complex difference, as in a dense
-    comparison (``np.hypot`` on the parts rounds differently).  An entry
-    present on neither side adds |0 - 0| = 0 to the dense maximum, so the
-    maximum over the merged keys is the same number, and 0.0 when no entry
-    survives.
+    Every letter shifts the ladder basis by a fixed step (g and g' move k by
+    +-1 mod M, a and a' move n by -+1), so all words of one bidegree
+    ``(#a - #a', (#g - #g') mod M)`` send a column to the same row, and words
+    of different bidegrees never share a (row, column) entry.  Each side is
+    therefore kept as one amplitude vector per bidegree, indexed by column,
+    and the terms are added into it in term order.  A killed column carries
+    amplitude 0 and adds only a zero, so every sum is bit for bit the one a
+    dense accumulation into a zeroed matrix produces.  The modulus is
+    ``np.abs`` of the complex difference, as in a dense comparison; entries
+    no word reaches are |0 - 0| = 0, so the maximum over the groups is the
+    dense maximum, and 0.0 when there are no terms.
     """
     raw = []
     maxlen = 0
@@ -264,26 +261,17 @@ def oracle_compare(rep, pres, raw_terms, depth=None):
         raw.append((coeff, word))
     if depth is None:
         depth = maxlen
+    if depth < maxlen:
+        raise ValueError("depth must be at least the longest word length")
     if depth > rep.N - 1:
         raise ValueError("word length exceeds the exact interior of the model")
     _check_four_letters(pres)
     ncols = rep.interior_columns(depth)
-    dkeys, dvals = _side(rep, raw, ncols)
+    groups = {}
+    _accumulate(rep, raw, ncols, groups, 0)
     normal = pres.normalize_raw(raw)
-    nkeys, nvals = _side(rep, ((c, w) for w, c in normal.terms()), ncols)
-    keys, inverse = np.unique(np.concatenate((dkeys, nkeys)), return_inverse=True)
-    if not len(keys):
-        return 0.0
-    dinv, ninv = inverse[: len(dkeys)], inverse[len(dkeys):]
-    size = len(keys)
-
-    def summed(inv, vals):
-        out = np.empty(size, dtype=complex)
-        out.real = np.bincount(inv, weights=vals.real, minlength=size)
-        out.imag = np.bincount(inv, weights=vals.imag, minlength=size)
-        return out
-
-    return float(np.max(np.abs(summed(dinv, dvals) - summed(ninv, nvals))))
+    _accumulate(rep, ((c, w) for w, c in normal.terms()), ncols, groups, 1)
+    return max((float(np.max(np.abs(d - n))) for d, n in groups.values()), default=0.0)
 
 
 def gamma_singular_values(rep):

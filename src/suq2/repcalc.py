@@ -288,26 +288,6 @@ def rep_tensor(v1, v2):
     return m1 * m2
 
 
-def mixed_leg_matrices(v, product):
-    """The two mixed-leg images of an invariant matrix in a tensor square.
-
-    Returns ``(i1 (x) j2)(v)`` and ``(i2 (x) j1)(v)`` as matrices over the
-    tensor-product presentation; for degree-zero v these must commute.
-    """
-    pres = v.pres
-    zeta = product.params["zeta"]
-    space = v.space.tensor(v.space)
-    a = AlgMatrix(
-        product, space, _leg1_matrix(matrix_embed(product, 2, v), v.dim)
-    )
-    b = AlgMatrix(
-        product,
-        space,
-        _leg2_matrix(matrix_embed(product, 1, v), v.space, zeta),
-    )
-    return a, b
-
-
 def _times_vector(m, xi):
     """The entries sum_c m[r, c] xi[c] of m applied to a Scalar vector xi."""
     out = []

@@ -38,6 +38,9 @@ CASES = {
     ],
     "adjoint-suq2": ["adjoint", "(3/q^2)*a*g + i*g'^2*a' - zeta"],
     "adjoint-suq2-flip": ["adjoint", "--algebra", "suq2-flip", "(q + i)*a*g*a'"],
+    # compare only: relations and spectrum go through BLAS and LAPACK
+    "numeric-compare": ["numeric", "compare", "--q", "0.5,0.3"],
+    "numeric-compare-transported": ["numeric", "compare", "--q", "1.7,-0.4", "--count", "300"],
 }
 
 

@@ -1,5 +1,6 @@
 """The truncated ladder oracle and its agreement with the rewrite engine."""
 
+import itertools
 import random
 
 import numpy as np
@@ -39,6 +40,43 @@ def _dense_deviation(rep, pres, raw, depth):
     normal = pres.normalize_raw(raw)
     diff = _dense(rep, raw) - _dense(rep, [(c, w) for w, c in normal.terms()])
     return float(np.max(np.abs(diff[:, rep.interior_mask(depth)])))
+
+
+def _keyed_side(rep, terms, ncols):
+    """Surviving entries of all terms as flat ``row * ncols + col`` keys and values."""
+    keys, values = [np.empty(0, dtype=int)], [np.empty(0, dtype=complex)]
+    for coeff, word in terms:
+        idx, val = numeric._word_columns(rep, word, ncols)
+        keep = np.flatnonzero(idx < rep.dim)
+        keys.append(idx[keep] * ncols + keep)
+        values.append(coeff.evaluate(rep.qval) * val[keep])
+    return np.concatenate(keys), np.concatenate(values)
+
+
+def _keyed_merge_deviation(rep, pres, raw, depth):
+    """Reference oracle: both sides merged by entry key, each summed with ``bincount``.
+
+    ``bincount`` adds the weights in input order starting from 0.0, so each
+    sum is the one a dense accumulation into a zeroed matrix produces.
+    """
+    ncols = rep.interior_columns(depth)
+    dkeys, dvals = _keyed_side(rep, raw, ncols)
+    normal = pres.normalize_raw(raw)
+    nkeys, nvals = _keyed_side(rep, [(c, w) for w, c in normal.terms()], ncols)
+    keys, inverse = np.unique(np.concatenate((dkeys, nkeys)), return_inverse=True)
+    if not len(keys):
+        return 0.0
+    size = len(keys)
+
+    def summed(inv, vals):
+        out = np.empty(size, dtype=complex)
+        out.real = np.bincount(inv, weights=vals.real, minlength=size)
+        out.imag = np.bincount(inv, weights=vals.imag, minlength=size)
+        return out
+
+    dsum = summed(inverse[: len(dkeys)], dvals)
+    nsum = summed(inverse[len(dkeys):], nvals)
+    return float(np.max(np.abs(dsum - nsum)))
 
 
 def test_build_validates_arguments():
@@ -196,6 +234,61 @@ def test_oracle_compare_matches_dense_products(qv):
     # the wrong rule makes the comparison non-trivial at complex q
     if qv.imag:
         assert worst_wrong > 1e-3
+
+
+@pytest.mark.parametrize(
+    "qv, N, M", [(0.5 + 0.3j, 10, 4), (1.7 - 0.4j, 10, 4), (0.4 - 0.2j, 8, 2), (0.9, 7, 3)]
+)
+def test_oracle_compare_equals_the_keyed_merge(qv, N, M):
+    # bidegree groups and the keyed merge add the same floats in the same order
+    rep = numeric.build(qv, N, M)
+    rng = random.Random(17)
+    coeffs = [
+        ONE, -ONE, Scalar.q(), Scalar.qbar(), Scalar.imag_unit() + Scalar.q(),
+        ONE / (Scalar.from_int(3) + Scalar.q()),
+    ]
+    for pres in (A, _wrong_r2()):
+        for _ in range(40):
+            raw = [
+                (rng.choice(coeffs), tuple(rng.randrange(4) for _ in range(rng.randint(0, 5))))
+                for _ in range(rng.randint(1, 4))
+            ]
+            depth = max(len(w) for _, w in raw) + rng.randint(0, 1)
+            got = numeric.oracle_compare(rep, pres, raw, depth=depth)
+            assert got == _keyed_merge_deviation(rep, pres, raw, depth), raw
+
+
+def _shifted_rows(rep, word):
+    """Row each column of ``rep`` goes to under ``word``, by the bidegree alone."""
+    da, dg = numeric._letter_degree(word, rep.M)
+    n, k = np.divmod(np.arange(rep.dim), rep.M)
+    # a lowers n on the plain model; transport swaps alpha and alpha*
+    n = n + da if rep.transported else n - da
+    return n * rep.M + (k + dg) % rep.M
+
+
+@pytest.mark.parametrize("qv, M", [(0.5 + 0.3j, 3), (1.7 - 0.4j, 3), (0.6, 2)])
+def test_surviving_rows_follow_the_bidegree(qv, M):
+    rep = numeric.build(qv, 7, M)
+    words = (w for length in range(7) for w in itertools.product(range(4), repeat=length))
+    for word in words:
+        idx, _ = numeric._word_columns(rep, word, rep.dim)
+        alive = idx < rep.dim
+        assert np.array_equal(idx[alive], _shifted_rows(rep, word)[alive]), word
+
+
+@pytest.mark.parametrize("depth", [1, -3])
+def test_depth_below_the_longest_word_rejected(depth):
+    # the direct side would run into the truncated boundary row
+    rep = numeric.build(0.5, 6, 3)
+    with pytest.raises(ValueError, match="depth"):
+        numeric.oracle_compare(rep, A, [(ONE, (2, 2, 3, 3))], depth=depth)
+
+
+@pytest.mark.parametrize("depth", [None, 4, 5])
+def test_depth_at_or_above_the_longest_word_accepted(depth):
+    rep = numeric.build(0.5, 6, 3)
+    assert numeric.oracle_compare(rep, A, [(ONE, (2, 2, 3, 3))], depth=depth) <= 1e-12
 
 
 def test_word_length_beyond_interior_rejected():

@@ -21,7 +21,7 @@ from suq2 import (
     uq2_from_su2_rep,
     zpower_matrix,
 )
-from suq2.repcalc import mixed_leg_matrices
+from suq2.repcalc import _leg1_matrix, _leg2_matrix, matrix_embed
 
 A = suq2_presentation()
 Q = A.params["q"]
@@ -103,6 +103,19 @@ def test_tensor_with_trivial_second_factor_is_identity_operation():
     assert w.is_unitary()[0]
     ok, _ = corep_check(w, DELTA, mode="braided")
     assert ok
+
+
+def mixed_leg_matrices(v, product):
+    """The two mixed-leg images of an invariant matrix in a tensor square.
+
+    Returns ``(i1 (x) j2)(v)`` and ``(i2 (x) j1)(v)`` as matrices over the
+    tensor-product presentation; for degree-zero v these must commute.
+    """
+    zeta = product.params["zeta"]
+    space = v.space.tensor(v.space)
+    a = AlgMatrix(product, space, _leg1_matrix(matrix_embed(product, 2, v), v.dim))
+    b = AlgMatrix(product, space, _leg2_matrix(matrix_embed(product, 1, v), v.space, zeta))
+    return a, b
 
 
 def test_mixed_leg_images_commute():
