@@ -145,17 +145,27 @@ def tensor_morphism(morphisms, target):
 
     ``morphisms`` is one generator morphism per source leg; ``target`` must be
     the flat tensor product whose leg list is the concatenation of the target
-    leg lists of the given morphisms.  Each morphism must be verified and
-    degree-preserving, otherwise the cross-leg commutation rule would not be
-    respected by the combined map.
+    leg lists of the given morphisms, and a morphism whose target is itself a
+    tensor product must share the twist of ``target``.  Each morphism must be
+    verified (else ``UnverifiedMorphismError`` names it) and degree-preserving.
+
+    The result is proved, not expanded.  Retagging into ``target`` is a
+    homomorphism on each part's target, so each part's verdict covers the
+    relations inside its leg.  For a cross-leg rule y x -> zeta^(-k l) x y,
+    with x of degree k in an earlier leg and y of degree l in a later one,
+    the images are homogeneous of degrees k and l, and every letter of y's
+    image stands after every letter of x's image in the leg order.  Since
+    zeta^(-deg * deg) is a bicharacter, the image of y times that of x equals
+    zeta^(-k l) times the product in the other order.
     """
-    from .morphisms import GenMorphism
+    from .morphisms import _proved
 
     morphisms = list(morphisms)
     if target.factors is None:
         raise ValueError("target must be a tensor-product presentation")
+    zeta = target.params["zeta"]
     source_factors = tuple(m.source for m in morphisms)
-    source = twisted_tensor(source_factors, target.params["zeta"])
+    source = twisted_tensor(source_factors, zeta)
     expected = []
     for m in morphisms:
         expected.extend(m.target.factors or (m.target,))
@@ -164,6 +174,12 @@ def tensor_morphism(morphisms, target):
             "presentation-mismatch: target legs do not match morphism targets"
         )
     for m in morphisms:
+        if m.target.factors is not None and m.target.params["zeta"] != zeta:
+            raise PresentationMismatchError(
+                f"presentation-mismatch: '{m.name}' maps into a tensor product "
+                "with another twist"
+            )
+        m._require_verified()
         if not m.is_equivariant():
             raise ValueError(
                 "tensor_morphism needs degree-preserving (equivariant) morphisms"
@@ -180,4 +196,4 @@ def tensor_morphism(morphisms, target):
         offset += m.target.n_gens
 
     name = " x ".join(m.name for m in morphisms)
-    return GenMorphism(source, target, images, name=f"({name})")
+    return _proved(source, target, images, f"({name})")

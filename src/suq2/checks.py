@@ -103,7 +103,6 @@ def _coassoc(d, zeta):
     B = d.source
     B3 = twisted_tensor([B, B, B], zeta)
     ident = identity_morphism(B)
-    ident.check()
     left = compose(tensor_morphism([d, ident], B3), d)
     right = compose(tensor_morphism([ident, d], B3), d)
     residuals = []

@@ -27,9 +27,9 @@ class PresentationMismatchError(ValueError):
 
 
 class UnverifiedMorphismError(RuntimeError):
-    """A generator morphism was applied before its defining relations were checked."""
+    """A generator morphism that fails its relation check was applied or built upon."""
 
-    def __init__(self, msg="unverified-morphism: run check() before apply()"):
+    def __init__(self, msg="unverified-morphism: the relations do not hold"):
         super().__init__(msg)
 
 

@@ -7,6 +7,16 @@ at all is exactly the question whether the images satisfy the source's
 rewrite rules in the target -- ``check()`` computes those residuals, and
 ``apply()`` refuses to run before the verdict is in.
 
+Two kinds of verdict exist.  A map built directly as a ``GenMorphism`` (the
+named maps below, or any user map) is *expanded*: ``check()`` pushes every
+source rule through the images.  A map built by :func:`identity_morphism`,
+:func:`compose` or :func:`braided.tensor_morphism` from verified parts is
+*proved*: it is a homomorphism by construction (the identity, a composite of
+homomorphisms, the twisted tensor product functor on equivariant maps), so
+its verdict is set when it is built and ``check()`` expands nothing.  The
+expansion stays available as an oracle: rebuilding a proved map as a plain
+``GenMorphism`` from its images must pass it.
+
 ``catalog(q)`` builds the named maps used by the verification suite:
 the comultiplications of the braided and ordinary algebras, the two
 embeddings into the tensor square of the circle-extended algebra, the
@@ -67,7 +77,12 @@ class GenMorphism:
     # -- well-definedness -----------------------------------------------------------
 
     def check(self):
-        """Residual image(lhs) - image(rhs) for every source rule; pass iff all zero."""
+        """Residual image(lhs) - image(rhs) for every source rule; pass iff all zero.
+
+        The expansion runs once, on the first call.  Maps built by
+        ``identity_morphism``, ``compose`` and ``tensor_morphism`` carry a
+        proved verdict from construction, so for them this expands nothing.
+        """
         if self._verdict is None:
             residuals = []
             for rule in self.source.rules.values():
@@ -90,10 +105,7 @@ class GenMorphism:
     def apply(self, x):
         if x.pres is not self.source:
             raise PresentationMismatchError()
-        if not self.check():
-            raise UnverifiedMorphismError(
-                f"unverified-morphism: '{self.name}' does not respect the relations"
-            )
+        self._require_verified()
         acc = {}
         for word, coeff in x.terms():
             for w, c in self._image_of_word(word)._terms.items():
@@ -102,6 +114,12 @@ class GenMorphism:
 
     def __call__(self, x):
         return self.apply(x)
+
+    def _require_verified(self):
+        if not self.check():
+            raise UnverifiedMorphismError(
+                f"unverified-morphism: '{self.name}' does not respect the relations"
+            )
 
     # -- properties -----------------------------------------------------------------
 
@@ -123,29 +141,42 @@ class GenMorphism:
         return f"<GenMorphism {self.name}: {self.source.label} -> {self.target.label}>"
 
 
+def _proved(source, target, images, name):
+    """A morphism that is a homomorphism by construction: check() expands nothing."""
+    mor = GenMorphism(source, target, images, name=name)
+    mor._verdict = True
+    mor._residuals = []
+    return mor
+
+
 def identity_morphism(pres):
+    """The identity of ``pres``; proved, since it maps every relation to itself."""
     images = {
         i: pres.gen(i)
         for i, g in enumerate(pres.generators)
         if i <= g.adjoint
     }
-    return GenMorphism(pres, pres, images, name="id")
+    return _proved(pres, pres, images, "id")
 
 
 def compose(outer, inner):
-    """The composite outer o inner (apply ``inner`` first)."""
+    """The composite outer o inner (apply ``inner`` first).
+
+    Both parts must pass ``check()``; ``UnverifiedMorphismError`` names the
+    first that fails.  The composite is then proved, not expanded: for every
+    source rule lhs -> rhs, inner(lhs - rhs) = 0 in the middle algebra, and
+    outer, a well-defined *-homomorphism, sends 0 to 0.
+    """
     if inner.target is not outer.source:
         raise PresentationMismatchError()
-    if not (inner.check() and outer.check()):
-        raise UnverifiedMorphismError()
+    inner._require_verified()
+    outer._require_verified()
     images = {
         i: outer.apply(inner.letter_image(i))
         for i, g in enumerate(inner.source.generators)
         if i <= g.adjoint
     }
-    return GenMorphism(
-        inner.source, outer.target, images, name=f"{outer.name} o {inner.name}"
-    )
+    return _proved(inner.source, outer.target, images, f"{outer.name} o {inner.name}")
 
 
 def equal_on_generators(f, g):

@@ -7,16 +7,25 @@ behaviour change: only a deliberate report change may update a file, and
 the change log must say so.
 """
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import suq2
 from suq2.cli import ALGEBRAS, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
+# checks that build composites; each report is also compared from a fresh
+# process, where run_check builds them with no other check run first
+SINGLE_CHECKS = ("delta-coassoc", "uq2-coassoc", "aq-symmetry")
+
 CASES = {
     "verify-all": ["verify", "all", "--seed", "1"],
+    **{f"verify-{name}": ["verify", name] for name in SINGLE_CHECKS},
     **{f"confluence-{name}": ["confluence", "--algebra", name] for name in ALGEBRAS},
     "nf-suq2": ["nf", "a'*a*g^2 + (2/3 - i/5)*q^-2*a*g'*a' + a^3*g'"],
     "nf-torus": ["nf", "--algebra", "torus", "V'*U*V*U' - zeta + U'^2*V*U"],
@@ -54,6 +63,20 @@ def test_report_matches_golden(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("ascii") == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", SINGLE_CHECKS)
+def test_single_check_matches_golden_in_a_fresh_process(name):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(suq2.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run(
+        [sys.executable, "-m", "suq2", "verify", name],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        timeout=120,
+    )
+    assert res.returncode == 0
+    assert res.stdout == (GOLDEN / f"verify-{name}.json").read_bytes()
 
 
 def test_verify_options_are_inert(capsys):

@@ -27,8 +27,10 @@ from suq2 import (
     tensor_morphism,
     twisted_tensor,
 )
-from suq2 import morphisms
+from suq2 import checks, morphisms
+from suq2.braided import retag
 from suq2.checks import _coassoc
+from suq2.cli import main
 from suq2.morphisms import GenMorphism
 from suq2.repcalc import fundamental_matrix
 
@@ -70,6 +72,15 @@ def test_scaled_generator_map_fails_with_residual():
     assert by_rule[(3, 2)] == (g * gs).scale(Scalar.from_int(3))
     with pytest.raises(UnverifiedMorphismError, match="unverified-morphism"):
         bad.apply(A.gen("a"))
+
+
+def _doubled(m, name):
+    """``m`` with the image of generator ``name`` doubled: equivariant, not a hom."""
+    k = m.source.gen_index(name)
+    images = {
+        i: el.scale(Scalar.from_int(2)) if i == k else el for i, el in m.images.items()
+    }
+    return GenMorphism(m.source, m.target, images, name=f"{m.name} with 2{name}")
 
 
 def test_identity_and_application():
@@ -201,6 +212,118 @@ def test_delta_uq2_well_defined_and_coassociative():
     left = compose(tensor_morphism([d, ident], B3), d)
     right = compose(tensor_morphism([ident, d], B3), d)
     assert equal_on_generators(left, right)
+
+
+# -- proved verdicts: identity, composites and the tensor product functor ------------
+
+
+def _record_constructions(monkeypatch):
+    """Every morphism the checks build through compose, tensor_morphism, identity."""
+    built = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            mor = fn(*args, **kwargs)
+            built.append(mor)
+            return mor
+
+        return wrapper
+
+    for name in ("compose", "tensor_morphism", "identity_morphism"):
+        monkeypatch.setattr(checks, name, recording(getattr(checks, name)))
+    return built
+
+
+def test_proved_verdicts_pass_the_full_expansion(monkeypatch):
+    built = _record_constructions(monkeypatch)
+    assert all(res.ok for res in checks.run_all())
+    assert sorted({m.name for m in built}) == [
+        "(delta x id)",
+        "(delta x id) o delta",
+        "(delta_B x id)",
+        "(delta_B x id) o delta_B",
+        "(id x delta)",
+        "(id x delta) o delta",
+        "(id x delta_B)",
+        "(id x delta_B) o delta_B",
+        "(phi x phi)",
+        "(phi x phi) o delta",
+        "delta o phi",
+        "id",
+        "q_inverse_iso o q_inverse_iso",
+    ]
+    assert len(built) == 17
+    for mor in built:
+        assert mor.check() and mor.residuals == []
+        # the oracle: the same images as a plain map, every relation expanded
+        plain = GenMorphism(mor.source, mor.target, mor.images, name=mor.name)
+        assert plain.check(), mor.name
+        assert plain.residuals == []
+
+
+def test_run_all_expands_only_the_named_base_maps(monkeypatch):
+    built = _record_constructions(monkeypatch)
+    expanded = []
+    check = GenMorphism.check
+
+    def counting(self):
+        if self._verdict is None:
+            expanded.append(self)
+        return check(self)
+
+    monkeypatch.setattr(GenMorphism, "check", counting)
+    checks.run_all()
+    assert built
+    assert not any(m is e for m in built for e in expanded)
+    assert {e.name for e in expanded} == {
+        "delta",
+        "delta_B",
+        "inclusion",
+        "iota1",
+        "iota2",
+        "phi",
+        "q_inverse_iso",
+    }
+
+
+def test_tensor_morphism_rejects_an_unverified_leg():
+    bad = _doubled(identity_morphism(A), "g")
+    assert bad.is_equivariant() and not bad.check()
+    AA = twisted_tensor([A, A], A.params["zeta"])
+    with pytest.raises(
+        UnverifiedMorphismError,
+        match="unverified-morphism: 'id with 2g' does not respect the relations",
+    ):
+        tensor_morphism([identity_morphism(A), bad], AA)
+
+
+def test_tensor_morphism_rejects_a_part_with_another_twist():
+    d = delta_su()
+    A3 = twisted_tensor([A, A, A], Scalar.one())
+    with pytest.raises(PresentationMismatchError, match="'delta' maps into .* another twist"):
+        tensor_morphism([d, identity_morphism(A)], A3)
+    # the precondition is needed: retagged into the untwisted cube, the images
+    # of delta no longer respect the relations
+    images = {i: retag(el, A3, 0) for i, el in d.images.items()}
+    assert not GenMorphism(A, A3, images).check()
+
+
+def test_compose_names_the_broken_part():
+    bad = _doubled(q_inverse_iso(Q), "a")
+    back = q_inverse_iso(Q.inverse())
+    assert not bad.check() and back.check()
+    label = "unverified-morphism: 'q_inverse_iso with 2a' does not respect the relations"
+    with pytest.raises(UnverifiedMorphismError, match=label):
+        compose(back, bad)
+    with pytest.raises(UnverifiedMorphismError, match=label):
+        compose(bad, identity_morphism(A))
+
+
+def test_cli_names_an_unverified_tensor_leg(monkeypatch, capsys):
+    monkeypatch.setattr(checks, "phi_symmetry", lambda: _doubled(phi_symmetry(), "g"))
+    assert main(["verify", "aq-symmetry"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unverified-morphism: 'phi with 2g' does not respect the relations\n"
 
 
 # -- cancellation: test-only enumeration oracle ----------------------------------------
