@@ -7,7 +7,18 @@ comultiplication and the associated representation calculus, the
 circle-extended ordinary quantum group, and a numeric truncated-operator
 oracle that cross-checks the rewrite engine.  The ``suq2`` CLI drives the
 named verification checks.
+
+Importing the package sets ``OPENBLAS_THREAD_TIMEOUT=4`` unless the caller
+has set it, and only if numpy is not imported yet.  OpenBLAS worker threads
+otherwise busy-wait for about 0.1 s after numpy loads and after each threaded
+call.  On a two-core host, that spin nearly doubled the CPU time of a short
+``confluence_check``, by a different amount on each run.  With the timeout,
+idle workers sleep at once, while large products still run threaded.
 """
+
+import os as _os
+
+_os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 from .algebra import (
     ConfluenceReport,

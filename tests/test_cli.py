@@ -271,6 +271,41 @@ def _run_module(*argv):
     )
 
 
+_IMPORT_PROBE = """
+import os, time
+w0, c0 = time.monotonic(), time.process_time()
+import suq2.cli
+w1, c1 = time.monotonic(), time.process_time()
+print(os.environ.get("OPENBLAS_THREAD_TIMEOUT"), c1 - c0, w1 - w0)
+"""
+
+
+def _import_probe(**extra):
+    env = _module_env()
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    env.update(extra)
+    res = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    value, cpu, wall = res.stdout.split()
+    return value, float(cpu), float(wall)
+
+
+def test_import_keeps_blas_workers_from_spinning():
+    # an idle OpenBLAS worker that busy-waits shows as CPU time beyond the
+    # wall time of a single-threaded import (about 1.9x without the timeout)
+    value, cpu, wall = _import_probe()
+    assert value == "4"
+    assert cpu < 1.3 * wall + 0.01
+
+
+def test_import_keeps_a_callers_blas_timeout():
+    value, _, _ = _import_probe(OPENBLAS_THREAD_TIMEOUT="10")
+    assert value == "10"
+
+
 def test_python_dash_m_entry_point():
     ok = _run_module("nf", "a a'")
     assert ok.returncode == 0
