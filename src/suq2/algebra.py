@@ -258,6 +258,15 @@ class Presentation:
                 _accumulate(acc, w2, coeff * c2)
         return Element(self, acc)
 
+    def product_sum(self, pairs):
+        """Normalize the sum of ``x * y`` over element pairs in one pass."""
+        return self.normalize_raw(
+            (c1 * c2, w1 + w2)
+            for x, y in pairs
+            for w1, c1 in x._terms.items()
+            for w2, c2 in y._terms.items()
+        )
+
     def element(self, raw_terms):
         return self.normalize_raw(raw_terms)
 
@@ -355,11 +364,7 @@ class Element:
         for s, x in ((self, other), (other, self)):
             if len(s._terms) == 1 and () in s._terms:
                 return x.scale(s._terms[()])
-        raw = []
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                raw.append((c1 * c2, w1 + w2))
-        return self.pres.normalize_raw(raw)
+        return self.pres.product_sum(((self, other),))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -433,11 +438,11 @@ class Element:
 
 
 def _cached(key, build):
-    pres = _PRESENTATION_CACHE.get(key)
-    if pres is None:
-        pres = build()
-        _PRESENTATION_CACHE[key] = pres
-    return pres
+    """The process-wide instance for ``key``: presentations and the comultiplications."""
+    obj = _PRESENTATION_CACHE.get(key)
+    if obj is None:
+        obj = _PRESENTATION_CACHE[key] = build()
+    return obj
 
 
 def suq2_presentation(qparam=None):

@@ -99,7 +99,6 @@ def _coassoc(d, zeta):
     The triple product is twisted by ``zeta``.  Each generator on which the
     two composites differ gives one line ``"<name>: <left - right>"``.
     """
-    d.check()
     B = d.source
     B3 = twisted_tensor([B, B, B], zeta)
     ident = identity_morphism(B)
@@ -134,7 +133,6 @@ def check_delta_coassoc():
 
 def check_delta_equivariance():
     d = delta_su()
-    d.check()
     ok = d.is_equivariant()
     residuals = []
     if not ok:
@@ -218,7 +216,6 @@ def check_prop_8_44():
 
 def check_tensprod_corep():
     d = delta_su()
-    d.check()
     u = fundamental_matrix(d.source)
     v = rep_tensor(u, u)
     unitary, _, _ = v.is_unitary()
@@ -244,8 +241,6 @@ def check_tensprod_corep():
 def check_invariant_vector():
     A = suq2_presentation()
     q = A.params["q"]
-    d = delta_su()
-    d.check()
     v = rep_tensor(fundamental_matrix(A), fundamental_matrix(A))
     xi = [Scalar.zero(), Scalar.one(), -q, Scalar.zero()]
     ok, res = invariant_vector_check(v, xi)
@@ -287,26 +282,20 @@ def check_invariance_constraints():
 def check_aq_symmetry():
     A = suq2_presentation()
     phi = phi_symmetry()
-    ok_def = phi.check()
     ok_equi = phi.is_equivariant()
     S = phi.source
     d_flip = delta_su(source=S)
-    d_flip.check()
-    qt = A.params["q"].conjugate().inverse()
-    d_tilde = delta_su(qt)
-    d_tilde.check()
+    d_tilde = delta_su(A.params["q"].conjugate().inverse())
     phi2 = tensor_morphism([phi, phi], d_tilde.target)
     ok_comult = equal_on_generators(compose(phi2, d_flip), compose(d_tilde, phi))
     residuals = []
-    if not ok_def:
-        residuals += [f"rule {r.lhs}: {el.render()}" for r, el in phi.residuals]
     if not ok_equi:
         residuals.append("phi is not degree-preserving from the flipped grading")
     if not ok_comult:
         residuals.append("(phi x phi) o delta != delta o phi")
     return _result(
         "aq-symmetry",
-        ok_def and ok_equi and ok_comult,
+        ok_equi and ok_comult,
         "the grading flip is isomorphic to the algebra at parameter "
         "1/conj(q) via a |-> a'~, g |-> q~ g'~, compatibly with the "
         "comultiplications",
@@ -319,19 +308,14 @@ def check_q_inverse_iso():
     q = A.params["q"]
     f = q_inverse_iso(q)
     g = q_inverse_iso(q.inverse())
-    ok_f, ok_g = f.check(), g.check()
     rt1 = equal_on_generators(compose(g, f), identity_morphism(A))
     rt2 = equal_on_generators(compose(f, g), identity_morphism(f.target))
     residuals = []
-    if not ok_f:
-        residuals += [f"forward rule {r.lhs}: {el.render()}" for r, el in f.residuals]
-    if not ok_g:
-        residuals += [f"backward rule {r.lhs}: {el.render()}" for r, el in g.residuals]
     if not (rt1 and rt2):
         residuals.append("the double parameter inversion is not the identity")
     return _result(
         "q-inverse-iso",
-        ok_f and ok_g and rt1 and rt2,
+        rt1 and rt2,
         "a |-> a', g |-> q^-1 g is an isomorphism onto the algebra at "
         "parameter 1/q; doing it twice is the identity",
         residuals,
@@ -388,9 +372,8 @@ def check_uq2_coassoc():
 
 def check_uq2_corep_bijection():
     inc = su_to_uq2()
-    inc.check()
     v = matrix_apply(inc, fundamental_matrix(inc.source))
-    rep = uq2_from_su2_rep(v, delta_uq2())
+    rep = uq2_from_su2_rep(v)
     residuals = []
     if not rep.unitary:
         residuals.append("v U* is not unitary")

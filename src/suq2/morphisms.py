@@ -21,7 +21,11 @@ expansion stays available as an oracle: rebuilding a proved map as a plain
 the comultiplications of the braided and ordinary algebras, the two
 embeddings into the tensor square of the circle-extended algebra, the
 parameter-inversion isomorphism, the grading-reversing symmetry, and the
-degree-scaling automorphisms.
+degree-scaling automorphisms.  The two comultiplications, which many
+checks use, are built once per source presentation and kept in the
+presentation cache, so their relations are expanded once per process.  They
+are shared: callers must not mutate them, but build a new ``GenMorphism``
+from ``images`` instead.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from .algebra import Element, _accumulate, suq2_presentation, uq2_presentation
+from .algebra import Element, _accumulate, _cached, suq2_presentation, uq2_presentation
 from .braided import braiding_failures, embed, grading_flip, twisted_tensor
 from .errors import PresentationMismatchError, UnverifiedMorphismError
 from .scalars import Scalar
@@ -201,16 +205,20 @@ def delta_su(qparam=None, source=None):
     flipped presentation (used by the symmetry check).
     """
     A = source if source is not None else suq2_presentation(qparam)
-    q = A.params["q"]
-    AA = twisted_tensor([A, A], A.params["zeta"])
-    j1 = lambda x: embed(AA, 1, x)
-    j2 = lambda x: embed(AA, 2, x)
-    a, g, gs, as_ = A.gen("a"), A.gen("g"), A.gen("g'"), A.gen("a'")
-    images = {
-        A.gen_index("a"): j1(a) * j2(a) - (j1(gs) * j2(g)).scale(q),
-        A.gen_index("g"): j1(g) * j2(a) + j1(as_) * j2(g),
-    }
-    return GenMorphism(A, AA, images, name="delta")
+
+    def build():
+        q = A.params["q"]
+        AA = twisted_tensor([A, A], A.params["zeta"])
+        j1 = lambda x: embed(AA, 1, x)
+        j2 = lambda x: embed(AA, 2, x)
+        a, g, gs, as_ = A.gen("a"), A.gen("g"), A.gen("g'"), A.gen("a'")
+        images = {
+            A.gen_index("a"): j1(a) * j2(a) - (j1(gs) * j2(g)).scale(q),
+            A.gen_index("g"): j1(g) * j2(a) + j1(as_) * j2(g),
+        }
+        return GenMorphism(A, AA, images, name="delta")
+
+    return _cached(("delta", A._token), build)
 
 
 def delta_uq2(qparam=None):
@@ -220,17 +228,21 @@ def delta_uq2(qparam=None):
     The tensor square is the ordinary one (twist 1): all degrees vanish.
     """
     B = uq2_presentation(qparam)
-    q = B.params["q"]
-    BB = twisted_tensor([B, B], Scalar.one())
-    j1 = lambda x: embed(BB, 1, x)
-    j2 = lambda x: embed(BB, 2, x)
-    a, g, gs, as_, z = B.gen("a"), B.gen("g"), B.gen("g'"), B.gen("a'"), B.gen("z")
-    images = {
-        B.gen_index("a"): j1(a) * j2(a) - (j1(gs * z) * j2(g)).scale(q),
-        B.gen_index("g"): j1(g) * j2(a) + j1(as_ * z) * j2(g),
-        B.gen_index("z"): j1(z) * j2(z),
-    }
-    return GenMorphism(B, BB, images, name="delta_B")
+
+    def build():
+        q = B.params["q"]
+        BB = twisted_tensor([B, B], Scalar.one())
+        j1 = lambda x: embed(BB, 1, x)
+        j2 = lambda x: embed(BB, 2, x)
+        a, g, gs, as_, z = B.gen("a"), B.gen("g"), B.gen("g'"), B.gen("a'"), B.gen("z")
+        images = {
+            B.gen_index("a"): j1(a) * j2(a) - (j1(gs * z) * j2(g)).scale(q),
+            B.gen_index("g"): j1(g) * j2(a) + j1(as_ * z) * j2(g),
+            B.gen_index("z"): j1(z) * j2(z),
+        }
+        return GenMorphism(B, BB, images, name="delta_B")
+
+    return _cached(("delta_B", B._token), build)
 
 
 def iota1(qparam=None):
@@ -308,7 +320,8 @@ def rho_scale(pres, m):
 
 
 def catalog(qparam=None):
-    """All named morphisms, constructed and verified."""
+    """All named morphisms, constructed and verified; the two comultiplications
+    are shared, so never mutate them."""
     entries = {
         "delta_su": delta_su(qparam),
         "delta_uq2": delta_uq2(qparam),

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from .algebra import free_presentation, suq2_presentation, uq2_presentation
 from .braided import embed
 from .errors import NotInvariantError, PresentationMismatchError
-from .morphisms import delta_uq2, su_to_uq2
+from .morphisms import delta_uq2
 from .scalars import Scalar
 
 
@@ -96,17 +96,10 @@ class AlgMatrix:
             raise ValueError("shape mismatch")
 
     def __mul__(self, other):
+        """Entry (r, c) is sum_k self[r, k] other[k, c], normalized in one pass."""
         self._check_compatible(other)
-        n = self.dim
-        out = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                acc = self.pres.zero()
-                for k in range(n):
-                    acc = acc + self.entries[r][k] * other.entries[k][c]
-                row.append(acc)
-            out.append(row)
+        cols = list(zip(*other.entries))
+        out = [[self.pres.product_sum(zip(row, col)) for col in cols] for row in self.entries]
         return AlgMatrix(self.pres, self.space, out)
 
     def __add__(self, other):
@@ -175,8 +168,9 @@ class AlgMatrix:
     def is_unitary(self):
         """(verdict, residual of M M* - 1, residual of M* M - 1)."""
         ident = AlgMatrix.identity(self.pres, self.space)
-        r1 = self * self.adjoint() - ident
-        r2 = self.adjoint() * self - ident
+        adj = self.adjoint()
+        r1 = self * adj - ident
+        r2 = adj * self - ident
         return r1.is_zero() and r2.is_zero(), r1, r2
 
     def __eq__(self, other):
@@ -406,17 +400,17 @@ def zpower_matrix(pres, space):
     return AlgMatrix(pres, space, rows)
 
 
-def uq2_from_su2_rep(v, delta_b=None):
+def uq2_from_su2_rep(v):
     """Turn a representation of the braided algebra into one of the extended one.
 
     ``v`` is the image in the circle-extended algebra of a braided-algebra
     representation; ``udiag`` is the diagonal z-power matrix of its space
     (:func:`zpower_matrix`).  Returns the report for ``u = v udiag*``:
-    unitarity, the ordinary comultiplication compatibility, the roundtrip
-    ``u udiag = v``, and the degenerate case where ``v`` is the identity.
+    unitarity, the ordinary comultiplication compatibility (through the
+    shared ``delta_uq2`` of ``v``'s parameter), the roundtrip ``u udiag = v``,
+    and the degenerate case where ``v`` is the identity.
     """
-    if delta_b is None:
-        delta_b = delta_uq2(v.pres.params["q"])
+    delta_b = delta_uq2(v.pres.params["q"])
     B = delta_b.source
     if v.pres is not B:
         raise PresentationMismatchError()

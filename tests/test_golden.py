@@ -15,13 +15,22 @@ import sys
 import pytest
 
 import suq2
+import suq2.algebra
 from suq2.cli import ALGEBRAS, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
-# checks that build composites; each report is also compared from a fresh
-# process, where run_check builds them with no other check run first
-SINGLE_CHECKS = ("delta-coassoc", "uq2-coassoc", "aq-symmetry")
+# checks that build composites or share a comultiplication; each report is also
+# compared from a fresh process, where run_check builds them with no other
+# check run first
+SINGLE_CHECKS = (
+    "delta-coassoc",
+    "uq2-coassoc",
+    "aq-symmetry",
+    "tensprod-corep",
+    "uq2-corep-bijection",
+    "cancellation-witness",
+)
 
 CASES = {
     "verify-all": ["verify", "all", "--seed", "1"],
@@ -65,18 +74,36 @@ def test_report_matches_golden(capsys, name):
     assert out.encode("ascii") == (GOLDEN / f"{name}.json").read_bytes()
 
 
-@pytest.mark.parametrize("name", SINGLE_CHECKS)
-def test_single_check_matches_golden_in_a_fresh_process(name):
+def _fresh_process(argv):
+    """Stdout of ``suq2 <argv>`` run in a new interpreter on this checkout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(suq2.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     res = subprocess.run(
-        [sys.executable, "-m", "suq2", "verify", name],
+        [sys.executable, "-m", "suq2", *argv],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         timeout=120,
     )
     assert res.returncode == 0
-    assert res.stdout == (GOLDEN / f"verify-{name}.json").read_bytes()
+    return res.stdout
+
+
+@pytest.mark.parametrize("name", SINGLE_CHECKS)
+def test_single_check_matches_golden_in_a_fresh_process(name):
+    assert _fresh_process(["verify", name]) == (GOLDEN / f"verify-{name}.json").read_bytes()
+
+
+def test_shared_maps_leak_no_state_between_runs(monkeypatch, capsys):
+    # the first run builds both comultiplications, the second reuses them
+    monkeypatch.setattr(suq2.algebra, "_PRESENTATION_CACHE", {})
+    reports = []
+    for _ in range(2):
+        assert main(["verify", "all"]) == 0
+        reports.append(capsys.readouterr().out.encode("ascii"))
+    assert reports[0] == reports[1] == (GOLDEN / "verify-all.json").read_bytes()
+    assert main(["verify", "delta-hom"]) == 0
+    warm = capsys.readouterr().out.encode("ascii")
+    assert warm == _fresh_process(["verify", "delta-hom"])
 
 
 def test_verify_options_are_inert(capsys):

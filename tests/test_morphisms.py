@@ -1,5 +1,6 @@
 """Generator morphisms: relation checking, application, the named catalog."""
 
+import collections
 import itertools
 
 import pytest
@@ -26,7 +27,9 @@ from suq2 import (
     suq2_presentation,
     tensor_morphism,
     twisted_tensor,
+    uq2_presentation,
 )
+import suq2.algebra
 from suq2 import checks, morphisms
 from suq2.braided import retag
 from suq2.checks import _coassoc
@@ -262,6 +265,8 @@ def test_proved_verdicts_pass_the_full_expansion(monkeypatch):
 
 
 def test_run_all_expands_only_the_named_base_maps(monkeypatch):
+    # a fresh cache, so that every named map is built and expanded in this run
+    monkeypatch.setattr(suq2.algebra, "_PRESENTATION_CACHE", {})
     built = _record_constructions(monkeypatch)
     expanded = []
     check = GenMorphism.check
@@ -275,15 +280,40 @@ def test_run_all_expands_only_the_named_base_maps(monkeypatch):
     checks.run_all()
     assert built
     assert not any(m is e for m in built for e in expanded)
-    assert {e.name for e in expanded} == {
-        "delta",
-        "delta_B",
-        "inclusion",
-        "iota1",
-        "iota2",
-        "phi",
-        "q_inverse_iso",
+    # each named map expands exactly once per source: delta at q, at
+    # 1/conj(q) and over the grading flip, q_inverse_iso at q and at 1/q
+    assert len({(e.name, e.source, e.target) for e in expanded}) == len(expanded)
+    assert collections.Counter(e.name for e in expanded) == {
+        "delta": 3,
+        "delta_B": 1,
+        "inclusion": 1,
+        "iota1": 1,
+        "iota2": 1,
+        "phi": 1,
+        "q_inverse_iso": 2,
     }
+
+
+def test_comultiplications_are_built_once_per_source():
+    assert delta_su() is delta_su() is delta_su(Q)
+    assert delta_uq2() is delta_uq2() is delta_uq2(Q)
+    S = grading_flip(A)
+    d_flip = delta_su(source=S)
+    assert d_flip is not delta_su() and d_flip is delta_su(source=S)
+    assert d_flip.source is S and d_flip.target.factors == (S, S)
+    d_inv = delta_su(Q.inverse())
+    assert d_inv is not delta_su() and d_inv.source is suq2_presentation(Q.inverse())
+    assert delta_uq2(Q.inverse()) is not delta_uq2()
+    assert delta_su().source is A and delta_uq2().source is uq2_presentation()
+
+
+def test_a_fresh_presentation_cache_gives_fresh_maps(monkeypatch):
+    d = delta_su()
+    monkeypatch.setattr(suq2.algebra, "_PRESENTATION_CACHE", {})
+    fresh = delta_su()
+    assert fresh is not d and fresh.source is not d.source
+    assert fresh is delta_su()
+    assert fresh.check() and fresh.source is suq2_presentation()
 
 
 def test_tensor_morphism_rejects_an_unverified_leg():
@@ -324,6 +354,17 @@ def test_cli_names_an_unverified_tensor_leg(monkeypatch, capsys):
     assert main(["verify", "aq-symmetry"]) == 2
     err = capsys.readouterr().err
     assert err == "error: unverified-morphism: 'phi with 2g' does not respect the relations\n"
+
+
+def test_cli_names_an_unverified_parameter_inversion(monkeypatch, capsys):
+    broken = _doubled(q_inverse_iso(Q), "g")
+    inverse = q_inverse_iso(Q.inverse())
+    monkeypatch.setattr(checks, "q_inverse_iso", lambda q: broken if q == Q else inverse)
+    assert main(["verify", "q-inverse-iso"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: unverified-morphism: 'q_inverse_iso with 2g' does not respect the relations\n"
+    )
 
 
 # -- cancellation: test-only enumeration oracle ----------------------------------------

@@ -1,5 +1,7 @@
 """Representation calculus: unitarity, corepresentations, fixed vectors."""
 
+import random
+
 import pytest
 
 from suq2 import (
@@ -11,14 +13,16 @@ from suq2 import (
     constraint_derivation,
     corep_check,
     delta_su,
-    delta_uq2,
+    free_presentation,
     fundamental_matrix,
     invariant_vector_check,
     matrix_apply,
     rep_tensor,
     su_to_uq2,
     suq2_presentation,
+    twisted_tensor,
     uq2_from_su2_rep,
+    uq2_presentation,
     zpower_matrix,
 )
 from suq2.repcalc import _leg1_matrix, _leg2_matrix, matrix_embed
@@ -170,9 +174,8 @@ def test_uq2_corep_bijection_fundamental_case():
     inc = su_to_uq2()
     inc.check()
     B = inc.target
-    d = delta_uq2()
     v = matrix_apply(inc, U_FUND)
-    report = uq2_from_su2_rep(v, d)
+    report = uq2_from_su2_rep(v)
     assert report.unitary
     assert report.corep
     assert report.roundtrip
@@ -183,3 +186,59 @@ def test_uq2_corep_bijection_fundamental_case():
     assert u[0, 1] == B.gen("g'").scale(-Q)
     assert u[1, 0] == B.gen("g") * B.gen("z'")
     assert u[1, 1] == B.gen("a'")
+
+
+# -- one-pass matrix product against the entrywise accumulation ------------------------
+
+
+def _entrywise_product(m1, m2):
+    """Reference product: entry (r, c) summed one Element product at a time."""
+    n = m1.dim
+    rows = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            acc = m1.pres.zero()
+            for k in range(n):
+                acc = acc + m1.entries[r][k] * m2.entries[k][c]
+            row.append(acc)
+        rows.append(row)
+    return AlgMatrix(m1.pres, m1.space, rows)
+
+
+def _random_matrix(rng, pres, space):
+    """Seeded entries: entry (0, n-1) and about a third of the rest zero, the
+    others short sums of short words."""
+    coeffs = [Scalar.one(), -Q, Q.conjugate(), Scalar.from_int(3) / Q, Scalar.from_int(-2)]
+
+    def entry():
+        if rng.random() < 0.35:
+            return pres.zero()
+        raw = [
+            (rng.choice(coeffs), tuple(rng.randrange(pres.n_gens) for _ in range(rng.randrange(3))))
+            for _ in range(rng.randrange(1, 4))
+        ]
+        return pres.normalize_raw(raw)
+
+    rows = [[entry() for _ in range(space.dim)] for _ in range(space.dim)]
+    rows[0][-1] = pres.zero()
+    return AlgMatrix(pres, space, rows)
+
+
+_PRODUCT_ALGEBRAS = {
+    "suq2": lambda: A,
+    "suq2-tensor2": lambda: twisted_tensor([A, A], A.params["zeta"]),
+    "uq2": uq2_presentation,
+    "free-abcd": lambda: free_presentation(("a", "b", "c", "d"), (0, -1, 1, 0), label="free-abcd"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRODUCT_ALGEBRAS))
+@pytest.mark.parametrize("space", [QUBIT, QUBIT.tensor(QUBIT)], ids=["2x2", "4x4"])
+def test_matrix_product_matches_the_entrywise_sum(name, space):
+    rng = random.Random(f"{name}-{space.dim}")
+    pres = _PRODUCT_ALGEBRAS[name]()
+    for _ in range(3):
+        m1, m2 = _random_matrix(rng, pres, space), _random_matrix(rng, pres, space)
+        assert m1 * m2 == _entrywise_product(m1, m2)
+        assert m1 * AlgMatrix.identity(pres, space) == m1
