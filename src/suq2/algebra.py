@@ -389,6 +389,10 @@ class Element:
     def adjoint(self):
         """Reverse each word, star each letter, conjugate each coefficient."""
         adj = self.pres.adjoint_index
+        if len(self._terms) == 1:
+            ((w, c),) = self._terms.items()
+            if len(w) == 1 and c.is_one():  # a bare generator: its starred partner
+                return self.pres.gen(adj(w[0]))
         raw = [
             (c.conjugate(), tuple(adj(i) for i in reversed(w)))
             for w, c in self._terms.items()

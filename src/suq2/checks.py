@@ -422,11 +422,13 @@ def check_su2_commutation():
     zeta = A.params["zeta"]
     i1, i2 = iota1(), iota2()
     failures = braiding_failures(A, i1.apply, i2.apply)
-    variant_fails = 0
-    for gx, gy in itertools.product(A.generators, repeat=2):
-        x, y = A.gen(gx.name), A.gen(gy.name)
-        variant = (i2.apply(y) * i2.apply(x)).scale(zeta ** (gx.degree * gy.degree))
-        variant_fails += i1.apply(x) * i2.apply(y) != variant
+    # each embedding's four images, formed once for the 16 pairs
+    deg = [g.degree for g in A.generators]
+    img1, img2 = ([m.apply(A.gen(x)) for x in range(A.n_gens)] for m in (i1, i2))
+    variant_fails = sum(
+        img1[x] * img2[y] != (img2[y] * img2[x]).scale(zeta ** (deg[x] * deg[y]))
+        for x, y in itertools.product(range(A.n_gens), repeat=2)
+    )
     return _result(
         "su2-commutation",
         not failures,

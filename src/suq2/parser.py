@@ -82,30 +82,22 @@ class _Parser:
         self.i = 0
         self.open_parens = []
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
     # -- grammar ------------------------------------------------------------
 
     def parse_expr(self, pres=None):
         pres = pres or self.pres
-        kind, value, col = self.peek()
+        kind, value, col = self.tokens[self.i]
         negate = False
         if kind == "op" and value == "-":
-            self.advance()
+            self.i += 1
             negate = True
         out = self.parse_term(pres)
         if negate:
             out = -out
         while True:
-            kind, value, col = self.peek()
+            kind, value, col = self.tokens[self.i]
             if kind == "op" and value in "+-":
-                self.advance()
+                self.i += 1
                 rhs = self.parse_term(pres)
                 out = out + rhs if value == "+" else out - rhs
             else:
@@ -114,9 +106,9 @@ class _Parser:
     def parse_term(self, pres):
         out = self.parse_factor(pres)
         while True:
-            kind, value, col = self.peek()
+            kind, value, col = self.tokens[self.i]
             if kind == "op" and value in "*/":
-                self.advance()
+                self.i += 1
                 rhs = self.parse_factor(pres)
                 if value == "*":
                     out = out * rhs
@@ -130,21 +122,21 @@ class _Parser:
     def parse_factor(self, pres):
         out = self.parse_primary(pres)
         while True:
-            kind, value, col = self.peek()
+            kind, value, col = self.tokens[self.i]
             if kind == "op" and value == "'":
-                self.advance()
+                self.i += 1
                 out = out.conjugate() if isinstance(out, Scalar) else out.adjoint()
             elif kind == "op" and value == "^":
-                self.advance()
-                kind2, value2, col2 = self.peek()
+                self.i += 1
+                kind2, value2, col2 = self.tokens[self.i]
                 sign = 1
                 if kind2 == "op" and value2 == "-":
-                    self.advance()
+                    self.i += 1
                     sign = -1
-                    kind2, value2, col2 = self.peek()
+                    kind2, value2, col2 = self.tokens[self.i]
                 if kind2 != "int":
                     raise ParseError("expected an integer exponent", col2)
-                self.advance()
+                self.i += 1
                 n = sign * value2
                 # a scalar base takes Scalar.__pow__, which squares repeatedly
                 if (
@@ -159,7 +151,8 @@ class _Parser:
                 return out
 
     def parse_primary(self, pres):
-        kind, value, col = self.advance()
+        kind, value, col = self.tokens[self.i]
+        self.i += 1
         if kind == "int":
             return Scalar.from_int(value)
         if kind == "op" and value == "(":
@@ -170,35 +163,34 @@ class _Parser:
                     f"parse-depth: more than {MAX_DEPTH} nested parentheses", col
                 )
             inner = self.parse_expr(pres)
-            k2, v2, _ = self.peek()
+            k2, v2, _ = self.tokens[self.i]
             if not (k2 == "op" and v2 == ")"):
                 raise ParseError("unclosed parenthesis", col)
-            self.advance()
+            self.i += 1
             self.open_parens.pop()
             return inner
         if kind == "name":
             if value in _SCALARS:
                 return _SCALARS[value]()
-            m = re.fullmatch(r"j(\d)", value)
-            if m:
-                leg = int(m.group(1))
+            if len(value) == 2 and value[0] == "j" and value[1].isdigit():
+                leg = int(value[1])
                 if pres.factors is None:
                     raise ParseError(
                         f"leg embedding {value} needs a tensor-product algebra", col
                     )
                 if not (1 <= leg <= len(pres.factors)):
                     raise ParseError(f"algebra has no leg {leg}", col)
-                kind2, value2, col2 = self.peek()
+                kind2, value2, col2 = self.tokens[self.i]
                 if not (kind2 == "op" and value2 == "("):
                     raise ParseError(f"expected '(' after {value}", col2)
-                self.advance()
+                self.i += 1
                 self.open_parens.append(col2)
                 factor = pres.factors[leg - 1]
                 inner = self.parse_expr(factor)
-                k3, v3, _ = self.peek()
+                k3, v3, _ = self.tokens[self.i]
                 if not (k3 == "op" and v3 == ")"):
                     raise ParseError("unclosed parenthesis", col2)
-                self.advance()
+                self.i += 1
                 self.open_parens.pop()
                 if isinstance(inner, Scalar):
                     inner = factor.scalar(inner)
@@ -236,9 +228,9 @@ def parse(text, pres):
         out = parser.parse_expr()
     except RecursionError:
         raise ParseError(
-            "parse-depth: expression nests too deeply", parser.peek()[2]
+            "parse-depth: expression nests too deeply", parser.tokens[parser.i][2]
         ) from None
-    kind, value, col = parser.peek()
+    kind, value, col = parser.tokens[parser.i]
     if kind != "end":
         raise ParseError(f"unexpected token {value!r}", col)
     return pres.scalar(out) if isinstance(out, Scalar) else out

@@ -29,12 +29,15 @@ t = n1*e2 + n2*e1, so the sum is t / (e1*e2*g) after cancelling t against g
 alone; g may be a Gaussian integer (1/(2q+2) + 1/2).  Products cancel only
 the cross pairs n1 with d2 and n2 with d1.  A product by 1 returns the other
 factor itself, with no new Scalar.  A factor that is a single monomial
-``c*q^a*qb^b`` over 1 skips even the cross pairs: the other factor's
-numerator is shifted and scaled term by term and its denominator kept.  That
-is canonical because a canonical denominator has no monomial factor, but
-``c`` itself can share a Gaussian-integer factor with the denominator's
-content, so the shortcut is taken only when the other denominator is 1 or
-``c`` is a unit.
+``c*q^a*qb^b`` over 1 skips even the cross pairs.  A canonical denominator D
+has zero minimum exponents, so no monomial factor, and gcd(c*q^a*qb^b, D) is
+g = gcd(c, cont(D)), a Gaussian-integer gcd.  So c/g times the shifted other
+numerator, over D/g, is reduced: gcd(c/g, cont(D)/g) = 1.  The same content
+gcd cancels any one-term numerator and any constant denominator.
+
+Polynomial dicts are never mutated after construction, so an operation may
+return an operand's dict unchanged (``_pshift`` by zero, ``_pmul`` by 1, the
+monomial product's D) and Scalars may share them.
 
 Most gcds are of coprime pairs, and a modular certificate proves that
 without the PRS (Brown, J. ACM 18, 1971; Geddes, Czapor and Labahn,
@@ -111,6 +114,10 @@ def _pneg(f):
 
 
 def _pmul(f, g):
+    if f == _ONE_POLY:
+        return g
+    if g == _ONE_POLY:
+        return f
     out = {}
     for (a1, b1), (x1, y1) in f.items():
         for (a2, b2), (x2, y2) in g.items():
@@ -191,6 +198,11 @@ def _gi_divexact(u, v):
     if re % n or im % n:
         raise ArithmeticError("inexact Gaussian-integer division")
     return (re // n, im // n)
+
+
+def _pdivgi(f, g):
+    """f / g for a Gaussian integer g dividing every coefficient of f."""
+    return {k: _gi_divexact(c, g) for k, c in f.items()}
 
 
 def _gi_content(f, g=(0, 0)):
@@ -352,10 +364,19 @@ def _pgcd_nontrivial(f, g):
 def _cancel(num, den):
     """Divide a Laurent numerator and a polynomial denominator by their gcd.
 
-    den must have zero minimum exponents; num keeps its monomial factor.
+    den must have zero minimum exponents, so it has no monomial factor; num
+    keeps its monomial factor.  When either side is a single term, the gcd is
+    therefore the Gaussian gcd of its coefficient with the other's content.
     """
     if den == _ONE_POLY:
         return num, den
+    if len(num) == 1 or len(den) == 1:
+        small, big = (num, den) if len(num) == 1 else (den, num)
+        (c,) = small.values()
+        g = _gi_content(big, c)
+        if g[0] * g[0] + g[1] * g[1] == 1:
+            return num, den
+        return _pdivgi(num, g), _pdivgi(den, g)
     na, nb = _mins(num)
     n = _pshift(num, -na, -nb)
     g = _pgcd(n, den)
@@ -390,10 +411,10 @@ class Scalar:
         den must have zero minimum exponents; only its unit is normalised
         here.  Use the named constructors and the operators to build values.
         """
-        if num:
-            num, den = _unit_normal(num, den)
-        else:
+        if not num:
             den = _ONE_POLY
+        elif den is not _ONE_POLY:
+            num, den = _unit_normal(num, den)
         self._num = num
         self._den = den
         self._hash = None
@@ -402,7 +423,8 @@ class Scalar:
 
     @staticmethod
     def from_int(n):
-        return Scalar({(0, 0): (n, 0)} if n else {})
+        # one shared instance for each one-digit integer: Scalars are immutable
+        return _DIGITS[n] if 0 <= n <= 9 else Scalar({(0, 0): (n, 0)})
 
     @staticmethod
     def gaussian(re, im=0):
@@ -470,6 +492,8 @@ class Scalar:
             return other
         n1, d1, n2, d2 = self._num, self._den, other._num, other._den
         if d1 == d2:
+            if d1 == _ONE_POLY:
+                return Scalar(_padd(n1, n2))
             return _quotient(_padd(n1, n2), d1)
         # Henrici (module docstring): with d1 = e1*g and d2 = e2*g, only g can
         # share a factor with n1*e2 + n2*e1, as gcd(n1*e2 + n2*e1, e1) = 1
@@ -495,9 +519,10 @@ class Scalar:
         return Scalar(_pneg(self._num), self._den)
 
     def __mul__(self, other):
-        other = Scalar._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Scalar):
+            other = Scalar._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not self._num or not other._num:
             return _ZERO
         # a factor 1 returns the other factor itself: Scalars are immutable
@@ -505,21 +530,20 @@ class Scalar:
             return self
         if self._num == _ONE_POLY and self._den == _ONE_POLY:
             return other
-        # monomial fast path: c*q^a*qb^b times N/D is (c*q^a*qb^b*N)/D, already
-        # reduced, because a canonical D has zero minimum exponents and so no
-        # monomial factor.  Only c can share a Gaussian-integer factor with D's
-        # content (2 * 1/(2q+2) is 1/(q+1)), so D must be 1 or c a unit.
+        # monomial fast path: c*q^a*qb^b times N/D cancels the monomial against
+        # D by content alone (module docstring; 2 * 1/(2q+2) is 1/(q+1)) and
+        # shifts and scales N term by term, with no polynomial product
         for m, s in ((self, other), (other, self)):
             if len(m._num) == 1 and m._den == _ONE_POLY:
-                ((a, b), (x, y)), = m._num.items()
-                if s._den == _ONE_POLY or x * x + y * y == 1:
-                    return Scalar(
-                        {
-                            (a + a2, b + b2): (x * x2 - y * y2, x * y2 + y * x2)
-                            for (a2, b2), (x2, y2) in s._num.items()
-                        },
-                        s._den,
-                    )
+                mono, den = _cancel(m._num, s._den)
+                ((a, b), (x, y)), = mono.items()
+                return Scalar(
+                    {
+                        (a + a2, b + b2): (x * x2 - y * y2, x * y2 + y * x2)
+                        for (a2, b2), (x2, y2) in s._num.items()
+                    },
+                    den,
+                )
         # both inputs are reduced, so only the cross pairs can share a factor
         # (Henrici, J. ACM 3, 1956)
         n1, d2 = _cancel(self._num, other._den)
@@ -692,3 +716,4 @@ _Q = Scalar({(1, 0): (1, 0)})
 _QBAR = Scalar({(0, 1): (1, 0)})
 _ZETA = Scalar({(1, -1): (1, 0)})
 _I = Scalar({(0, 0): (0, 1)})
+_DIGITS = (_ZERO, _ONE, *(Scalar({(0, 0): (n, 0)}) for n in range(2, 10)))

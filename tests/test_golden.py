@@ -54,7 +54,13 @@ CASES = {
         "j2(g)*j1(a)",
         "j1(g')*j2(a') + i",
     ],
+    "mul-suq2-content": [
+        "mul",
+        "2*a + (1+i)*g",
+        "a'/(2*q + 2) + 3*g'/(6*qb + 3*i)",
+    ],
     "adjoint-suq2": ["adjoint", "(3/q^2)*a*g + i*g'^2*a' - zeta"],
+    "adjoint-suq2-rational": ["adjoint", "((1 + 2*qb)/3)*g*a' + (4/(4*q + 2))*a*g'"],
     "adjoint-suq2-flip": ["adjoint", "--algebra", "suq2-flip", "(q + i)*a*g*a'"],
     # compare only: relations and spectrum go through BLAS and LAPACK
     "numeric-compare": ["numeric", "compare", "--q", "0.5,0.3"],

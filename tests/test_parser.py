@@ -15,6 +15,7 @@ from suq2 import (
     twisted_tensor,
     uq2_presentation,
 )
+from suq2.cli import _algebra
 from suq2.parser import tokenize
 
 A = suq2_presentation()
@@ -215,6 +216,31 @@ def test_tokenizer_error_columns(text, message, column):
     with pytest.raises(ParseError, match=message) as err:
         parse(text, A)
     assert err.value.column == column
+
+
+@pytest.mark.parametrize(
+    "algebra, text, message",
+    [
+        ("suq2-tensor2", "j0(a)", "algebra has no leg 0 (column 1)"),
+        (
+            "suq2-tensor2",
+            "j12(a)",
+            "unknown generator 'j12' for algebra 'suq2 x suq2' (column 1)",
+        ),
+        (
+            "suq2-tensor2",
+            "jx(a)",
+            "unknown generator 'jx' for algebra 'suq2 x suq2' (column 1)",
+        ),
+        ("suq2-tensor2", "j1(a", "unclosed parenthesis (column 3)"),
+        ("suq2", "j1(a)", "leg embedding j1 needs a tensor-product algebra (column 1)"),
+    ],
+)
+def test_leg_name_errors(algebra, text, message):
+    # a leg name is "j" and one digit; anything longer is a generator name
+    with pytest.raises(ParseError) as err:
+        parse(text, _algebra(algebra))
+    assert str(err.value) == message
 
 
 words = st.lists(st.integers(0, 3), min_size=0, max_size=4).map(tuple)

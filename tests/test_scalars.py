@@ -1,6 +1,7 @@
 """Field arithmetic, conjugation, and numeric evaluation of scalars."""
 
 import cmath
+import copy
 import math
 import random
 from fractions import Fraction
@@ -237,11 +238,10 @@ def test_monomial_products_skip_pmul_and_gcd(monkeypatch):
     for a, b in pairs:
         a * b
         b * a
-    assert calls == []
-    # a non-unit c over a denominator with content must take the cancelling path
+    # a non-unit c over a denominator with content cancels by the content alone
     a, b = content_case
-    assert a * b == ONE / (Q + 1)
-    assert "_pgcd" in calls
+    assert a * b == b * a == ONE / (Q + 1)
+    assert calls == []
 
 
 def test_scalar_element_products_match_normalize_raw():
@@ -530,6 +530,120 @@ def test_product_by_one_is_the_other_factor():
         assert y * Scalar.one() is y
         assert Scalar.one() * y is y
         assert y * 1 is y
+
+
+# -- content-only cancellation and the denominator-1 paths ----------------------
+
+# 2, 3i, 1+i and 4q^2 over 1: non-unit monomials sharing content with the dens
+_CONTENT_MONOS = ({(0, 0): (2, 0)}, {(0, 0): (0, 3)}, {(0, 0): (1, 1)}, {(2, 0): (4, 0)})
+# 2q + 2, (1+i)q + 2, 4q + 2 and 6qb + 3i: denominators with Gaussian content
+_CONTENT_DENS = (
+    {(1, 0): (2, 0), (0, 0): (2, 0)},
+    {(1, 0): (1, 1), (0, 0): (2, 0)},
+    {(1, 0): (4, 0), (0, 0): (2, 0)},
+    {(0, 1): (6, 0), (0, 0): (0, 3)},
+)
+
+
+def _full_product(a, b):
+    pmul = scalars_module._pmul
+    return scalars_module._quotient(pmul(a._num, b._num), pmul(a._den, b._den))
+
+
+def _fast_path_pairs(rng):
+    """(kind, a, b) pairs for every shortcut of the product and the sum."""
+    quotient = scalars_module._quotient
+
+    def over(den):
+        return quotient(_zi_poly(rng, rng.randint(1, 3), -2), den)
+
+    def constant():
+        return {(0, 0): rng.choice((_gi(rng, 6), rng.choice(_CONTENTS), (6, 0)))}
+
+    pairs = []
+    for _ in range(60):
+        mono = Scalar(rng.choice(_CONTENT_MONOS))
+        pairs.append(("content", mono, over(rng.choice(_CONTENT_DENS))))
+        pairs.append(("content", _mono(rng, _gi(rng, 6)), over(rng.choice(_CONTENT_DENS))))
+        pairs.append(("constant den", _mono(rng, _gi(rng, 6)), over(constant())))
+        pairs.append(("constant den", _rational(rng), over(constant())))
+        x = Scalar(_zi_poly(rng, rng.randint(1, 3), -2))
+        pairs.append(("den 1", x, Scalar(_zi_poly(rng, rng.randint(1, 3), -2))))
+        pairs.append(("den-1 sum to 0", x, -x))
+        one = Scalar({(0, 0): (1, 0)})  # equal to 1, but not the shared instance
+        pairs.append(("product with 1", one, rng.choice((_rational(rng), x))))
+    return pairs
+
+
+def test_fast_paths_match_the_full_quotient():
+    rng = random.Random(14)
+    cancelled = 0
+    for kind, a, b in _fast_path_pairs(rng):
+        product = _full_product(a, b)
+        assert a * b == b * a == product, (kind, a, b)
+        cancelled += kind == "content" and product._den != b._den
+        assert a + b == b + a == _sum_reference(a, b), (kind, a, b)
+        if kind == "den-1 sum to 0":
+            assert (a + b).is_zero()
+    # the content draws really do cancel a Gaussian integer
+    assert cancelled > 40
+    assert Scalar.from_int(-2).inverse() == Scalar.gaussian(Fraction(-1, 2))
+    assert Scalar.from_int(-2).inverse()._den == {(0, 0): (2, 0)}
+    assert (3 * I) * (ONE / 6) == I / 2
+    assert scalars_module._pmul(scalars_module._ONE_POLY, (Q + 1)._num) == (Q + 1)._num
+
+
+def test_fast_paths_match_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    q, qb = sympy.symbols("q qb")
+
+    def poly(p, shift=(0, 0)):
+        return sum(
+            (re + sympy.I * im) * q ** (a - shift[0]) * qb ** (b - shift[1])
+            for (a, b), (re, im) in p.items()
+        )
+
+    rng = random.Random(15)
+    for kind, a, b in _fast_path_pairs(rng)[::11]:
+        (na, da), (nb, db) = ((poly(x._num), poly(x._den)) for x in (a, b))
+        for op, value in ((a * b, na * nb / (da * db)), (a + b, na / da + nb / db)):
+            num, den = sympy.fraction(sympy.cancel(value))
+            assert sympy.expand(poly(op._num) * den - poly(op._den) * num) == 0
+            if op.is_zero():
+                continue
+            # reduced over Z[i]: the polynomial numerator and the denominator,
+            # which has no monomial factor, share at most a unit
+            n = poly(op._num, scalars_module._mins(op._num))
+            assert sympy.gcd(n, poly(op._den)) in (1, -1, sympy.I, -sympy.I), (kind, a, b)
+
+
+def test_small_integers_are_shared():
+    assert Scalar.from_int(7) is Scalar.from_int(7)
+    assert Scalar.from_int(0) is Scalar.zero()
+    assert Scalar.from_int(1) is Scalar.one()
+    assert Scalar.from_int(10) == Scalar.from_int(5) * 2
+    assert Scalar.from_int(-3) == -Scalar.from_int(3)
+
+
+def test_operations_never_mutate_their_operands():
+    rng = random.Random(16)
+    pool = [x for _, a, b in _fast_path_pairs(rng) for x in (a, b)]
+    pool += [Scalar.from_int(n) for n in range(-2, 12)] + [Q, QB, ZETA, I, ONE]
+    ops = (
+        lambda x, y: x * y,
+        lambda x, y: x + y,
+        lambda x, y: x - y,
+        lambda x, y: x / y if not y.is_zero() else -x,
+        lambda x, y: x ** rng.randint(-2, 3) if not x.is_zero() else x.conjugate(),
+    )
+    snapshot = [copy.deepcopy((x._num, x._den)) for x in pool]
+    for _ in range(2000):
+        x, y = rng.choice(pool), rng.choice(pool)
+        z = rng.choice(ops)(x, y)
+        if len(pool) < 600:
+            pool.append(z)
+            snapshot.append(copy.deepcopy((z._num, z._den)))
+    assert [(x._num, x._den) for x in pool] == snapshot
 
 
 def _random_poly(rng, sympy, q, qb):
