@@ -491,8 +491,8 @@ def suq2_presentation(qparam=None):
     return _cached(("suq2", q), build)
 
 
-def _su_rules(q, qb, one, offset=0):
-    g, gs, a, as_ = offset, offset + 1, offset + 2, offset + 3
+def _su_rules(q, qb, one):
+    g, gs, a, as_ = range(4)
     return [
         RewriteRule((gs, g), ((one, (g, gs)),)),
         RewriteRule((a, g), ((qb, (g, a)),)),

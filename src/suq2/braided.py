@@ -150,8 +150,8 @@ def tensor_morphism(morphisms, target):
     verified (else ``UnverifiedMorphismError`` names it) and degree-preserving.
 
     The result is proved, not expanded.  Retagging into ``target`` is a
-    homomorphism on each part's target, so each part's verdict covers the
-    relations inside its leg.  For a cross-leg rule y x -> zeta^(-k l) x y,
+    homomorphism on each part's target, so each part's empty residuals cover
+    the relations inside its leg.  For a cross-leg rule y x -> zeta^(-k l) x y,
     with x of degree k in an earlier leg and y of degree l in a later one,
     the images are homogeneous of degrees k and l, and every letter of y's
     image stands after every letter of x's image in the leg order.  Since

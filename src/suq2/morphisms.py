@@ -4,16 +4,18 @@ A :class:`GenMorphism` stores images for the unstarred generators only; the
 starred images are forced by ``x' -> image(x).adjoint()``, so every morphism
 is a *-homomorphism by construction.  Whether it is an algebra homomorphism
 at all is exactly the question whether the images satisfy the source's
-rewrite rules in the target -- ``check()`` computes those residuals, and
-``apply()`` refuses to run before the verdict is in.
+rewrite rules in the target.  ``residuals`` lists the rules whose images
+differ, ``check()`` passes iff that list is empty, and ``apply()`` refuses
+to run on a map that does not pass.
 
-Two kinds of verdict exist.  A map built directly as a ``GenMorphism`` (the
-named maps below, or any user map) is *expanded*: ``check()`` pushes every
-source rule through the images.  A map built by :func:`identity_morphism`,
-:func:`compose` or :func:`braided.tensor_morphism` from verified parts is
-*proved*: it is a homomorphism by construction (the identity, a composite of
-homomorphisms, the twisted tensor product functor on equivariant maps), so
-its verdict is set when it is built and ``check()`` expands nothing.  The
+Residuals come about in two ways.  A map built directly as a ``GenMorphism``
+(the named maps below, or any user map) is *expanded*: ``residuals`` pushes
+every source rule through the images.  A map built by
+:func:`identity_morphism`, :func:`compose` or :func:`braided.tensor_morphism`
+from verified parts is *proved*: it is a homomorphism by construction (the
+identity, a composite of homomorphisms, the twisted tensor product functor
+on equivariant maps), so its residuals are empty when it is built and
+nothing is expanded.  The
 expansion stays available as an oracle: rebuilding a proved map as a plain
 ``GenMorphism`` from its images must pass it.
 
@@ -30,7 +32,6 @@ from ``images`` instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 
 from .algebra import Element, _accumulate, _cached, suq2_presentation, uq2_presentation
@@ -58,7 +59,6 @@ class GenMorphism:
             if min(i, g.adjoint) not in self.images:
                 raise ValueError(f"missing image for generator {g.name}")
         self._letter = {}
-        self._verdict = None
         self._residuals = None
         self._equivariant = None
 
@@ -81,13 +81,18 @@ class GenMorphism:
     # -- well-definedness -----------------------------------------------------------
 
     def check(self):
-        """Residual image(lhs) - image(rhs) for every source rule; pass iff all zero.
+        """Pass iff there are no residuals: the images satisfy every source rule."""
+        return not self.residuals
 
-        The expansion runs once, on the first call.  Maps built by
-        ``identity_morphism``, ``compose`` and ``tensor_morphism`` carry a
-        proved verdict from construction, so for them this expands nothing.
+    @property
+    def residuals(self):
+        """``(rule, image(lhs) - image(rhs))`` for every rule whose residual is nonzero.
+
+        The expansion runs once, on the first access.  Maps built by
+        ``identity_morphism``, ``compose`` and ``tensor_morphism`` are proved
+        at construction, so for them this expands nothing.
         """
-        if self._verdict is None:
+        if self._residuals is None:
             residuals = []
             for rule in self.source.rules.values():
                 img = self._image_of_word(rule.lhs)
@@ -96,12 +101,6 @@ class GenMorphism:
                 if not img.is_zero():
                     residuals.append((rule, img))
             self._residuals = residuals
-            self._verdict = not residuals
-        return self._verdict
-
-    @property
-    def residuals(self):
-        self.check()
         return self._residuals
 
     # -- application ------------------------------------------------------------------
@@ -146,9 +145,8 @@ class GenMorphism:
 
 
 def _proved(source, target, images, name):
-    """A morphism that is a homomorphism by construction: check() expands nothing."""
+    """A morphism that is a homomorphism by construction: it has no residuals."""
     mor = GenMorphism(source, target, images, name=name)
-    mor._verdict = True
     mor._residuals = []
     return mor
 
@@ -345,23 +343,6 @@ def catalog(qparam=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CancellationReport:
-    hom_residuals: list = field(default_factory=list)
-    matrix_one_residuals: list = field(default_factory=list)
-    matrix_two_residuals: list = field(default_factory=list)
-    braiding_failures: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not (
-            self.hom_residuals
-            or self.matrix_one_residuals
-            or self.matrix_two_residuals
-            or self.braiding_failures
-        )
-
-
 def cancellation_witness(qparam=None):
     """Finite base identities that prove the cancellation law of delta.
 
@@ -384,22 +365,28 @@ def cancellation_witness(qparam=None):
     of x and using that delta and j2 are multiplicative gives a witness for
     w x.  Identity two gives the twin witness j2(w) = sum c_i j1(a_i)^*
     delta(b_i) the same way.
+
+    Returns one residual line per failing base identity; the law is proved
+    iff there are none.  The matrix identities are checked only when delta
+    respects the relations, since otherwise delta(u) is not defined.
     """
     from .repcalc import fundamental_matrix, matrix_apply, matrix_embed
 
     delta = delta_su(qparam)
     AA = delta.target
-    report = CancellationReport(
-        hom_residuals=delta.residuals,
-        braiding_failures=braiding_failures(
-            delta.source, partial(embed, AA, 1), partial(embed, AA, 2)
-        ),
-    )
-    if report.hom_residuals:
-        return report
-    u = fundamental_matrix(delta.source)
-    du = matrix_apply(delta, u)
-    j1u, j2u = matrix_embed(AA, 1, u), matrix_embed(AA, 2, u)
-    report.matrix_one_residuals = (du * j2u.adjoint() - j1u).nonzero_entries()
-    report.matrix_two_residuals = (j1u.adjoint() * du - j2u).nonzero_entries()
-    return report
+    residuals = [
+        f"delta image of rule {rule.lhs} leaves {el.render()}"
+        for rule, el in delta.residuals
+    ]
+    if not residuals:
+        u = fundamental_matrix(delta.source)
+        du = matrix_apply(delta, u)
+        j1u, j2u = matrix_embed(AA, 1, u), matrix_embed(AA, 2, u)
+        one, two = du * j2u.adjoint() - j1u, j1u.adjoint() * du - j2u
+        for which, res in (("first", one), ("second", two)):
+            residuals += [
+                f"{which} matrix identity fails at {rc}: {el.render()}"
+                for rc, el in res.nonzero_entries()
+            ]
+    failures = braiding_failures(delta.source, partial(embed, AA, 1), partial(embed, AA, 2))
+    return residuals + [f"braiding fails for x={x}, y={y}" for x, y in failures]

@@ -50,6 +50,10 @@ import numpy as np
 from .errors import PoleError
 
 
+# Largest (N+1)*M that ``build`` accepts: every model is a pair of dense
+# dim x dim complex matrices, 16 MiB each at this size.
+MAX_DIM = 1024
+
 RELATION_NAMES = (
     "alpha* alpha + gamma* gamma = 1",
     "alpha alpha* + |q|^2 gamma* gamma = 1",
@@ -133,6 +137,10 @@ def build(qval, N, M):
         raise ValueError("winding modulus M must be at least 2")
     if not (2 <= N):
         raise ValueError("radial cutoff N must be at least 2")
+    if (N + 1) * M > MAX_DIM:
+        raise ValueError(
+            f"model-size: (N+1)*M = {(N + 1) * M} exceeds {MAX_DIM} basis vectors"
+        )
     if abs(qval) > 1:
         inner = build(1 / qval, N, M)
         return TruncatedRep(

@@ -19,11 +19,13 @@ factor so that its top weight acts trivially; with the weights (1, 0) of the
 two-dimensional space this is exactly the normalisation under which the
 distinguished vector ``e0 (x) e1 - q e1 (x) e0`` is fixed by the tensor
 square of the fundamental representation.
+
+The checks here return residuals, never a verdict: an identity holds exactly
+when every residual is zero (an empty list, or a matrix with no nonzero
+entry).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .algebra import free_presentation, suq2_presentation, uq2_presentation
 from .braided import embed
@@ -46,9 +48,6 @@ class GradedSpace:
         return GradedSpace(
             [a + b for a in self.degrees for b in other.degrees]
         )
-
-    def __eq__(self, other):
-        return isinstance(other, GradedSpace) and self.degrees == other.degrees
 
     def __repr__(self):
         return f"GradedSpace{self.degrees}"
@@ -102,18 +101,6 @@ class AlgMatrix:
         out = [[self.pres.product_sum(zip(row, col)) for col in cols] for row in self.entries]
         return AlgMatrix(self.pres, self.space, out)
 
-    def __add__(self, other):
-        self._check_compatible(other)
-        n = self.dim
-        return AlgMatrix(
-            self.pres,
-            self.space,
-            [
-                [self.entries[r][c] + other.entries[r][c] for c in range(n)]
-                for r in range(n)
-            ],
-        )
-
     def __sub__(self, other):
         self._check_compatible(other)
         n = self.dim
@@ -165,13 +152,11 @@ class AlgMatrix:
                     return False
         return True
 
-    def is_unitary(self):
-        """(verdict, residual of M M* - 1, residual of M* M - 1)."""
+    def unitarity_residuals(self):
+        """The pair (M M* - 1, M* M - 1); M is unitary iff both are zero."""
         ident = AlgMatrix.identity(self.pres, self.space)
         adj = self.adjoint()
-        r1 = self * adj - ident
-        r2 = adj * self - ident
-        return r1.is_zero() and r2.is_zero(), r1, r2
+        return self * adj - ident, adj * self - ident
 
     def __eq__(self, other):
         return (
@@ -210,26 +195,24 @@ def matrix_apply(morphism, mat):
     return mat.map_entries(morphism.apply, pres=morphism.target)
 
 
-def corep_check(v, delta, mode="braided"):
+def corep_check(v, delta):
     """Comultiplication compatibility of an invariant unitary matrix.
 
-    Applies ``delta`` entrywise and compares with the product of the leg-1
-    and leg-2 embedded copies inside ``delta``'s target; returns
-    ``(verdict, residual matrix)``.
+    Applies ``delta`` entrywise and returns the residual matrix against the
+    product of the leg-1 and leg-2 embedded copies inside ``delta``'s
+    target; ``v`` is a corepresentation iff it is zero.  Over a braided
+    (nontrivially graded) source ``v`` must be circle-invariant; over a
+    trivially graded one the space grading is not part of the
+    corepresentation data.
     """
-    if mode not in ("braided", "ordinary"):
-        raise ValueError("mode must be 'braided' or 'ordinary'")
     if v.pres is not delta.source:
         raise PresentationMismatchError()
-    # In the ordinary mode the algebra is trivially graded and the space
-    # grading is not part of the corepresentation data.
-    if mode == "braided" and not v.is_invariant():
+    braided = any(g.degree for g in delta.source.generators)
+    if braided and not v.is_invariant():
         raise NotInvariantError()
     target = delta.target
     lhs = matrix_apply(delta, v)
-    rhs = matrix_embed(target, 1, v) * matrix_embed(target, 2, v)
-    residual = lhs - rhs
-    return residual.is_zero(), residual
+    return lhs - matrix_embed(target, 1, v) * matrix_embed(target, 2, v)
 
 
 def _leg1_matrix(v1, dim2):
@@ -295,29 +278,14 @@ def _times_vector(m, xi):
 
 
 def invariant_vector_check(v, xi):
-    """Does v fix the vector with Scalar coordinates xi (against the unit)?
+    """Residual elements, one per coordinate, of ``v (xi (x) 1) = xi (x) 1``.
 
-    Returns ``(verdict, residual elements per coordinate)`` for the equation
-    ``v (xi (x) 1) = xi (x) 1``.
+    ``xi`` has Scalar coordinates; v fixes it iff every residual is zero.
     """
     xi = [c if isinstance(c, Scalar) else Scalar.from_int(c) for c in xi]
     if len(xi) != v.dim:
         raise ValueError("vector length must match the matrix dimension")
-    residuals = [
-        acc - v.pres.scalar(c) for acc, c in zip(_times_vector(v, xi), xi)
-    ]
-    return all(res.is_zero() for res in residuals), residuals
-
-
-@dataclass
-class ConstraintReport:
-    equations: list = field(default_factory=list)  # (coordinate, lhs, rhs) rendered
-    matches_expected: bool = False
-    implies_modulus_relation: bool = False
-
-    @property
-    def ok(self):
-        return self.matches_expected and self.implies_modulus_relation
+    return [acc - v.pres.scalar(c) for acc, c in zip(_times_vector(v, xi), xi)]
 
 
 def constraint_derivation(qparam=None):
@@ -333,7 +301,10 @@ def constraint_derivation(qparam=None):
 
         b = -q c*,   d = a*,   d* = a,   b* = -q conj(zeta) c,
 
-    and combining the first and last forces conj(q) zeta = q.
+    and combining the first and last forces conj(q) zeta = q.  Returns
+    ``(equations, residuals)``: the four rendered ``(coordinate, lhs, rhs)``
+    triples, and one line per equation if they differ from the expected
+    ones, plus one line if the modulus relation is not forced.
     """
     q = Scalar.q() if qparam is None else qparam
     zeta = q / q.conjugate()
@@ -351,10 +322,10 @@ def constraint_derivation(qparam=None):
     lhs = _times_vector(m1, xi)
     rhs = _times_vector(m2, xi)
 
-    report = ConstraintReport()
     coords = ["e0e0", "e0e1", "e1e0", "e1e1"]
-    for name, le, re_ in zip(coords, lhs, rhs):
-        report.equations.append((name, le.render(), re_.render()))
+    equations = [
+        (name, le.render(), re_.render()) for name, le, re_ in zip(coords, lhs, rhs)
+    ]
 
     expected = {
         0: (F.gen("c'").scale(-q), F.gen("b")),  # b = -q c*
@@ -362,28 +333,17 @@ def constraint_derivation(qparam=None):
         2: (F.gen("d'").scale(-q), F.gen("a").scale(-q)),  # d* = a
         3: (F.gen("b'"), F.gen("c").scale(-(q * zeta.conjugate()))),  # b* = -q zb c
     }
-    report.matches_expected = all(
-        lhs[i] == expected[i][0] and rhs[i] == expected[i][1] for i in range(4)
-    )
+    residuals = []
+    if not all(lhs[i] == expected[i][0] and rhs[i] == expected[i][1] for i in range(4)):
+        residuals += [f"{name}: {l} = {r}" for name, l, r in equations]
 
     # b = lam1 c* and b* = lam2 c are consistent iff conj(lam1) = lam2,
     # i.e. -conj(q) = -q conj(zeta), which is the modulus relation.
     lam1 = -q
     lam2 = -(q * zeta.conjugate())
-    report.implies_modulus_relation = lam1.conjugate() == lam2
-    return report
-
-
-@dataclass
-class CorepBijectionReport:
-    unitary: bool = False
-    corep: bool = False
-    roundtrip: bool = False
-    diagonal_alone: bool = False
-
-    @property
-    def ok(self):
-        return self.unitary and self.corep and self.roundtrip and self.diagonal_alone
+    if lam1.conjugate() != lam2:
+        residuals.append("the two b-constraints do not force conj(q) zeta = q")
+    return equations, residuals
 
 
 def zpower_matrix(pres, space):
@@ -405,22 +365,23 @@ def uq2_from_su2_rep(v):
 
     ``v`` is the image in the circle-extended algebra of a braided-algebra
     representation; ``udiag`` is the diagonal z-power matrix of its space
-    (:func:`zpower_matrix`).  Returns the report for ``u = v udiag*``:
-    unitarity, the ordinary comultiplication compatibility (through the
-    shared ``delta_uq2`` of ``v``'s parameter), the roundtrip ``u udiag = v``,
-    and the degenerate case where ``v`` is the identity.
+    (:func:`zpower_matrix`).  Returns one residual line for each failing
+    part of the claim about ``u = v udiag*``: unitarity, the ordinary
+    comultiplication compatibility (through the shared ``delta_uq2`` of
+    ``v``'s parameter), the roundtrip ``u udiag = v``, and the degenerate
+    case where ``v`` is the identity.
     """
     delta_b = delta_uq2(v.pres.params["q"])
     B = delta_b.source
     if v.pres is not B:
         raise PresentationMismatchError()
     udiag = zpower_matrix(B, v.space)
-    report = CorepBijectionReport()
     u = v * udiag.adjoint()
-    report.unitary = u.is_unitary()[0]
-    report.corep = corep_check(u, delta_b, mode="ordinary")[0]
-    report.roundtrip = (u * udiag) == v
-    ident = AlgMatrix.identity(B, v.space)
-    u0 = ident * udiag.adjoint()
-    report.diagonal_alone = corep_check(u0, delta_b, mode="ordinary")[0]
-    return report
+    u0 = AlgMatrix.identity(B, v.space) * udiag.adjoint()
+    failures = (
+        (not all(r.is_zero() for r in u.unitarity_residuals()), "v U* is not unitary"),
+        (not corep_check(u, delta_b).is_zero(), "v U* fails the ordinary corepresentation law"),
+        ((u * udiag) != v, "(v U*) U does not recover v"),
+        (not corep_check(u0, delta_b).is_zero(), "U* alone fails the corepresentation law"),
+    )
+    return [line for failed, line in failures if failed]

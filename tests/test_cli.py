@@ -255,6 +255,15 @@ def test_numeric_errors_print_no_traceback():
         assert "Traceback" not in res.stderr
 
 
+def test_oversized_numeric_model_is_an_error():
+    # (N+1)*M = 800,008 basis vectors would be two 9 TiB dense matrices
+    res = _run_module("numeric", "relations", "--q", "0.5", "--N", "100000")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: model-size:")
+    assert "Traceback" not in res.stderr
+
+
 def _module_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(suq2.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

@@ -7,16 +7,24 @@ behaviour change: only a deliberate report change may update a file, and
 the change log must say so.
 """
 
+import contextlib
+import io
+import json
 import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
 import suq2
 import suq2.algebra
+from suq2 import checks, morphisms
+from suq2.braided import tensor_morphism
+from suq2.checks import CHECKS
 from suq2.cli import ALGEBRAS, main
+from suq2.morphisms import GenMorphism, compose, identity_morphism, rho_scale
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -118,3 +126,95 @@ def test_verify_options_are_inert(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("ascii") == (GOLDEN / "verify-all.json").read_bytes()
+
+
+# -- failing reports under injected comultiplications ----------------------------------
+
+
+def _skewed(d):
+    """(rho_scale(1) x id) o delta: a verified, equivariant hom that is not delta."""
+    A = d.source
+    return compose(tensor_morphism([rho_scale(A, 1), identity_morphism(A)], d.target), d)
+
+
+def _doubled(d):
+    """delta with g |-> 2 delta(g): the images break the relations."""
+    images = dict(d.images)
+    g = d.source.gen_index("g")
+    images[g] = images[g].scale(2)
+    return GenMorphism(d.source, d.target, images, name=d.name)
+
+
+FAULTS = {"skewed-delta": _skewed, "doubled-delta": _doubled}
+FAULT_GOLDEN = GOLDEN / "faults"
+
+
+def fault_reports(fault):
+    """Exit code, stdout and stderr of ``verify <id>`` for every check id, as JSON.
+
+    ``delta_su`` is replaced in ``checks`` and ``morphisms`` by the faulty map at
+    the default parameter; every other parameter and source gets the real map.
+    """
+    real = morphisms.delta_su
+
+    def faulty(qparam=None, source=None):
+        d = real(qparam, source)
+        return FAULTS[fault](d) if qparam is None and source is None else d
+
+    runs = {}
+    with mock.patch.object(checks, "delta_su", faulty), mock.patch.object(
+        morphisms, "delta_su", faulty
+    ):
+        for cid in sorted(CHECKS):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["verify", cid])
+            runs[cid] = {"exit_code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    return json.dumps(runs, indent=2, sort_keys=True) + "\n"
+
+
+def test_every_fault_golden_file_has_a_fault():
+    assert sorted(p.stem for p in FAULT_GOLDEN.glob("*.json")) == sorted(FAULTS)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_failing_reports_match_golden(fault):
+    assert fault_reports(fault).encode("ascii") == (FAULT_GOLDEN / f"{fault}.json").read_bytes()
+
+
+def _fault_runs(fault):
+    return json.loads((FAULT_GOLDEN / f"{fault}.json").read_text())
+
+
+def test_injected_faults_fail_the_expected_checks():
+    expected = {
+        "skewed-delta": {"cancellation-witness": 1, "delta-coassoc": 1, "tensprod-corep": 1},
+        "doubled-delta": {
+            "delta-hom": 1,
+            "cancellation-witness": 1,
+            "delta-coassoc": 2,
+            "tensprod-corep": 2,
+        },
+    }
+    for fault, codes in expected.items():
+        runs = _fault_runs(fault)
+        assert {cid: r["exit_code"] for cid, r in runs.items() if r["exit_code"]} == codes
+        for cid, r in runs.items():
+            if r["exit_code"] == 2:
+                assert r["stdout"] == ""
+                assert r["stderr"].startswith("error: unverified-morphism:")
+
+
+def test_a_report_passes_exactly_when_it_has_no_residuals():
+    reports = json.loads((GOLDEN / "verify-all.json").read_text())["checks"]
+    reports += [json.loads((GOLDEN / f"verify-{n}.json").read_text()) for n in SINGLE_CHECKS]
+    codes = []
+    for fault in FAULTS:
+        for r in _fault_runs(fault).values():
+            if r["stdout"]:
+                reports.append(json.loads(r["stdout"]))
+                codes.append((r["exit_code"], reports[-1]["result"]))
+    assert sum(r["result"] == "fail" for r in reports) == 5
+    for r in reports:
+        assert (r["result"] == "pass") == (r["residuals"] == []), r["check"]
+    assert all(code == (0 if result == "pass" else 1) for code, result in codes)

@@ -86,6 +86,9 @@ def test_build_validates_arguments():
         numeric.build(0.5, 1, 4)
     with pytest.raises(ValueError):
         numeric.build(0.5, 10, 1)
+    with pytest.raises(ValueError, match="model-size"):
+        numeric.build(2.0, numeric.MAX_DIM, 2)
+    assert numeric.build(0.5, numeric.MAX_DIM // 4 - 1, 4).dim == numeric.MAX_DIM
 
 
 def test_singular_values_of_gamma():
