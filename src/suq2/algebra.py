@@ -26,8 +26,10 @@ Shipped presentations:
   with the five defining relations, directed so that normal words are
   ``g^b g'^c a^k`` or ``g^b g'^c a'^k`` (generator order g < g' < a < a').
 * ``torus_presentation(zeta)`` -- two unitaries with UV = zeta VU.
-* ``uq2_presentation(q)`` -- the SU_q(2) generators together with a central
-  unitary circle generator z that scales gamma by 1/zeta; all degrees zero.
+* ``uq2_presentation(q)`` -- U_q(2), derived from ``suq2_presentation(q)``
+  as its biproduct with the circle: A's generators with degree zero plus a
+  unitary z with z x z* = zeta^(-deg x) x for every generator x of A (so z
+  commutes with alpha and z gamma = conj(zeta) gamma z).
 * ``free_presentation(...)`` -- a free graded *-algebra (no rules).
 """
 
@@ -476,32 +478,27 @@ def suq2_presentation(qparam=None):
 
     def build():
         qb = q.conjugate()
-        one = Scalar.one()
         gens = (
             Generator("g", 1, 1),
             Generator("g'", -1, 0),
             Generator("a", 0, 3),
             Generator("a'", 0, 2),
         )
-        rules = _su_rules(q, qb, one)
+        g, gs, a, as_ = range(4)
+        rules = [
+            RewriteRule((gs, g), ((_ONE, (g, gs)),)),
+            RewriteRule((a, g), ((qb, (g, a)),)),
+            RewriteRule((a, gs), ((q, (gs, a)),)),
+            RewriteRule((as_, g), ((qb.inverse(), (g, as_)),)),
+            RewriteRule((as_, gs), ((q.inverse(), (gs, as_)),)),
+            RewriteRule((a, as_), ((_ONE, ()), (-(q * qb), (g, gs)))),
+            RewriteRule((as_, a), ((_ONE, ()), (-_ONE, (g, gs)))),
+        ]
         return Presentation(
             "suq2", gens, rules, params={"q": q, "qb": qb, "zeta": q / qb}
         )
 
     return _cached(("suq2", q), build)
-
-
-def _su_rules(q, qb, one):
-    g, gs, a, as_ = range(4)
-    return [
-        RewriteRule((gs, g), ((one, (g, gs)),)),
-        RewriteRule((a, g), ((qb, (g, a)),)),
-        RewriteRule((a, gs), ((q, (gs, a)),)),
-        RewriteRule((as_, g), ((qb.inverse(), (g, as_)),)),
-        RewriteRule((as_, gs), ((q.inverse(), (gs, as_)),)),
-        RewriteRule((a, as_), ((one, ()), (-(q * qb), (g, gs)))),
-        RewriteRule((as_, a), ((one, ()), (-one, (g, gs)))),
-    ]
 
 
 def torus_presentation(zeta=None):
@@ -538,50 +535,37 @@ def torus_presentation(zeta=None):
 
 
 def uq2_presentation(qparam=None):
-    """The SU_q(2) generators plus a unitary z with z g z* = (1/zeta) g.
+    """U_q(2): the braided algebra A = SU_q(2) made ordinary by the circle action.
 
-    An ordinary (trivially graded) algebra: every generator has degree zero.
-    Normal words are g^b g'^c (a^k or a'^k) (z^m or z'^m); z-letters commute
-    with a, a' and pick up zeta powers when moved past g, g'.
+    Radford's biproduct (bosonization) of A with the circle: A's generators
+    with every degree set to zero, plus a unitary z with adjoint z'.  Besides
+    A's rules, z z' -> 1, z' z -> 1, and for every generator x of A
+
+        z x -> zeta^(-deg x) x z,      z' x -> zeta^(deg x) x z',
+
+    so z x z* = zeta^(-deg x) x: z commutes with a, a' and z g z* = g/zeta.
+    Normal words are g^b g'^c (a^k or a'^k) (z^m or z'^m).
     """
-    q = Scalar.q() if qparam is None else qparam
-    if not isinstance(q, Scalar):
-        raise TypeError("qparam must be a Scalar")
-    if q.is_zero():
-        raise ValueError("qparam must be invertible (nonzero)")
+    A = suq2_presentation(qparam)
 
     def build():
-        qb = q.conjugate()
-        one = Scalar.one()
-        zeta = q / qb
-        zetb = zeta.conjugate()
-        gens = (
-            Generator("g", 0, 1),
-            Generator("g'", 0, 0),
-            Generator("a", 0, 3),
-            Generator("a'", 0, 2),
-            Generator("z", 0, 5),
-            Generator("z'", 0, 4),
-        )
-        g, gs, a, as_, z, zs = range(6)
-        rules = _su_rules(q, qb, one)
-        rules += [
-            RewriteRule((z, zs), ((one, ()),)),
-            RewriteRule((zs, z), ((one, ()),)),
-            RewriteRule((z, g), ((zetb, (g, z)),)),
-            RewriteRule((z, gs), ((zeta, (gs, z)),)),
-            RewriteRule((zs, g), ((zeta, (g, zs)),)),
-            RewriteRule((zs, gs), ((zetb, (gs, zs)),)),
-            RewriteRule((z, a), ((one, (a, z)),)),
-            RewriteRule((z, as_), ((one, (as_, z)),)),
-            RewriteRule((zs, a), ((one, (a, zs)),)),
-            RewriteRule((zs, as_), ((one, (as_, zs)),)),
-        ]
-        return Presentation(
-            "uq2", gens, rules, params={"q": q, "qb": qb, "zeta": zeta}
-        )
+        zeta = A.params["zeta"]
+        z, zs = A.n_gens, A.n_gens + 1
+        gens = [Generator(g.name, 0, g.adjoint) for g in A.generators]
+        gens += [Generator("z", 0, zs), Generator("z'", 0, z)]
+        rules = list(A.rules.values())
+        rules += [RewriteRule((z, zs), ((_ONE, ()),)), RewriteRule((zs, z), ((_ONE, ()),))]
+        for x, g in enumerate(A.generators):
+            rules.append(RewriteRule((z, x), ((zeta**-g.degree, (x, z)),)))
+            rules.append(RewriteRule((zs, x), ((zeta**g.degree, (x, zs)),)))
+        return Presentation("uq2", gens, rules, params=A.params)
 
-    return _cached(("uq2", q), build)
+    return _cached(("uq2", A.params["q"]), build)
+
+
+def _zpower(B, d):
+    """z^d in the circle-extended algebra ``B``, with z^(-m) = z'^m."""
+    return B.gen("z") ** d if d >= 0 else B.gen("z'") ** -d
 
 
 def free_presentation(names, degrees, label="free"):

@@ -158,7 +158,7 @@ def tensor_morphism(morphisms, target):
     zeta^(-deg * deg) is a bicharacter, the image of y times that of x equals
     zeta^(-k l) times the product in the other order.
     """
-    from .morphisms import _proved
+    from .morphisms import _proved, _unstarred
 
     morphisms = list(morphisms)
     if target.factors is None:
@@ -189,9 +189,7 @@ def tensor_morphism(morphisms, target):
     offset = 0
     for leg, m in enumerate(morphisms, start=1):
         src_base = source.leg_offsets[leg - 1]
-        for i, g in enumerate(m.source.generators):
-            if i > g.adjoint:
-                continue  # starred images are forced
+        for i, _ in _unstarred(m.source):  # starred images are forced
             images[src_base + i] = retag(m.letter_image(i), target, offset)
         offset += m.target.n_gens
 

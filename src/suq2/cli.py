@@ -26,7 +26,6 @@ import math
 import random
 import sys
 
-from . import numeric
 from .algebra import (
     confluence_check,
     suq2_presentation,
@@ -202,6 +201,8 @@ def _confluence_command(args):
 
 
 def _numeric_command(args):
+    from . import numeric  # numpy loads only for this command
+
     rep = numeric.build(args.qval, args.N, args.M)
     pres = suq2_presentation()
     qtext = (

@@ -23,7 +23,11 @@ expansion stays available as an oracle: rebuilding a proved map as a plain
 the comultiplications of the braided and ordinary algebras, the two
 embeddings into the tensor square of the circle-extended algebra, the
 parameter-inversion isomorphism, the grading-reversing symmetry, and the
-degree-scaling automorphisms.  The two comultiplications, which many
+degree-scaling automorphisms.  Everything on the circle-extended side is
+derived from the braided data by Radford's biproduct rule, with z^d the one
+circle power: the comultiplication sends z to z (x) z and each term
+x1 (x) x2 of the braided one to x1 z^(deg x2) (x) x2, and the second
+embedding sends b to z^(deg b) (x) b.  The two comultiplications, which many
 checks use, are built once per source presentation and kept in the
 presentation cache, so their relations are expanded once per process.  They
 are shared: callers must not mutate them, but build a new ``GenMorphism``
@@ -34,7 +38,14 @@ from __future__ import annotations
 
 from functools import partial
 
-from .algebra import Element, _accumulate, _cached, suq2_presentation, uq2_presentation
+from .algebra import (
+    Element,
+    _accumulate,
+    _cached,
+    _zpower,
+    suq2_presentation,
+    uq2_presentation,
+)
 from .braided import braiding_failures, embed, grading_flip, twisted_tensor
 from .errors import PresentationMismatchError, UnverifiedMorphismError
 from .scalars import Scalar
@@ -151,14 +162,14 @@ def _proved(source, target, images, name):
     return mor
 
 
+def _unstarred(pres):
+    """The unstarred generators of ``pres`` as ``(index, generator)`` pairs."""
+    return [(i, g) for i, g in enumerate(pres.generators) if i <= g.adjoint]
+
+
 def identity_morphism(pres):
     """The identity of ``pres``; proved, since it maps every relation to itself."""
-    images = {
-        i: pres.gen(i)
-        for i, g in enumerate(pres.generators)
-        if i <= g.adjoint
-    }
-    return _proved(pres, pres, images, "id")
+    return _proved(pres, pres, {i: pres.gen(i) for i, _ in _unstarred(pres)}, "id")
 
 
 def compose(outer, inner):
@@ -173,11 +184,7 @@ def compose(outer, inner):
         raise PresentationMismatchError()
     inner._require_verified()
     outer._require_verified()
-    images = {
-        i: outer.apply(inner.letter_image(i))
-        for i, g in enumerate(inner.source.generators)
-        if i <= g.adjoint
-    }
+    images = {i: outer.apply(inner.letter_image(i)) for i, _ in _unstarred(inner.source)}
     return _proved(inner.source, outer.target, images, f"{outer.name} o {inner.name}")
 
 
@@ -220,49 +227,58 @@ def delta_su(qparam=None, source=None):
 
 
 def delta_uq2(qparam=None):
-    """The comultiplication of the circle-extended algebra into its square.
+    """The comultiplication of U_q(2), derived from the braided one.
 
-    z |-> z (x) z,  a |-> a (x) a - q g'z (x) g,  g |-> g (x) a + a'z (x) g.
-    The tensor square is the ordinary one (twist 1): all degrees vanish.
+    Radford's biproduct rule: z |-> z (x) z, and each term c j1(x1) j2(x2) of
+    ``delta_su``'s image of a generator becomes c x1 z^(deg x2) (x) x2.  So
+    a |-> a (x) a - q g'z (x) g and g |-> g (x) a + a'z (x) g.  The tensor
+    square is the ordinary one (twist 1): all degrees vanish.
     """
     B = uq2_presentation(qparam)
 
     def build():
-        q = B.params["q"]
+        A = suq2_presentation(B.params["q"])
+        delta = delta_su(source=A)
+        AA = delta.target
         BB = twisted_tensor([B, B], Scalar.one())
-        j1 = lambda x: embed(BB, 1, x)
-        j2 = lambda x: embed(BB, 2, x)
-        a, g, gs, as_, z = B.gen("a"), B.gen("g"), B.gen("g'"), B.gen("a'"), B.gen("z")
-        images = {
-            B.gen_index("a"): j1(a) * j2(a) - (j1(gs * z) * j2(g)).scale(q),
-            B.gen_index("g"): j1(g) * j2(a) + j1(as_ * z) * j2(g),
-            B.gen_index("z"): j1(z) * j2(z),
-        }
+        z = B.gen("z")
+
+        def lift(el):
+            pairs = []
+            for w, c in el.terms():
+                x1 = tuple(i for i in w if AA.leg_of(i) == 1)
+                x2 = tuple(AA.local_index(i) for i in w if AA.leg_of(i) == 2)
+                head = B.element([(c, x1)]) * _zpower(B, A.degree_of_word(x2))
+                pairs.append((embed(BB, 1, head), embed(BB, 2, B.element([(1, x2)]))))
+            return BB.product_sum(pairs)
+
+        images = {i: lift(el) for i, el in delta.images.items()}
+        images[B.gen_index("z")] = embed(BB, 1, z) * embed(BB, 2, z)
         return GenMorphism(B, BB, images, name="delta_B")
 
     return _cached(("delta_B", B._token), build)
 
 
 def iota1(qparam=None):
-    """First embedding of the braided algebra into the extended tensor square."""
+    """First embedding into the extended tensor square: b |-> b (x) 1."""
     A = suq2_presentation(qparam)
     B = uq2_presentation(qparam)
     BB = twisted_tensor([B, B], Scalar.one())
-    images = {
-        A.gen_index("a"): embed(BB, 1, B.gen("a")),
-        A.gen_index("g"): embed(BB, 1, B.gen("g")),
-    }
+    images = {i: embed(BB, 1, B.gen(i)) for i, _ in _unstarred(A)}
     return GenMorphism(A, BB, images, name="iota1")
 
 
 def iota2(qparam=None):
-    """Second embedding: a |-> 1 (x) a,  g |-> z (x) g."""
+    """Second embedding, by the biproduct rule: b |-> z^(deg b) (x) b.
+
+    So a |-> 1 (x) a and g |-> z (x) g.
+    """
     A = suq2_presentation(qparam)
     B = uq2_presentation(qparam)
     BB = twisted_tensor([B, B], Scalar.one())
     images = {
-        A.gen_index("a"): embed(BB, 2, B.gen("a")),
-        A.gen_index("g"): embed(BB, 1, B.gen("z")) * embed(BB, 2, B.gen("g")),
+        i: embed(BB, 1, _zpower(B, g.degree)) * embed(BB, 2, B.gen(i))
+        for i, g in _unstarred(A)
     }
     return GenMorphism(A, BB, images, name="iota2")
 
@@ -271,11 +287,7 @@ def su_to_uq2(qparam=None):
     """The inclusion of the braided algebra into the circle-extended one."""
     A = suq2_presentation(qparam)
     B = uq2_presentation(qparam)
-    images = {
-        A.gen_index("a"): B.gen("a"),
-        A.gen_index("g"): B.gen("g"),
-    }
-    return GenMorphism(A, B, images, name="inclusion")
+    return GenMorphism(A, B, {i: B.gen(i) for i, _ in _unstarred(A)}, name="inclusion")
 
 
 def q_inverse_iso(qparam=None):
@@ -310,10 +322,7 @@ def phi_symmetry(qparam=None):
 def rho_scale(pres, m):
     """The degree automorphism x |-> zeta^(m deg x) x."""
     zeta = pres.params["zeta"]
-    images = {}
-    for i, g in enumerate(pres.generators):
-        if i <= g.adjoint:
-            images[i] = pres.gen(i).scale(zeta ** (m * g.degree))
+    images = {i: pres.gen(i).scale(zeta ** (m * g.degree)) for i, g in _unstarred(pres)}
     return GenMorphism(pres, pres, images, name=f"rho_scale({m})")
 
 

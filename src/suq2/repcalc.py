@@ -27,7 +27,7 @@ entry).
 
 from __future__ import annotations
 
-from .algebra import free_presentation, suq2_presentation, uq2_presentation
+from .algebra import _zpower, free_presentation, suq2_presentation
 from .braided import embed
 from .errors import NotInvariantError, PresentationMismatchError
 from .morphisms import delta_uq2
@@ -348,15 +348,10 @@ def constraint_derivation(qparam=None):
 
 def zpower_matrix(pres, space):
     """The diagonal matrix with entries z^deg(k) over the circle-extended algebra."""
-    z, zs = pres.gen("z"), pres.gen("z'")
-    n = space.dim
     zero = pres.zero()
-    rows = []
-    for r in range(n):
-        row = [zero] * n
-        d = space.degrees[r]
-        row[r] = pres.unit() if d == 0 else (z**d if d > 0 else zs ** (-d))
-        rows.append(row)
+    rows = [[zero] * space.dim for _ in range(space.dim)]
+    for r, d in enumerate(space.degrees):
+        rows[r][r] = _zpower(pres, d)
     return AlgMatrix(pres, space, rows)
 
 

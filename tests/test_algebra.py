@@ -53,6 +53,15 @@ def test_rejects_zero_parameter():
         suq2_presentation(Scalar.zero())
 
 
+def test_uq2_inherits_the_parameter_guard():
+    with pytest.raises(ValueError) as zero:
+        uq2_presentation(Scalar.zero())
+    assert str(zero.value) == "qparam must be invertible (nonzero)"
+    with pytest.raises(TypeError) as untyped:
+        uq2_presentation(2)
+    assert str(untyped.value) == "qparam must be a Scalar"
+
+
 def test_torus_rejects_non_unimodular():
     with pytest.raises(ValueError, match="unimodular"):
         torus_presentation(Scalar.q())

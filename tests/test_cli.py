@@ -283,7 +283,7 @@ def _run_module(*argv):
 _IMPORT_PROBE = """
 import os, time
 w0, c0 = time.monotonic(), time.process_time()
-import suq2.cli
+import suq2.numeric
 w1, c1 = time.monotonic(), time.process_time()
 print(os.environ.get("OPENBLAS_THREAD_TIMEOUT"), c1 - c0, w1 - w0)
 """
@@ -313,6 +313,25 @@ def test_import_keeps_blas_workers_from_spinning():
 def test_import_keeps_a_callers_blas_timeout():
     value, _, _ = _import_probe(OPENBLAS_THREAD_TIMEOUT="10")
     assert value == "10"
+
+
+_COLD_START_PROBE = """
+import contextlib, io, sys
+from suq2 import cli
+for argv in (["verify", "all"], ["nf", "a*a'"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    print(argv[0], code, "numpy" in sys.modules)
+"""
+
+
+def test_only_the_numeric_command_loads_numpy():
+    res = subprocess.run(
+        [sys.executable, "-c", _COLD_START_PROBE], env=_module_env(), capture_output=True,
+        text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["verify 0 False", "nf 0 False"]
 
 
 def test_python_dash_m_entry_point():

@@ -25,6 +25,7 @@ from suq2.braided import tensor_morphism
 from suq2.checks import CHECKS
 from suq2.cli import ALGEBRAS, main
 from suq2.morphisms import GenMorphism, compose, identity_morphism, rho_scale
+from test_cli import _module_env
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -180,6 +181,28 @@ def test_every_fault_golden_file_has_a_fault():
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_failing_reports_match_golden(fault):
     assert fault_reports(fault).encode("ascii") == (FAULT_GOLDEN / f"{fault}.json").read_bytes()
+
+
+_FAULTS_FIRST = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_golden import FAULTS, fault_reports
+print(json.dumps({fault: fault_reports(fault) for fault in sorted(FAULTS)}))
+"""
+
+
+def test_failing_reports_match_golden_before_any_other_engine_call():
+    # a faulty delta must never reach a cached map such as delta_B, whatever
+    # ran first: here the fault runs are the first engine calls in the process
+    res = subprocess.run(
+        [sys.executable, "-c", _FAULTS_FIRST, str(pathlib.Path(__file__).parent)],
+        env=_module_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    reports = json.loads(res.stdout)
+    assert sorted(reports) == sorted(FAULTS)
+    for fault, report in reports.items():
+        assert report.encode("ascii") == (FAULT_GOLDEN / f"{fault}.json").read_bytes(), fault
 
 
 def _fault_runs(fault):

@@ -31,7 +31,7 @@ from suq2 import (
 )
 import suq2.algebra
 from suq2 import checks, morphisms
-from suq2.braided import retag
+from suq2.braided import braiding_failures, retag
 from suq2.checks import _coassoc
 from suq2.cli import main
 from suq2.morphisms import GenMorphism
@@ -215,6 +215,70 @@ def test_delta_uq2_well_defined_and_coassociative():
     left = compose(tensor_morphism([d, ident], B3), d)
     right = compose(tensor_morphism([ident, d], B3), d)
     assert equal_on_generators(left, right)
+
+
+def _uq2_tables(p):
+    """The rules of U_q(2) and the images of a, g, z under its comultiplication.
+
+    Written out by hand at the parameter ``p``: rules as ``{lhs: {rhs word:
+    coefficient}}``, images as ``{generator: {(leg-1 word, leg-2 word):
+    coefficient}}``, every word a space-separated string of generator names.
+    """
+    one, pb = Scalar.one(), p.conjugate()
+    zeta = p / pb
+    rules = {
+        "g' g": {"g g'": one},
+        "a g": {"g a": pb},
+        "a g'": {"g' a": p},
+        "a' g": {"g a'": pb.inverse()},
+        "a' g'": {"g' a'": p.inverse()},
+        "a a'": {"": one, "g g'": -(p * pb)},
+        "a' a": {"": one, "g g'": -one},
+        "z z'": {"": one},
+        "z' z": {"": one},
+        "z g": {"g z": zeta.inverse()},
+        "z g'": {"g' z": zeta},
+        "z a": {"a z": one},
+        "z a'": {"a' z": one},
+        "z' g": {"g z'": zeta},
+        "z' g'": {"g' z'": zeta.inverse()},
+        "z' a": {"a z'": one},
+        "z' a'": {"a' z'": one},
+    }
+    images = {
+        "a": {("a", "a"): one, ("g' z", "g"): -p},
+        "g": {("g", "a"): one, ("a' z", "g"): one},
+        "z": {("z", "z"): one},
+    }
+    return rules, images
+
+
+UQ2_PARAMETERS = {"q": Q, "1/q": Q.inverse(), "1/conj(q)": Q.conjugate().inverse()}
+
+
+@pytest.mark.parametrize("label", sorted(UQ2_PARAMETERS))
+def test_uq2_is_derived_exactly_at_every_parameter(label):
+    p = UQ2_PARAMETERS[label]
+    rules, images = _uq2_tables(p)
+    B = uq2_presentation(p)
+    names = lambda w: " ".join(B.generators[i].name for i in w)
+    assert {
+        names(lhs): {names(w): c for c, w in rule.rhs} for lhs, rule in B.rules.items()
+    } == rules
+
+    d = delta_uq2(p)
+    BB = d.target
+    split = lambda w: tuple(
+        names(tuple(BB.local_index(i) for i in w if BB.leg_of(i) == leg)) for leg in (1, 2)
+    )
+    assert {
+        B.generators[i].name: {split(w): c for w, c in el.terms()} for i, el in d.images.items()
+    } == images
+
+    assert d.check()
+    assert _coassoc(d, Scalar.one())[0] == []
+    i1, i2 = iota1(p), iota2(p)
+    assert braiding_failures(i1.source, i1.apply, i2.apply) == []
 
 
 # -- proved verdicts: identity, composites and the tensor product functor ------------
