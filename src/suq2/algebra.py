@@ -94,8 +94,10 @@ class RewriteRule:
 class Presentation:
     """Generator table plus rewrite rules; immutable after construction.
 
-    An optional memo table caches word reductions; it is transparent
-    (results are identical with it disabled, see ``memo_enabled``).
+    An optional memo table holds the normal form of each word that
+    ``reduce_word`` is asked for, and no intermediate word; it is
+    transparent (results are identical with it disabled, see
+    ``memo_enabled``).
 
     ``deglex_violation`` is the termination certificate: ``None`` when every
     rule's right-hand words are deglex-smaller than its left-hand side, else
@@ -199,48 +201,43 @@ class Presentation:
         return out
 
     def reduce_word(self, word, max_steps=None):
-        """Full normal form of a single word as a tuple of (Scalar, word)."""
+        """Full normal form of a single word as a tuple of (Scalar, word).
+
+        The word is reduced as one linear combination ``pending``.  Each step
+        takes its deglex-largest word: an irreducible one moves to the result,
+        any other is rewritten once at its first redex, each ``c * coeff``
+        added back into ``pending``.  Largest first matters: every rewrite of
+        a certified presentation yields only deglex-smaller words, so a word
+        is taken after all of its contributions have merged, and no word is
+        rewritten twice.  Without the deglex certificate that property is
+        lost and the reduction is bounded only by the step budget.
+        """
         word = tuple(word)
         memo = self._memo if self.memo_enabled else {}
         if word in memo:
             return memo[word]
         budget = max_steps if max_steps is not None else self.DEFAULT_STEP_LIMIT
         steps = 0
-        stack = [word]
-        while stack:
-            w = stack[-1]
-            if w in memo:
-                stack.pop()
-                continue
+        pending = {word: _ONE}
+        done = {}
+        while pending:
             steps += 1
             if steps > budget:
                 raise RewriteLimitError(
                     f"reduction exceeded {budget} steps in '{self.label}'"
                 )
+            w = max(pending, key=deglex_key)
+            c = pending.pop(w)
             redexes = self._redexes(w)
             if not redexes:
-                memo[w] = ((_ONE, w),)
-                stack.pop()
+                _accumulate(done, w, c)
                 continue
             pos, rule = redexes[0]
-            cut = pos + len(rule.lhs)
-            subs = []
-            pending = []
+            head, tail = w[:pos], w[pos + len(rule.lhs) :]
             for coeff, rw in rule.rhs:
-                nw = w[:pos] + rw + w[cut:]
-                subs.append((coeff, nw))
-                if nw not in memo:
-                    pending.append(nw)
-            if pending:
-                stack.extend(pending)
-                continue
-            acc = {}
-            for coeff, nw in subs:
-                for c2, w2 in memo[nw]:
-                    _accumulate(acc, w2, coeff * c2)
-            memo[w] = tuple((acc[w2], w2) for w2 in sorted(acc, key=deglex_key))
-            stack.pop()
-        return memo[word]
+                _accumulate(pending, head + rw + tail, c * coeff)
+        nf = memo[word] = tuple((done[w], w) for w in sorted(done, key=deglex_key))
+        return nf
 
     # -- element factories -----------------------------------------------------
 

@@ -125,17 +125,11 @@ def check_delta_coassoc():
 
 
 def check_delta_equivariance():
-    d = delta_su()
-    residuals = []
-    for i, g in enumerate(d.source.generators):
-        deg = d.letter_image(i).degree()
-        if deg not in (g.degree, "zero"):
-            residuals.append(f"{g.name} image has degree {deg}")
     return _result(
         "delta-equivariance",
         "the comultiplication sends each generator to a homogeneous element "
         "of the same degree",
-        residuals,
+        delta_su().degree_residuals(),
     )
 
 

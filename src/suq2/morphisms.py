@@ -71,7 +71,6 @@ class GenMorphism:
                 raise ValueError(f"missing image for generator {g.name}")
         self._letter = {}
         self._residuals = None
-        self._equivariant = None
 
     # -- structure ---------------------------------------------------------------
 
@@ -137,19 +136,19 @@ class GenMorphism:
 
     # -- properties -----------------------------------------------------------------
 
+    def degree_residuals(self):
+        """``"<name> image has degree <d>"`` for every nonzero generator image
+        that is not homogeneous of the generator's degree."""
+        out = []
+        for i, g in enumerate(self.source.generators):
+            d = self.letter_image(i).degree()
+            if d not in (g.degree, "zero"):
+                out.append(f"{g.name} image has degree {d}")
+        return out
+
     def is_equivariant(self):
-        """Every generator image homogeneous of the source generator's degree."""
-        if self._equivariant is None:
-            ok = True
-            for i in range(self.source.n_gens):
-                d = self.letter_image(i).degree()
-                if d == "zero":
-                    continue
-                if d != self.source.generators[i].degree:
-                    ok = False
-                    break
-            self._equivariant = ok
-        return self._equivariant
+        """Pass iff there are no degree residuals."""
+        return not self.degree_residuals()
 
     def __repr__(self):
         return f"<GenMorphism {self.name}: {self.source.label} -> {self.target.label}>"

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from suq2 import (
+    Presentation,
     PresentationMismatchError,
     Scalar,
     suq2_presentation,
     torus_presentation,
+    twisted_tensor,
     uq2_presentation,
 )
 
@@ -159,6 +161,63 @@ def test_step_budget_raises_labelled_error():
             A.reduce_word((3, 2, 0, 1, 2), max_steps=2)
     finally:
         A.memo_enabled = True
+
+
+def _a_star_a(n):
+    """a'^n a^n as a word."""
+    return (3,) * n + (2,) * n
+
+
+@pytest.mark.parametrize(
+    "pres, word",
+    [
+        (A, _a_star_a(12)),
+        # a mixed-leg word on the tensor cube, legs and letters out of order
+        (
+            twisted_tensor([A, A, A], A.params["zeta"]),
+            (11, 6, 3, 10, 1, 7, 2, 9, 4, 0, 11, 5, 8, 2, 7, 10),
+        ),
+    ],
+    ids=["suq2-a'^12a^12", "suq2-tensor3-mixed"],
+)
+def test_no_word_is_rewritten_twice(monkeypatch, pres, word):
+    seen = []
+    redexes = Presentation._redexes
+
+    def counted(self, w):
+        seen.append(w)
+        return redexes(self, w)
+
+    monkeypatch.setattr(Presentation, "_redexes", counted)
+    monkeypatch.setattr(pres, "memo_enabled", False)
+    pres.reduce_word(word)
+    assert len(seen) > len(word)
+    assert len(seen) == len(set(seen))
+
+
+def test_memo_holds_only_requested_words():
+    fresh = Presentation("fresh", A.generators, A.rules.values(), params=A.params)
+    nf = fresh.reduce_word(_a_star_a(6))
+    assert fresh._memo == {_a_star_a(6): nf}
+    assert fresh.reduce_word(_a_star_a(6)) is nf
+
+
+def _pochhammer(ks):
+    """prod over k in ``ks`` of (1 - (q qb)^k g g'), by Element arithmetic."""
+    out = A.unit()
+    for k in ks:
+        out = out * (A.unit() - (G * GS).scale((Q * QB) ** k))
+    return out
+
+
+@pytest.mark.parametrize("memo", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 24])
+def test_long_words_match_the_closed_form(monkeypatch, n, memo):
+    # a'^n a^n = prod_{k=0}^{n-1} (1 - (q qb)^-k g g')
+    # a^n a'^n = prod_{k=1}^{n}   (1 - (q qb)^k  g g')
+    monkeypatch.setattr(A, "memo_enabled", memo)
+    assert A.element([(1, _a_star_a(n))]) == _pochhammer(range(0, -n, -1))
+    assert A.element([(1, (2,) * n + (3,) * n)]) == _pochhammer(range(1, n + 1))
 
 
 def test_mixed_presentations_error():

@@ -45,6 +45,23 @@ def test_comultiplication_well_defined_and_equivariant():
     d = delta_su()
     assert d.check()
     assert d.is_equivariant()
+    assert d.degree_residuals() == []
+
+
+def test_degree_residuals_are_the_equivariance_verdict(monkeypatch):
+    d = delta_su()
+    AA = d.target
+    g = A.gen_index("g")
+    j1a = embed(AA, 1, A.gen("a"))
+    for image, degree in ((j1a, 0), (d.images[g] + j1a, "inhomogeneous")):
+        images = {i: image if i == g else el for i, el in d.images.items()}
+        skewed = GenMorphism(A, AA, images, name="skewed")
+        expected = [f"g image has degree {degree}", f"g' image has degree {degree}"]
+        assert skewed.degree_residuals() == expected
+        assert not skewed.is_equivariant()
+        monkeypatch.setattr(checks, "delta_su", lambda: skewed)
+        report = checks.check_delta_equivariance()
+        assert not report.ok and report.residuals == expected
 
 
 def test_comultiplication_images():
