@@ -23,27 +23,34 @@ Parameters with ``|q| >= 1`` are handled by building the model at ``1/q``
 and transporting the generators along the parameter-inversion isomorphism
 (alpha -> alpha*, gamma -> q^-1 gamma).
 
-The oracle is deliberately independent of the rewrite engine: it multiplies
-concrete matrices, so agreement between a raw word and its normal form is
+The oracle is deliberately independent of the rewrite engine: it evaluates
+concrete operators, so agreement between a raw word and its normal form is
 evidence that the directed rule system computes honest algebra.
 
-Every letter matrix has at most one nonzero per column, so words are never
-multiplied densely.  Each letter is stored in column form (target row and
-amplitude per column, plus a sink slot at index ``dim`` that collects killed
-columns), and a word costs two gathers per letter.  Each letter is also a
-fixed shift of the basis (g, g' move k by +-1 mod M; a, a' move n by -+1),
-so a word's bidegree ``(#a - #a', (#g - #g') mod M)`` alone fixes the row it
-sends every surviving column to.  ``oracle_compare`` evaluates only the
-interior columns it compares and sums each side per bidegree and column, in
+Every letter is a weighted shift of the ladder basis whose weight depends on
+the radial index alone: it sends e(n, k) to amp[n] e(n + dn, k + dk mod M).
+The letters g, g' move k by +-1; a, a' move n by -+1 (the other way round
+on a transported model).  The winding index k carries only the circle
+grading.  ``TruncatedRep.radial_tables`` reads each letter's (dn, dk, amp)
+off its dense matrix and raises unless the matrix is exactly that shift;
+this is the certificate that no amplitude depends on k.  A word is then a
+product of slices of the N+1 radial amplitudes, one multiply per letter,
+and its summed shift sends every column to its row.  Columns a word kills
+carry amplitude 0: a lowering letter at n = 0 or the truncated raising
+letter at n = N multiplies by 0, and the zero padding around each table
+keeps them at 0 while the word's running shift is off the model.
+``oracle_compare`` sums each side per summed shift and radial level, in
 term order: those are the additions a dense accumulation performs on each
-entry, so the deviation is the same float.  ``evaluate_element`` returns
-the dense matrix.
+entry, and each radial sum repeats over the M winding columns, so the
+deviation is the same float.  ``evaluate_element`` scatters the same radial
+products into the dense matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +60,9 @@ from .errors import PoleError
 # Largest (N+1)*M that ``build`` accepts: every model is a pair of dense
 # dim x dim complex matrices, 16 MiB each at this size.
 MAX_DIM = 1024
+
+# generator names of the 4-letter algebra, in the order words index them
+LETTERS = ("g", "g'", "a", "a'")
 
 RELATION_NAMES = (
     "alpha* alpha + gamma* gamma = 1",
@@ -100,28 +110,39 @@ class TruncatedRep:
             self.alpha.conj().T,
         )
 
-    def letter_columns(self):
-        """Sparse (target_row, amplitude) column form of each letter matrix.
+    @cached_property
+    def radial_tables(self):
+        """Radial form ``(dn, dk, amp)`` of each letter, in generator order.
 
-        Every letter has at most one nonzero per column, and products of such
-        matrices keep that shape, so words evaluate in O(columns) per letter.
-        Both arrays have one extra sink slot at index ``dim``: a killed column
-        maps there with amplitude 0, and the sink maps to itself, so a word is
-        evaluated by plain gathers and a killed column stays killed.
+        The letter sends e(n, k) to ``amp[N + 1 + n] e(n + dn, k + dk mod M)``;
+        ``amp`` holds the weights on n = 0 .. N with N + 1 zeros on either
+        side, so a word's slices stay inside it while its running n-shift
+        stays within N + 1.  Raises ``ValueError`` unless each letter matrix
+        is exactly this shift: one (dn, dk) for every nonzero entry, and an
+        amplitude that does not depend on k.
         """
-        if not hasattr(self, "_letters"):
-            forms = []
-            for mat in self.letter_matrices():
-                rows, cols = np.nonzero(mat)
-                if len(set(cols)) != len(cols):
-                    raise AssertionError("letter matrix is not column-sparse")
-                perm = np.full(self.dim + 1, self.dim, dtype=int)
-                amp = np.zeros(self.dim + 1, dtype=complex)
-                perm[cols] = rows
-                amp[cols] = mat[rows, cols]
-                forms.append((perm, amp))
-            self._letters = tuple(forms)
-        return self._letters
+        N, M = self.N, self.M
+        tables = []
+        for name, mat in zip(LETTERS, self.letter_matrices()):
+            rows, cols = np.nonzero(mat)
+            n, k = np.divmod(cols, M)
+            rn, rk = np.divmod(rows, M)
+            shifts = set(zip((rn - n).tolist(), ((rk - k) % M).tolist()))
+            amp = np.zeros(3 * (N + 1), dtype=complex)
+            amp[N + 1 + n] = mat[rows, cols]
+            if (
+                len(shifts) != 1
+                or not np.array_equal(amp[N + 1 + n], mat[rows, cols])
+                or len(cols) != M * np.count_nonzero(amp)
+            ):
+                raise ValueError(
+                    f"not-radial: letter {name} is not a shift with amplitudes "
+                    "that depend on n alone"
+                )
+            (shift,) = shifts
+            amp.flags.writeable = False
+            tables.append((*shift, amp))
+        return tuple(tables)
 
 
 def build(qval, N, M):
@@ -195,49 +216,60 @@ def relation_residuals(rep):
     return out
 
 
-def _word_columns(rep, word, ncols):
-    """(target_row, amplitude) of one operator word on the columns ``0 .. ncols-1``.
+def _radial_word(rep, word, levels):
+    """Summed shift ``(dn, dk)`` of ``word`` and its amplitudes on n = 0 .. levels-1.
 
-    A killed column ends in the sink slot ``rep.dim`` with amplitude 0.
+    The letters act right to left.  A word of one letter returns a read-only
+    view of its table.  A word of at most N + 2 letters keeps its slices
+    inside the padded tables.  A longer one may run past the padding, but
+    only after every level has crossed a boundary that kills it, so its
+    offset is clamped to an all-zero slice.
     """
-    letters = rep.letter_columns()
-    idx = np.arange(ncols)
-    val = np.ones(ncols, dtype=complex)
-    for i in reversed(word):
-        perm, amp = letters[i]
-        val = val * amp[idx]
-        idx = perm[idx]
-    return idx, val
-
-
-def _letter_degree(word, M):
-    """Bidegree ``(#a - #a', (#g - #g') mod M)`` of a word in the letters (g, g', a, a')."""
-    return word.count(2) - word.count(3), (word.count(0) - word.count(1)) % M
+    tables = rep.radial_tables
+    pad = rep.N + 1
+    clamp = len(word) > pad + 1
+    top = 3 * pad - levels
+    val = None
+    dn = dk = 0
+    for letter in reversed(word):
+        shift, kshift, amp = tables[letter]
+        o = min(max(pad + dn, 0), top) if clamp else pad + dn
+        part = amp[o : o + levels]
+        val = part if val is None else val * part
+        dn += shift
+        dk += kshift
+    if val is None:
+        val = np.ones(levels, dtype=complex)
+    return dn, dk % rep.M, val
 
 
 def _check_four_letters(pres):
-    if pres.n_gens != 4 or [g.name for g in pres.generators] != ["g", "g'", "a", "a'"]:
+    if tuple(g.name for g in pres.generators) != LETTERS:
         raise ValueError("element must live over the 4-generator algebra")
 
 
 def evaluate_element(rep, x):
     """Substitute the model's operators into an element over the 4-letter algebra."""
     _check_four_letters(x.pres)
-    # one extra sink row collects the killed columns and is dropped at the end
-    total = np.zeros((rep.dim + 1, rep.dim), dtype=complex)
+    N, M = rep.N, rep.M
+    total = np.zeros((rep.dim, rep.dim), dtype=complex)
     cols = np.arange(rep.dim)
+    n, k = np.divmod(cols, M)
     for word, coeff in x.terms():
-        idx, val = _word_columns(rep, word, rep.dim)
-        total[idx, cols] += coeff.evaluate(rep.qval) * val
-    return total[: rep.dim]
+        dn, dk, val = _radial_word(rep, word, N + 1)
+        # the columns whose target level n + dn stays on the model
+        on = slice(max(0, -dn) * M, max(0, min(N + 1, N + 1 - dn)) * M)
+        rows = (n[on] + dn) * M + (k[on] + dk) % M
+        total[rows, cols[on]] += coeff.evaluate(rep.qval) * np.repeat(val, M)[on]
+    return total
 
 
-def _accumulate(rep, terms, ncols, groups, side):
-    """Add each ``(coeff, word)`` term's column amplitudes to its bidegree group."""
+def _accumulate(rep, terms, levels, groups, side):
+    """Add each ``(coeff, word)`` term's radial amplitudes to its summed-shift group."""
     for coeff, word in terms:
-        amp = coeff.evaluate(rep.qval) * _word_columns(rep, word, ncols)[1]
-        sums = groups.setdefault(_letter_degree(word, rep.M), [0.0, 0.0])
-        sums[side] = sums[side] + amp
+        dn, dk, val = _radial_word(rep, word, levels)
+        sums = groups.setdefault((dn, dk), [0.0, 0.0])
+        sums[side] = sums[side] + coeff.evaluate(rep.qval) * val
 
 
 def oracle_compare(rep, pres, raw_terms, depth=None):
@@ -249,17 +281,19 @@ def oracle_compare(rep, pres, raw_terms, depth=None):
     interior columns are evaluated.  A ``depth`` below the longest raw word
     would let the direct side reach the boundary row and is rejected.
 
-    Every letter shifts the ladder basis by a fixed step (g and g' move k by
-    +-1 mod M, a and a' move n by -+1), so all words of one bidegree
-    ``(#a - #a', (#g - #g') mod M)`` send a column to the same row, and words
-    of different bidegrees never share a (row, column) entry.  Each side is
-    therefore kept as one amplitude vector per bidegree, indexed by column,
-    and the terms are added into it in term order.  A killed column carries
-    amplitude 0 and adds only a zero, so every sum is bit for bit the one a
-    dense accumulation into a zeroed matrix produces.  The modulus is
-    ``np.abs`` of the complex difference, as in a dense comparison; entries
-    no word reaches are |0 - 0| = 0, so the maximum over the groups is the
-    dense maximum, and 0.0 when there are no terms.
+    Every letter is a radial weighted shift (see ``radial_tables``), so all
+    words with one summed shift ``(dn, dk mod M)`` send a column to the same
+    row, and words with different shifts never share a (row, column) entry.
+    Each side is therefore kept as one vector per summed shift, indexed by
+    the radial level n <= N - depth, and the terms are added into it in term
+    order.  The entry at level n stands for the M columns (n, k), which hold
+    that same float, so the maximum over the levels is the maximum over the
+    columns.  A killed level carries amplitude 0 and adds only a zero, so
+    every sum is bit for bit the one a dense accumulation into a zeroed
+    matrix produces.  The modulus is ``np.abs`` of the complex difference, as
+    in a dense comparison; entries no word reaches are |0 - 0| = 0, so the
+    maximum over the groups is the dense maximum, and 0.0 when there are no
+    terms.
     """
     raw = []
     maxlen = 0
@@ -270,16 +304,21 @@ def oracle_compare(rep, pres, raw_terms, depth=None):
     if depth is None:
         depth = maxlen
     if depth < maxlen:
-        raise ValueError("depth must be at least the longest word length")
+        raise ValueError(
+            f"depth-below-word: depth {depth} is below the longest word length {maxlen}"
+        )
     if depth > rep.N - 1:
-        raise ValueError("word length exceeds the exact interior of the model")
+        raise ValueError(
+            f"depth-beyond-interior: word length {depth} exceeds the exact interior "
+            f"of the model (at most N - 1 = {rep.N - 1})"
+        )
     _check_four_letters(pres)
-    ncols = rep.interior_columns(depth)
+    levels = rep.N - depth + 1
     groups = {}
-    _accumulate(rep, raw, ncols, groups, 0)
+    _accumulate(rep, raw, levels, groups, 0)
     normal = pres.normalize_raw(raw)
-    _accumulate(rep, ((c, w) for w, c in normal.terms()), ncols, groups, 1)
-    return max((float(np.max(np.abs(d - n))) for d, n in groups.values()), default=0.0)
+    _accumulate(rep, ((c, w) for w, c in normal.terms()), levels, groups, 1)
+    return max((float(np.abs(d - n).max()) for d, n in groups.values()), default=0.0)
 
 
 def gamma_singular_values(rep):

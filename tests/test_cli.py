@@ -264,6 +264,16 @@ def test_oversized_numeric_model_is_an_error():
     assert "Traceback" not in res.stderr
 
 
+def test_word_longer_than_the_model_interior_is_a_labelled_error():
+    # N = 30 leaves an exact interior for words of at most 29 letters
+    res = _run_module("numeric", "compare", "--q", "0.5,0.3", "--maxlen", "40")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: depth-beyond-interior:")
+    assert "interior" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def _module_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(suq2.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

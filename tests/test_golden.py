@@ -74,6 +74,10 @@ CASES = {
     # compare only: relations and spectrum go through BLAS and LAPACK
     "numeric-compare": ["numeric", "compare", "--q", "0.5,0.3"],
     "numeric-compare-transported": ["numeric", "compare", "--q", "1.7,-0.4", "--count", "300"],
+    # real q at M = 2: g and g' shift the winding index alike, so their groups merge
+    "numeric-compare-real-merged": [
+        "numeric", "compare", "--q", "0.9", "--N", "7", "--M", "2", "--count", "500",
+    ],
 }
 
 

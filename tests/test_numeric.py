@@ -1,6 +1,5 @@
 """The truncated ladder oracle and its agreement with the rewrite engine."""
 
-import itertools
 import random
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 
 from suq2 import Scalar, suq2_presentation
 from suq2 import numeric
-from suq2.algebra import Presentation, RewriteRule
+from suq2.algebra import Element, Presentation, RewriteRule
 
 A = suq2_presentation()
 ONE = Scalar.one()
@@ -42,11 +41,53 @@ def _dense_deviation(rep, pres, raw, depth):
     return float(np.max(np.abs(diff[:, rep.interior_mask(depth)])))
 
 
-def _keyed_side(rep, terms, ncols):
+def _letter_columns(rep):
+    """Reference column form of each letter matrix: (target_row, amplitude) per column.
+
+    Both arrays have a sink slot at index ``dim``: a killed column maps there
+    with amplitude 0 and the sink maps to itself, so a word is evaluated by
+    plain gathers and a killed column stays killed.
+    """
+    forms = []
+    for mat in rep.letter_matrices():
+        rows, cols = np.nonzero(mat)
+        assert len(set(cols.tolist())) == len(cols), "letter matrix is not column-sparse"
+        perm = np.full(rep.dim + 1, rep.dim, dtype=int)
+        amp = np.zeros(rep.dim + 1, dtype=complex)
+        perm[cols] = rows
+        amp[cols] = mat[rows, cols]
+        forms.append((perm, amp))
+    return forms
+
+
+def _gathered_word(letters, word, ncols):
+    """(target_row, amplitude) of one word on the columns ``0 .. ncols-1``, two gathers per letter."""
+    idx = np.arange(ncols)
+    val = np.ones(ncols, dtype=complex)
+    for i in reversed(word):
+        perm, amp = letters[i]
+        val = val * amp[idx]
+        idx = perm[idx]
+    return idx, val
+
+
+def _gathered_element(rep, x):
+    """Dense matrix of ``x`` by column gathers, summed in term order like ``evaluate_element``."""
+    letters = _letter_columns(rep)
+    # one extra sink row collects the killed columns and is dropped at the end
+    total = np.zeros((rep.dim + 1, rep.dim), dtype=complex)
+    cols = np.arange(rep.dim)
+    for word, coeff in x.terms():
+        idx, val = _gathered_word(letters, word, rep.dim)
+        total[idx, cols] += coeff.evaluate(rep.qval) * val
+    return total[: rep.dim]
+
+
+def _keyed_side(rep, letters, terms, ncols):
     """Surviving entries of all terms as flat ``row * ncols + col`` keys and values."""
     keys, values = [np.empty(0, dtype=int)], [np.empty(0, dtype=complex)]
     for coeff, word in terms:
-        idx, val = numeric._word_columns(rep, word, ncols)
+        idx, val = _gathered_word(letters, word, ncols)
         keep = np.flatnonzero(idx < rep.dim)
         keys.append(idx[keep] * ncols + keep)
         values.append(coeff.evaluate(rep.qval) * val[keep])
@@ -56,13 +97,17 @@ def _keyed_side(rep, terms, ncols):
 def _keyed_merge_deviation(rep, pres, raw, depth):
     """Reference oracle: both sides merged by entry key, each summed with ``bincount``.
 
+    Words are evaluated by column gathers over the letter matrices, not by
+    the radial kernel under test.
+
     ``bincount`` adds the weights in input order starting from 0.0, so each
     sum is the one a dense accumulation into a zeroed matrix produces.
     """
     ncols = rep.interior_columns(depth)
-    dkeys, dvals = _keyed_side(rep, raw, ncols)
+    letters = _letter_columns(rep)
+    dkeys, dvals = _keyed_side(rep, letters, raw, ncols)
     normal = pres.normalize_raw(raw)
-    nkeys, nvals = _keyed_side(rep, [(c, w) for w, c in normal.terms()], ncols)
+    nkeys, nvals = _keyed_side(rep, letters, [(c, w) for w, c in normal.terms()], ncols)
     keys, inverse = np.unique(np.concatenate((dkeys, nkeys)), return_inverse=True)
     if not len(keys):
         return 0.0
@@ -261,23 +306,73 @@ def test_oracle_compare_equals_the_keyed_merge(qv, N, M):
             assert got == _keyed_merge_deviation(rep, pres, raw, depth), raw
 
 
-def _shifted_rows(rep, word):
-    """Row each column of ``rep`` goes to under ``word``, by the bidegree alone."""
-    da, dg = numeric._letter_degree(word, rep.M)
-    n, k = np.divmod(np.arange(rep.dim), rep.M)
-    # a lowers n on the plain model; transport swaps alpha and alpha*
-    n = n + da if rep.transported else n - da
-    return n * rep.M + (k + dg) % rep.M
+@pytest.mark.parametrize(
+    "qv, N, M", [(0.5 + 0.3j, 10, 4), (1.7 - 0.4j, 10, 4), (0.4 - 0.2j, 8, 2), (0.9, 7, 2)]
+)
+def test_evaluate_element_equals_the_column_gathers(qv, N, M):
+    rep = numeric.build(qv, N, M)
+    rng = random.Random(23)
+    coeffs = [ONE, -ONE, Scalar.q(), Scalar.imag_unit() + Scalar.qbar()]
+    # raw a'^12 a^12 and a^12 a'^12 run past the padding of a table with
+    # N + 1 <= 11 levels and come back; g^20 stays on every level.  An Element
+    # built directly keeps these words unreduced.
+    long_words = [(3,) * 12 + (2,) * 12, (2,) * 12 + (3,) * 12, (0,) * 20, (2,) * 12]
+    elements = [Element(A, {w: Scalar.q()}) for w in long_words]
+    for _ in range(40):
+        elements.append(A.element([
+            (rng.choice(coeffs), tuple(rng.randrange(4) for _ in range(rng.randint(0, 14))))
+            for _ in range(rng.randint(1, 3))
+        ]))
+    for x in elements:
+        assert np.array_equal(numeric.evaluate_element(rep, x), _gathered_element(rep, x))
+
+
+def _rebuilt(rep, table):
+    """Dense letter matrix sending e(n, k) to amp[n] e(n + dn, k + dk) for every amp[n] != 0."""
+    dn, dk, amp = table
+    pad = rep.N + 1
+    assert not amp[:pad].any() and not amp[2 * pad :].any()
+    mat = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for n in range(rep.N + 1):
+        if amp[pad + n]:
+            assert 0 <= n + dn <= rep.N
+            for k in range(rep.M):
+                mat[rep.index(n + dn, k + dk), rep.index(n, k)] = amp[pad + n]
+    return mat
 
 
 @pytest.mark.parametrize("qv, M", [(0.5 + 0.3j, 3), (1.7 - 0.4j, 3), (0.6, 2)])
-def test_surviving_rows_follow_the_bidegree(qv, M):
+def test_radial_tables_rebuild_the_letter_matrices(qv, M):
     rep = numeric.build(qv, 7, M)
-    words = (w for length in range(7) for w in itertools.product(range(4), repeat=length))
-    for word in words:
-        idx, _ = numeric._word_columns(rep, word, rep.dim)
-        alive = idx < rep.dim
-        assert np.array_equal(idx[alive], _shifted_rows(rep, word)[alive]), word
+    tables = rep.radial_tables
+    for table, mat in zip(tables, rep.letter_matrices()):
+        assert np.array_equal(_rebuilt(rep, table), mat)
+    # g, g' move the winding index; a, a' the radial index, reversed by transport
+    up = -1 if rep.transported else 1
+    assert [t[:2] for t in tables] == [(0, 1), (0, -1 % M), (-up, 0), (up, 0)]
+
+
+def _scaled_column(rep):
+    gamma = rep.gamma.copy()
+    gamma[:, rep.index(2, 1)] *= 2
+    return gamma
+
+
+def _moved_column(rep):
+    gamma = rep.gamma.copy()
+    col = rep.index(2, 1)
+    gamma[:, col] = np.roll(gamma[:, col], rep.M)
+    return gamma
+
+
+@pytest.mark.parametrize("skew", [_scaled_column, _moved_column])
+def test_radial_tables_reject_a_winding_dependent_letter(skew):
+    rep = numeric.build(0.5 + 0.3j, 7, 3)
+    bad = numeric.TruncatedRep(rep.qval, rep.N, rep.M, rep.alpha, skew(rep))
+    with pytest.raises(ValueError, match="not-radial: letter g "):
+        bad.radial_tables
+    with pytest.raises(ValueError, match="not-radial"):
+        numeric.oracle_compare(bad, A, [(ONE, (0, 2))])
 
 
 @pytest.mark.parametrize("depth", [1, -3])
@@ -298,6 +393,14 @@ def test_word_length_beyond_interior_rejected():
     rep = numeric.build(0.5, 4, 3)
     with pytest.raises(ValueError, match="interior"):
         numeric.oracle_compare(rep, A, [(ONE, (3,) * 4)])
+
+
+def test_depth_errors_carry_stable_labels():
+    rep = numeric.build(0.5, 6, 3)
+    with pytest.raises(ValueError, match=r"^depth-below-word: depth 2 .* length 4$"):
+        numeric.oracle_compare(rep, A, [(ONE, (2, 2, 3, 3))], depth=2)
+    with pytest.raises(ValueError, match=r"^depth-beyond-interior: .* N - 1 = 5\)$"):
+        numeric.oracle_compare(rep, A, [(ONE, (3,) * 6)])
 
 
 def test_conjugation_consistency_on_core_block():
