@@ -45,25 +45,24 @@ from .scalars import Scalar
 
 SCHEMA = 1
 
-ALGEBRAS = ("suq2", "torus", "uq2", "suq2-tensor2", "suq2-tensor3", "suq2-flip")
+def _suq2_tensor(legs):
+    A = suq2_presentation()
+    return twisted_tensor([A] * legs, A.params["zeta"])
+
+
+# every algebra a command accepts by name, and its builder
+ALGEBRAS = {
+    "suq2": suq2_presentation,
+    "torus": torus_presentation,
+    "uq2": uq2_presentation,
+    "suq2-tensor2": lambda: _suq2_tensor(2),
+    "suq2-tensor3": lambda: _suq2_tensor(3),
+    "suq2-flip": lambda: grading_flip(suq2_presentation()),
+}
 
 
 def _algebra(name):
-    if name == "suq2":
-        return suq2_presentation()
-    if name == "torus":
-        return torus_presentation()
-    if name == "uq2":
-        return uq2_presentation()
-    A = suq2_presentation()
-    zeta = A.params["zeta"]
-    if name == "suq2-tensor2":
-        return twisted_tensor([A, A], zeta)
-    if name == "suq2-tensor3":
-        return twisted_tensor([A, A, A], zeta)
-    if name == "suq2-flip":
-        return grading_flip(A)
-    raise ValueError(f"unknown algebra {name!r}")
+    return ALGEBRAS[name]()
 
 
 def _parse_qval(text):

@@ -31,34 +31,38 @@ Every letter is a weighted shift of the ladder basis whose weight depends on
 the radial index alone: it sends e(n, k) to amp[n] e(n + dn, k + dk mod M).
 The letters g, g' move k by +-1; a, a' move n by -+1 (the other way round
 on a transported model).  The winding index k carries only the circle
-grading.  ``TruncatedRep.radial_tables`` reads each letter's (dn, dk, amp)
-off its dense matrix and raises unless the matrix is exactly that shift;
-this is the certificate that no amplitude depends on k.  A word is then a
-product of slices of the N+1 radial amplitudes, one multiply per letter,
-and its summed shift sends every column to its row.  Columns a word kills
-carry amplitude 0: a lowering letter at n = 0 or the truncated raising
-letter at n = N multiplies by 0, and the zero padding around each table
-keeps them at 0 while the word's running shift is off the model.
+grading.  ``build`` writes the model as one table (dn, dk, amp) per letter,
+``TruncatedRep.radial_tables``: the tables of gamma and alpha from the
+formulas above, those of g' and a' as their adjoints, so no amplitude
+depends on k by construction.  A word is then a product of slices of the
+N+1 radial amplitudes, one multiply per letter, and its summed shift sends
+every column to its row.  Columns a word kills carry amplitude 0: a
+lowering letter at n = 0 or the truncated raising letter at n = N
+multiplies by 0, and the zero padding around each table keeps them at 0
+while the word's running shift is off the model.
 ``oracle_compare`` sums each side per summed shift and radial level, in
 term order: those are the additions a dense accumulation performs on each
 entry, and each radial sum repeats over the M winding columns, so the
-deviation is the same float.  ``evaluate_element`` scatters the same radial
-products into the dense matrix.
+deviation is the same float.  Dense matrices exist only where a caller asks
+for one: ``alpha``, ``gamma``, ``letter_matrices()`` and ``evaluate_element``
+scatter radial amplitudes into one, and the relation residuals and the
+spectrum check the model by dense products and an SVD, a route that does
+not share the radial kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import PoleError
 
 
-# Largest (N+1)*M that ``build`` accepts: every model is a pair of dense
-# dim x dim complex matrices, 16 MiB each at this size.
+# Largest (N+1)*M that ``build`` accepts.  The model itself is four radial
+# tables; the dense dim x dim complex matrices that relations, spectrum and
+# ``evaluate_element`` scatter from them take 16 MiB each at this size.
 MAX_DIM = 1024
 
 # generator names of the 4-letter algebra, in the order words index them
@@ -75,13 +79,19 @@ RELATION_NAMES = (
 
 @dataclass
 class TruncatedRep:
-    """Concrete matrices for one parameter value on the truncated ladder."""
+    """One parameter value on the truncated ladder, as the radial tables of its letters.
+
+    ``radial_tables`` holds ``(dn, dk, amp)`` for each letter, in generator
+    order.  The letter sends e(n, k) to ``amp[N + 1 + n] e(n + dn, k + dk mod M)``;
+    ``amp`` holds the weights on n = 0 .. N with N + 1 zeros on either side,
+    so a word's slices stay inside it while its running n-shift stays within
+    N + 1.  The dense matrices are scattered from the tables on demand.
+    """
 
     qval: complex
     N: int
     M: int
-    alpha: np.ndarray
-    gamma: np.ndarray
+    radial_tables: tuple
     transported: bool = False
 
     @property
@@ -101,48 +111,50 @@ class TruncatedRep:
         mask[: self.interior_columns(depth)] = True
         return mask
 
+    @property
+    def gamma(self):
+        return self._dense_letter(self.radial_tables[0])
+
+    @property
+    def alpha(self):
+        return self._dense_letter(self.radial_tables[2])
+
     def letter_matrices(self):
         """Matrices for the letters (g, g', a, a') in generator order."""
-        return (
-            self.gamma,
-            self.gamma.conj().T,
-            self.alpha,
-            self.alpha.conj().T,
-        )
+        return tuple(map(self._dense_letter, self.radial_tables))
 
-    @cached_property
-    def radial_tables(self):
-        """Radial form ``(dn, dk, amp)`` of each letter, in generator order.
+    def _dense_letter(self, table):
+        dn, dk, amp = table
+        return self._scatter({(dn, dk): amp[self.N + 1 : 2 * (self.N + 1)]})
 
-        The letter sends e(n, k) to ``amp[N + 1 + n] e(n + dn, k + dk mod M)``;
-        ``amp`` holds the weights on n = 0 .. N with N + 1 zeros on either
-        side, so a word's slices stay inside it while its running n-shift
-        stays within N + 1.  Raises ``ValueError`` unless each letter matrix
-        is exactly this shift: one (dn, dk) for every nonzero entry, and an
-        amplitude that does not depend on k.
+    def _scatter(self, shifts):
+        """Dense matrix sending e(n, k) to amp[n] e(n + dn, k + dk mod M).
+
+        ``shifts`` maps each ``(dn, dk)`` to its amplitudes on n = 0 .. N; a
+        column whose target level n + dn is off the model is left at 0.
         """
         N, M = self.N, self.M
-        tables = []
-        for name, mat in zip(LETTERS, self.letter_matrices()):
-            rows, cols = np.nonzero(mat)
-            n, k = np.divmod(cols, M)
-            rn, rk = np.divmod(rows, M)
-            shifts = set(zip((rn - n).tolist(), ((rk - k) % M).tolist()))
-            amp = np.zeros(3 * (N + 1), dtype=complex)
-            amp[N + 1 + n] = mat[rows, cols]
-            if (
-                len(shifts) != 1
-                or not np.array_equal(amp[N + 1 + n], mat[rows, cols])
-                or len(cols) != M * np.count_nonzero(amp)
-            ):
-                raise ValueError(
-                    f"not-radial: letter {name} is not a shift with amplitudes "
-                    "that depend on n alone"
-                )
-            (shift,) = shifts
-            amp.flags.writeable = False
-            tables.append((*shift, amp))
-        return tuple(tables)
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        k = np.arange(M)
+        for (dn, dk), amp in shifts.items():
+            lo, hi = max(0, -dn), min(N + 1, N + 1 - dn)
+            n = np.arange(lo, hi)[:, None]
+            out[(n + dn) * M + (k + dk) % M, n * M + k] = amp[n]
+        return out
+
+
+def _adjoint(table, M):
+    """Table of the adjoint letter: amp*[m] = conj(amp[m - dn]), shifted by (-dn, -dk)."""
+    dn, dk, amp = table
+    return -dn, -dk % M, np.roll(amp, dn).conj()
+
+
+def _tables(M, gamma, alpha):
+    """Read-only tables of (g, g', a, a') from those of gamma and alpha."""
+    tables = (gamma, _adjoint(gamma, M), alpha, _adjoint(alpha, M))
+    for _, _, amp in tables:
+        amp.flags.writeable = False
+    return tables
 
 
 def build(qval, N, M):
@@ -163,27 +175,18 @@ def build(qval, N, M):
             f"model-size: (N+1)*M = {(N + 1) * M} exceeds {MAX_DIM} basis vectors"
         )
     if abs(qval) > 1:
-        inner = build(1 / qval, N, M)
-        return TruncatedRep(
-            qval=qval,
-            N=N,
-            M=M,
-            alpha=inner.alpha.conj().T,
-            gamma=inner.gamma / qval,
-            transported=True,
-        )
-    dim = (N + 1) * M
-    alpha = np.zeros((dim, dim), dtype=complex)
-    gamma = np.zeros((dim, dim), dtype=complex)
+        # alpha -> alpha*, gamma -> q^-1 gamma
+        g, _, _, astar = build(1 / qval, N, M).radial_tables
+        gamma = (0, 1, g[2] / qval)
+        return TruncatedRep(qval, N, M, _tables(M, gamma, astar), transported=True)
     qc = qval.conjugate()
     mod2 = abs(qval) ** 2
-    for n in range(N + 1):
-        for k in range(M):
-            col = n * M + k
-            gamma[n * M + ((k + 1) % M), col] = qc**n
-            if n > 0:
-                alpha[(n - 1) * M + k, col] = math.sqrt(1 - mod2**n)
-    return TruncatedRep(qval=qval, N=N, M=M, alpha=alpha, gamma=gamma)
+    gamma = [qc**n for n in range(N + 1)]
+    alpha = [0.0] + [math.sqrt(1 - mod2**n) for n in range(1, N + 1)]
+    # amplitudes on n = 0 .. N with N + 1 zeros on either side
+    gamma = (0, 1, np.pad(np.array(gamma, dtype=complex), N + 1))
+    alpha = (-1, 0, np.pad(np.array(alpha, dtype=complex), N + 1))
+    return TruncatedRep(qval, N, M, _tables(M, gamma, alpha))
 
 
 def relation_residuals(rep):
@@ -193,10 +196,7 @@ def relation_residuals(rep):
     up to rounding, the boundary row carries the expected truncation defect
     which is reported but never asserted small.
     """
-    a = rep.alpha
-    g = rep.gamma
-    astar = a.conj().T
-    gstar = g.conj().T
+    g, gstar, a, astar = rep.letter_matrices()
     eye = np.eye(rep.dim)
     mod2 = abs(rep.qval) ** 2
     qc = rep.qval.conjugate()
@@ -251,17 +251,9 @@ def _check_four_letters(pres):
 def evaluate_element(rep, x):
     """Substitute the model's operators into an element over the 4-letter algebra."""
     _check_four_letters(x.pres)
-    N, M = rep.N, rep.M
-    total = np.zeros((rep.dim, rep.dim), dtype=complex)
-    cols = np.arange(rep.dim)
-    n, k = np.divmod(cols, M)
-    for word, coeff in x.terms():
-        dn, dk, val = _radial_word(rep, word, N + 1)
-        # the columns whose target level n + dn stays on the model
-        on = slice(max(0, -dn) * M, max(0, min(N + 1, N + 1 - dn)) * M)
-        rows = (n[on] + dn) * M + (k[on] + dk) % M
-        total[rows, cols[on]] += coeff.evaluate(rep.qval) * np.repeat(val, M)[on]
-    return total
+    groups = {}
+    _accumulate(rep, ((c, w) for w, c in x.terms()), rep.N + 1, groups, 0)
+    return rep._scatter({shift: sums[0] for shift, sums in groups.items()})
 
 
 def _accumulate(rep, terms, levels, groups, side):
@@ -281,9 +273,9 @@ def oracle_compare(rep, pres, raw_terms, depth=None):
     interior columns are evaluated.  A ``depth`` below the longest raw word
     would let the direct side reach the boundary row and is rejected.
 
-    Every letter is a radial weighted shift (see ``radial_tables``), so all
-    words with one summed shift ``(dn, dk mod M)`` send a column to the same
-    row, and words with different shifts never share a (row, column) entry.
+    Every letter is a radial weighted shift, its ``radial_tables`` entry, so
+    all words with one summed shift ``(dn, dk mod M)`` send a column to the
+    same row, and words with different shifts never share a (row, column) entry.
     Each side is therefore kept as one vector per summed shift, indexed by
     the radial level n <= N - depth, and the terms are added into it in term
     order.  The entry at level n stands for the M columns (n, k), which hold

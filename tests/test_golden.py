@@ -71,13 +71,17 @@ CASES = {
     "adjoint-suq2": ["adjoint", "(3/q^2)*a*g + i*g'^2*a' - zeta"],
     "adjoint-suq2-rational": ["adjoint", "((1 + 2*qb)/3)*g*a' + (4/(4*q + 2))*a*g'"],
     "adjoint-suq2-flip": ["adjoint", "--algebra", "suq2-flip", "(q + i)*a*g*a'"],
-    # compare only: relations and spectrum go through BLAS and LAPACK
     "numeric-compare": ["numeric", "compare", "--q", "0.5,0.3"],
     "numeric-compare-transported": ["numeric", "compare", "--q", "1.7,-0.4", "--count", "300"],
     # real q at M = 2: g and g' shift the winding index alike, so their groups merge
     "numeric-compare-real-merged": [
         "numeric", "compare", "--q", "0.9", "--N", "7", "--M", "2", "--count", "500",
     ],
+    # relations and spectrum print dense BLAS products and a LAPACK SVD of the
+    # scattered letter matrices; another BLAS may round their last digit apart
+    "numeric-relations": ["numeric", "relations", "--q", "0.6,0.3", "--N", "12", "--M", "4"],
+    "numeric-spectrum": ["numeric", "spectrum", "--q", "0.4,0.1", "--N", "8", "--M", "3"],
+    "numeric-spectrum-transported": ["numeric", "spectrum", "--q", "1.7,-0.4"],
 }
 
 

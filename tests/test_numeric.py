@@ -1,5 +1,6 @@
 """The truncated ladder oracle and its agreement with the rewrite engine."""
 
+import math
 import random
 
 import numpy as np
@@ -327,52 +328,60 @@ def test_evaluate_element_equals_the_column_gathers(qv, N, M):
         assert np.array_equal(numeric.evaluate_element(rep, x), _gathered_element(rep, x))
 
 
-def _rebuilt(rep, table):
-    """Dense letter matrix sending e(n, k) to amp[n] e(n + dn, k + dk) for every amp[n] != 0."""
-    dn, dk, amp = table
-    pad = rep.N + 1
-    assert not amp[:pad].any() and not amp[2 * pad :].any()
-    mat = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for n in range(rep.N + 1):
-        if amp[pad + n]:
-            assert 0 <= n + dn <= rep.N
-            for k in range(rep.M):
-                mat[rep.index(n + dn, k + dk), rep.index(n, k)] = amp[pad + n]
-    return mat
+def _reference_letters(qv, N, M):
+    """Dense (g, g', a, a') by a nested loop over the ladder basis, from the formulas.
+
+    A model at |q| > 1 is the one at 1/q transported along alpha -> alpha*,
+    gamma -> gamma / q.
+    """
+    qv = complex(qv)
+    if abs(qv) > 1:
+        g, _, a, _ = _reference_letters(1 / qv, N, M)
+        alpha, gamma = a.conj().T, g / qv
+    else:
+        dim = (N + 1) * M
+        alpha = np.zeros((dim, dim), dtype=complex)
+        gamma = np.zeros((dim, dim), dtype=complex)
+        qc = qv.conjugate()
+        mod2 = abs(qv) ** 2
+        for n in range(N + 1):
+            for k in range(M):
+                col = n * M + k
+                gamma[n * M + ((k + 1) % M), col] = qc**n
+                if n > 0:
+                    alpha[(n - 1) * M + k, col] = math.sqrt(1 - mod2**n)
+    return gamma, gamma.conj().T, alpha, alpha.conj().T
 
 
 @pytest.mark.parametrize("qv, M", [(0.5 + 0.3j, 3), (1.7 - 0.4j, 3), (0.6, 2)])
-def test_radial_tables_rebuild_the_letter_matrices(qv, M):
+def test_letter_matrices_match_the_reference_build(qv, M):
     rep = numeric.build(qv, 7, M)
-    tables = rep.radial_tables
-    for table, mat in zip(tables, rep.letter_matrices()):
-        assert np.array_equal(_rebuilt(rep, table), mat)
+    for got, want in zip(rep.letter_matrices(), _reference_letters(qv, 7, M)):
+        assert np.array_equal(got, want)
+    pad = rep.N + 1
+    for _, _, amp in rep.radial_tables:
+        assert not amp[:pad].any() and not amp[2 * pad :].any()
     # g, g' move the winding index; a, a' the radial index, reversed by transport
     up = -1 if rep.transported else 1
-    assert [t[:2] for t in tables] == [(0, 1), (0, -1 % M), (-up, 0), (up, 0)]
+    assert [t[:2] for t in rep.radial_tables] == [(0, 1), (0, -1 % M), (-up, 0), (up, 0)]
 
 
-def _scaled_column(rep):
-    gamma = rep.gamma.copy()
-    gamma[:, rep.index(2, 1)] *= 2
-    return gamma
+def test_oracle_compare_builds_no_dense_matrix(monkeypatch):
+    rep = numeric.build(0.5 + 0.3j, 10, 4)
+
+    def refuse(self, shifts):
+        raise AssertionError("oracle_compare scattered a dense matrix")
+
+    monkeypatch.setattr(numeric.TruncatedRep, "_scatter", refuse)
+    assert numeric.oracle_compare(rep, A, [(ONE, (2, 0, 3)), (Scalar.q(), (1, 2))]) <= 1e-12
+    assert "alpha" not in vars(rep) and "gamma" not in vars(rep)
 
 
-def _moved_column(rep):
-    gamma = rep.gamma.copy()
-    col = rep.index(2, 1)
-    gamma[:, col] = np.roll(gamma[:, col], rep.M)
-    return gamma
-
-
-@pytest.mark.parametrize("skew", [_scaled_column, _moved_column])
-def test_radial_tables_reject_a_winding_dependent_letter(skew):
-    rep = numeric.build(0.5 + 0.3j, 7, 3)
-    bad = numeric.TruncatedRep(rep.qval, rep.N, rep.M, rep.alpha, skew(rep))
-    with pytest.raises(ValueError, match="not-radial: letter g "):
-        bad.radial_tables
-    with pytest.raises(ValueError, match="not-radial"):
-        numeric.oracle_compare(bad, A, [(ONE, (0, 2))])
+@pytest.mark.parametrize("qv", [0.5 + 0.3j, 1.7 - 0.4j])
+def test_evaluate_element_of_a_letter_is_its_matrix(qv):
+    rep = numeric.build(qv, 6, 3)
+    for name, mat in zip(numeric.LETTERS, rep.letter_matrices()):
+        assert np.array_equal(numeric.evaluate_element(rep, A.gen(name)), mat), name
 
 
 @pytest.mark.parametrize("depth", [1, -3])
