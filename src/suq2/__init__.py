@@ -45,7 +45,6 @@ from .errors import (
 from .morphisms import (
     GenMorphism,
     cancellation_witness,
-    catalog,
     compose,
     delta_su,
     delta_uq2,
@@ -97,7 +96,6 @@ __all__ = [
     "UnverifiedMorphismError",
     "ZeroDivisorError",
     "cancellation_witness",
-    "catalog",
     "compose",
     "confluence_check",
     "constraint_derivation",

@@ -39,6 +39,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import PresentationMismatchError, RewriteLimitError
+from .render import render_element, render_word
 from .scalars import Scalar
 
 _ONE = Scalar.one()
@@ -424,8 +425,6 @@ class Element:
     # -- rendering ---------------------------------------------------------------------
 
     def render(self, unicode_names=False):
-        from .render import render_element
-
         return render_element(self, unicode_names=unicode_names)
 
     def __str__(self):
@@ -644,7 +643,6 @@ def confluence_check(pres, maxlen=None, trials=None, seed=None):
             {"kind": "non-termination", "rule": list(pres.deglex_violation)}
         )
         return report
-    from .render import render_word
 
     ambiguities = _ambiguity_words(pres)
     report.certificate = {

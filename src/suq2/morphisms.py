@@ -19,13 +19,12 @@ nothing is expanded.  The
 expansion stays available as an oracle: rebuilding a proved map as a plain
 ``GenMorphism`` from its images must pass it.
 
-``catalog(q)`` builds the named maps used by the verification suite:
-the comultiplications of the braided and ordinary algebras, the two
-embeddings into the tensor square of the circle-extended algebra, the
-parameter-inversion isomorphism, the grading-reversing symmetry, and the
-degree-scaling automorphisms.  Everything on the circle-extended side is
-derived from the braided data by Radford's biproduct rule, with z^d the one
-circle power: the comultiplication sends z to z (x) z and each term
+The named maps are the comultiplications of the braided and ordinary
+algebras, the two embeddings into the tensor square of the circle-extended
+algebra, the parameter-inversion isomorphism, the grading-reversing symmetry,
+and the degree-scaling automorphisms.  Everything on the circle-extended
+side is derived from the braided data by Radford's biproduct rule, with z^d
+the one circle power: the comultiplication sends z to z (x) z and each term
 x1 (x) x2 of the braided one to x1 z^(deg x2) (x) x2, and the second
 embedding sends b to z^(deg b) (x) b.  The two comultiplications, which many
 checks use, are built once per source presentation and kept in the
@@ -323,27 +322,6 @@ def rho_scale(pres, m):
     zeta = pres.params["zeta"]
     images = {i: pres.gen(i).scale(zeta ** (m * g.degree)) for i, g in _unstarred(pres)}
     return GenMorphism(pres, pres, images, name=f"rho_scale({m})")
-
-
-def catalog(qparam=None):
-    """All named morphisms, constructed and verified; the two comultiplications
-    are shared, so never mutate them."""
-    entries = {
-        "delta_su": delta_su(qparam),
-        "delta_uq2": delta_uq2(qparam),
-        "iota1": iota1(qparam),
-        "iota2": iota2(qparam),
-        "su_to_uq2": su_to_uq2(qparam),
-        "q_inverse_iso": q_inverse_iso(qparam),
-        "phi_symmetry": phi_symmetry(qparam),
-        "rho_scale(1)": rho_scale(suq2_presentation(qparam), 1),
-    }
-    for name, mor in entries.items():
-        if not mor.check():
-            raise UnverifiedMorphismError(
-                f"unverified-morphism: catalog entry {name} failed its relation check"
-            )
-    return entries
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError
-
 
 # Largest (N+1)*M that ``build`` accepts.  The model itself is four radial
 # tables; the dense dim x dim complex matrices that relations, spectrum and

@@ -7,18 +7,21 @@ attached to such a space.  Circle invariance of a matrix means entry (r, c)
 is homogeneous of degree ``deg(c) - deg(r)`` (conjugating by the diagonal
 circle action scales entry (r, c) by ``z^(deg(r) - deg(c))``).
 
-Tensor products of representations use the standard matrix model of the
-twisted product of two matrix algebras acting on the tensor product space:
+Tensor products of representations combine through the braiding: on the
+tensor product space, with d1 and d2 the weights of the two factors,
 
-    i1(T) (x (x) y) = Tx (x) y
-    i2(S) (x (x) y) = conj(zeta)^(deg(S) * (deg(x) - 1)) x (x) Sy
+    (v1 (x) v2)[(i, j), (i', j')]
+        = v1[i, i'] conj(zeta)^((d2[j] - d2[j']) (d1[i'] - 1)) v2[j, j'].
 
-so that ``i1(T) i2(S) = zeta^(deg T deg S) i2(S) i1(T)``.  The shift by one
-in the exponent normalises the implementing circle unitary of the left
-factor so that its top weight acts trivially; with the weights (1, 0) of the
-two-dimensional space this is exactly the normalisation under which the
-distinguished vector ``e0 (x) e1 - q e1 (x) e0`` is fixed by the tensor
-square of the fundamental representation.
+This is the product i1(v1) i2(v2) of the standard matrix model of the
+twisted product, where i1(T) (x (x) y) = Tx (x) y and
+i2(S) (x (x) y) = conj(zeta)^(deg(S) (deg(x) - 1)) x (x) Sy; each entry of
+that product has exactly one term.  The shift by one in the exponent
+normalises the implementing circle unitary of the left factor so that its
+top weight acts trivially; with the weights (1, 0) of the two-dimensional
+space this is exactly the normalisation under which the distinguished
+vector ``e0 (x) e1 - q e1 (x) e0`` is fixed by the tensor square of the
+fundamental representation.
 
 The checks here return residuals, never a verdict: an identity holds exactly
 when every residual is zero (an empty list, or a matrix with no nonzero
@@ -121,10 +124,10 @@ class AlgMatrix:
             [[self.entries[c][r].adjoint() for c in range(n)] for r in range(n)],
         )
 
-    def map_entries(self, fn, pres=None):
+    def map_entries(self, fn, pres):
         n = self.dim
         return AlgMatrix(
-            pres or self.pres,
+            pres,
             self.space,
             [[fn(self.entries[r][c]) for c in range(n)] for r in range(n)],
         )
@@ -170,10 +173,10 @@ class AlgMatrix:
         return f"<AlgMatrix {self.dim}x{self.dim} over {self.pres.label}>"
 
 
-def fundamental_matrix(pres=None, qparam=None):
+def fundamental_matrix(pres=None):
     """The 2x2 matrix ((a, -q g'), (g, a')) on the space with weights (1, 0)."""
     if pres is None:
-        pres = suq2_presentation(qparam)
+        pres = suq2_presentation()
     q = pres.params["q"]
     return AlgMatrix(
         pres,
@@ -215,54 +218,39 @@ def corep_check(v, delta):
     return lhs - matrix_embed(target, 1, v) * matrix_embed(target, 2, v)
 
 
-def _leg1_matrix(v1, dim2):
-    """(i1 (x) id)(v1) on the tensor space: plain Kronecker with the identity."""
+def _tensor(v1, v2, zeta):
+    """The entry formula of :func:`rep_tensor` at an explicit twist ``zeta``."""
     pres = v1.pres
-    n1 = v1.dim
-    size = n1 * dim2
-    zero = pres.zero()
-    out = [[zero] * size for _ in range(size)]
-    for i in range(n1):
-        for ip in range(n1):
-            el = v1.entries[i][ip]
-            if el.is_zero():
-                continue
-            for j in range(dim2):
-                out[i * dim2 + j][ip * dim2 + j] = el
-    return out
-
-
-def _leg2_matrix(v2, space1, zeta):
-    """(i2 (x) id)(v2) with the twist conj(zeta)^(deg(S) (deg(x)-1))."""
-    pres = v2.pres
+    d1, d2 = v1.space.degrees, v2.space.degrees
     n2 = v2.dim
-    d1, d2 = space1.degrees, v2.space.degrees
-    size = space1.dim * n2
-    zero = pres.zero()
+    size = v1.dim * n2
     zbar = zeta.conjugate()
+    zero = pres.zero()
     out = [[zero] * size for _ in range(size)]
-    for j in range(n2):
-        for jp in range(n2):
-            el = v2.entries[j][jp]
-            if el.is_zero():
+    for i, row1 in enumerate(v1.entries):
+        for ip, x in enumerate(row1):
+            if x.is_zero():
                 continue
-            l = d2[j] - d2[jp]
-            for i in range(space1.dim):
-                twist = zbar ** (l * (d1[i] - 1))
-                out[i * n2 + j][i * n2 + jp] = el.scale(twist)
-    return out
+            for j, row2 in enumerate(v2.entries):
+                for jp, y in enumerate(row2):
+                    if y.is_zero():
+                        continue
+                    k = (d2[j] - d2[jp]) * (d1[ip] - 1)
+                    out[i * n2 + j][ip * n2 + jp] = x * (y.scale(zbar**k) if k else y)
+    return AlgMatrix(pres, v1.space.tensor(v2.space), out)
 
 
 def rep_tensor(v1, v2):
-    """Tensor product of two representations on the tensor product space."""
+    """Tensor product of two representations on the tensor product space.
+
+    Entry ((i, j), (i', j')) is
+    ``v1[i, i'] conj(zeta)^((d2[j] - d2[j']) (d1[i'] - 1)) v2[j, j']``,
+    with d1, d2 the weights of the two spaces and zeta the twist of their
+    presentation.
+    """
     if v1.pres is not v2.pres:
         raise PresentationMismatchError()
-    pres = v1.pres
-    zeta = pres.params["zeta"]
-    space = v1.space.tensor(v2.space)
-    m1 = AlgMatrix(pres, space, _leg1_matrix(v1, v2.dim))
-    m2 = AlgMatrix(pres, space, _leg2_matrix(v2, v1.space, zeta))
-    return m1 * m2
+    return _tensor(v1, v2, v1.pres.params["zeta"])
 
 
 def _times_vector(m, xi):
@@ -292,10 +280,14 @@ def constraint_derivation(qparam=None):
     """Derive the entry constraints forced by invariance of e0 x e1 - q e1 x e0.
 
     Works over the free graded *-algebra on entries a, b, c, d of a generic
-    invariant unitary 2x2 matrix (degrees 0, -1, 1, 0) and expands both sides
-    of the fixed-vector equation written with one adjoint:
+    unitary 2x2 matrix u, invariant by construction (degrees 0, -1, 1, 0 on
+    the weights (1, 0)), and expands both sides of the fixed-vector equation
+    written with one adjoint:
 
-        (i1 (x) id)(u*) (xi (x) 1) = (i2 (x) id)(u) (xi (x) 1).
+        (i1 (x) id)(u*) (xi (x) 1) = (i2 (x) id)(u) (xi (x) 1),
+
+    each side read off the entry formula of :func:`rep_tensor` with the
+    identity as the other factor.
 
     The expansion must produce exactly the equations
 
@@ -311,16 +303,11 @@ def constraint_derivation(qparam=None):
     F = free_presentation(("a", "b", "c", "d"), (0, -1, 1, 0), label="free-abcd")
     a, b, c, d = (F.gen(n) for n in "abcd")
     u = AlgMatrix(F, QUBIT, [[a, b], [c, d]])
-    if not u.is_invariant():
-        raise NotInvariantError()
+    ident = AlgMatrix.identity(F, QUBIT)
     xi = [Scalar.zero(), Scalar.one(), -q, Scalar.zero()]
 
-    space = QUBIT.tensor(QUBIT)
-    m1 = AlgMatrix(F, space, _leg1_matrix(u.adjoint(), 2))
-    m2 = AlgMatrix(F, space, _leg2_matrix(u, QUBIT, zeta))
-
-    lhs = _times_vector(m1, xi)
-    rhs = _times_vector(m2, xi)
+    lhs = _times_vector(_tensor(u.adjoint(), ident, zeta), xi)
+    rhs = _times_vector(_tensor(ident, u, zeta), xi)
 
     coords = ["e0e0", "e0e1", "e1e0", "e1e1"]
     equations = [
@@ -371,8 +358,8 @@ def uq2_from_su2_rep(v):
     if v.pres is not B:
         raise PresentationMismatchError()
     udiag = zpower_matrix(B, v.space)
-    u = v * udiag.adjoint()
-    u0 = AlgMatrix.identity(B, v.space) * udiag.adjoint()
+    u0 = udiag.adjoint()
+    u = v * u0
     failures = (
         (not all(r.is_zero() for r in u.unitarity_residuals()), "v U* is not unitary"),
         (not corep_check(u, delta_b).is_zero(), "v U* fails the ordinary corepresentation law"),

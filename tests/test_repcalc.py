@@ -21,12 +21,13 @@ from suq2 import (
     rep_tensor,
     su_to_uq2,
     suq2_presentation,
+    torus_presentation,
     twisted_tensor,
     uq2_from_su2_rep,
     uq2_presentation,
     zpower_matrix,
 )
-from suq2.repcalc import _leg1_matrix, _leg2_matrix, matrix_embed
+from suq2.repcalc import matrix_embed
 
 A = suq2_presentation()
 Q = A.params["q"]
@@ -121,10 +122,9 @@ def mixed_leg_matrices(v, product):
     Returns ``(i1 (x) j2)(v)`` and ``(i2 (x) j1)(v)`` as matrices over the
     tensor-product presentation; for degree-zero v these must commute.
     """
-    zeta = product.params["zeta"]
-    space = v.space.tensor(v.space)
-    a = AlgMatrix(product, space, _leg1_matrix(matrix_embed(product, 2, v), v.dim))
-    b = AlgMatrix(product, space, _leg2_matrix(matrix_embed(product, 1, v), v.space, zeta))
+    ident = AlgMatrix.identity(product, v.space)
+    a = rep_tensor(matrix_embed(product, 2, v), ident)
+    b = rep_tensor(ident, matrix_embed(product, 1, v))
     return a, b
 
 
@@ -173,7 +173,7 @@ def test_constraint_derivation():
 
 def test_uq2_corep_bijection_fundamental_case():
     inc = su_to_uq2()
-    inc.check()
+    assert inc.check()
     B = inc.target
     v = matrix_apply(inc, U_FUND)
     assert uq2_from_su2_rep(v) == []
@@ -212,8 +212,8 @@ def _entrywise_product(m1, m2):
 
 
 def _random_matrix(rng, pres, space):
-    """Seeded entries: entry (0, n-1) and about a third of the rest zero, the
-    others short sums of short words."""
+    """Seeded entries: entry (0, n-1) of a matrix larger than 1x1 and about a
+    third of the rest zero, the others short sums of short words."""
     coeffs = [Scalar.one(), -Q, Q.conjugate(), Scalar.from_int(3) / Q, Scalar.from_int(-2)]
 
     def entry():
@@ -226,7 +226,8 @@ def _random_matrix(rng, pres, space):
         return pres.normalize_raw(raw)
 
     rows = [[entry() for _ in range(space.dim)] for _ in range(space.dim)]
-    rows[0][-1] = pres.zero()
+    if space.dim > 1:
+        rows[0][-1] = pres.zero()
     return AlgMatrix(pres, space, rows)
 
 
@@ -247,3 +248,84 @@ def test_matrix_product_matches_the_entrywise_sum(name, space):
         m1, m2 = _random_matrix(rng, pres, space), _random_matrix(rng, pres, space)
         assert m1 * m2 == _entrywise_product(m1, m2)
         assert m1 * AlgMatrix.identity(pres, space) == m1
+
+
+# -- the tensor product entry formula against the operator model -----------------------
+
+
+def _leg1_matrix(v1, dim2):
+    """(i1 (x) id)(v1) on the tensor space: plain Kronecker with the identity."""
+    pres = v1.pres
+    n1 = v1.dim
+    size = n1 * dim2
+    zero = pres.zero()
+    out = [[zero] * size for _ in range(size)]
+    for i in range(n1):
+        for ip in range(n1):
+            el = v1.entries[i][ip]
+            if el.is_zero():
+                continue
+            for j in range(dim2):
+                out[i * dim2 + j][ip * dim2 + j] = el
+    return out
+
+
+def _leg2_matrix(v2, space1, zeta):
+    """(i2 (x) id)(v2) with the twist conj(zeta)^(deg(S) (deg(x)-1))."""
+    pres = v2.pres
+    n2 = v2.dim
+    d1, d2 = space1.degrees, v2.space.degrees
+    size = space1.dim * n2
+    zero = pres.zero()
+    zbar = zeta.conjugate()
+    out = [[zero] * size for _ in range(size)]
+    for j in range(n2):
+        for jp in range(n2):
+            el = v2.entries[j][jp]
+            if el.is_zero():
+                continue
+            l = d2[j] - d2[jp]
+            for i in range(space1.dim):
+                twist = zbar ** (l * (d1[i] - 1))
+                out[i * n2 + j][i * n2 + jp] = el.scale(twist)
+    return out
+
+
+def _operator_model_tensor(v1, v2):
+    """Reference tensor product: the matrix product i1(v1) i2(v2) of the two legs."""
+    pres = v1.pres
+    space = v1.space.tensor(v2.space)
+    m1 = AlgMatrix(pres, space, _leg1_matrix(v1, v2.dim))
+    m2 = AlgMatrix(pres, space, _leg2_matrix(v2, v1.space, pres.params["zeta"]))
+    return m1 * m2
+
+
+_TENSOR_ALGEBRAS = {
+    **{name: _PRODUCT_ALGEBRAS[name] for name in ("suq2", "suq2-tensor2", "uq2")},
+    "torus": torus_presentation,
+}
+
+# weights other than (1, 0) on the first factor exercise the shift by one
+_TENSOR_SPACES = {
+    "2(x)2": (QUBIT, QUBIT),
+    "2(x)4": (QUBIT, QUBIT.tensor(QUBIT)),
+    "4(x)2": (QUBIT.tensor(QUBIT), QUBIT),
+    "2(x)1": (QUBIT, GradedSpace((0,))),
+    "1(x)2": (GradedSpace((0,)), QUBIT),
+    "(2,-1)(x)2": (GradedSpace((2, -1)), QUBIT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TENSOR_ALGEBRAS))
+@pytest.mark.parametrize("spaces", sorted(_TENSOR_SPACES))
+def test_rep_tensor_matches_the_operator_model(name, spaces):
+    rng = random.Random(f"tensor-{name}-{spaces}")
+    pres = _TENSOR_ALGEBRAS[name]()
+    s1, s2 = _TENSOR_SPACES[spaces]
+    nonzero = 0
+    for _ in range(6):
+        v1, v2 = _random_matrix(rng, pres, s1), _random_matrix(rng, pres, s2)
+        v = rep_tensor(v1, v2)
+        assert v == _operator_model_tensor(v1, v2)
+        nonzero += len(v.nonzero_entries())
+    assert nonzero
