@@ -32,7 +32,7 @@ from .algebra import (
     torus_presentation,
     uq2_presentation,
 )
-from .braided import embed, grading_flip, tensor_morphism, twisted_tensor
+from .braided import embed, grading_flip, twisted_tensor
 from .errors import (
     NotInvariantError,
     ParseError,
@@ -56,6 +56,7 @@ from .morphisms import (
     q_inverse_iso,
     rho_scale,
     su_to_uq2,
+    tensor_morphism,
 )
 from .parser import parse
 from .repcalc import (

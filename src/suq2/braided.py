@@ -7,7 +7,9 @@ letter x of degree k (i < j) commutes across it with the factor
 ``zeta^(-k*l)``, which is the directed form of the cross-leg commutation law
 ``j_i(x) j_j(y) = zeta^(k*l) j_j(y) j_i(x)``.  Iterating is unnecessary: the
 triple product is built directly with three legs and the same pairwise
-twist, and bracketed forms are identified with it letter-for-letter.
+twist, and bracketed forms are identified with it letter-for-letter.  This
+module builds presentations, their leg embeddings and the braiding test
+only; maps between presentations live in :mod:`morphisms`.
 """
 
 from __future__ import annotations
@@ -139,59 +141,3 @@ def grading_flip(pres):
     flipped._flip = pres
     return flipped
 
-
-def tensor_morphism(morphisms, target):
-    """The morphism between tensor products acting leg-wise.
-
-    ``morphisms`` is one generator morphism per source leg; ``target`` must be
-    the flat tensor product whose leg list is the concatenation of the target
-    leg lists of the given morphisms, and a morphism whose target is itself a
-    tensor product must share the twist of ``target``.  Each morphism must be
-    verified (else ``UnverifiedMorphismError`` names it) and degree-preserving.
-
-    The result is proved, not expanded.  Retagging into ``target`` is a
-    homomorphism on each part's target, so each part's empty residuals cover
-    the relations inside its leg.  For a cross-leg rule y x -> zeta^(-k l) x y,
-    with x of degree k in an earlier leg and y of degree l in a later one,
-    the images are homogeneous of degrees k and l, and every letter of y's
-    image stands after every letter of x's image in the leg order.  Since
-    zeta^(-deg * deg) is a bicharacter, the image of y times that of x equals
-    zeta^(-k l) times the product in the other order.
-    """
-    from .morphisms import _proved, _unstarred
-
-    morphisms = list(morphisms)
-    if target.factors is None:
-        raise ValueError("target must be a tensor-product presentation")
-    zeta = target.params["zeta"]
-    source_factors = tuple(m.source for m in morphisms)
-    source = twisted_tensor(source_factors, zeta)
-    expected = []
-    for m in morphisms:
-        expected.extend(m.target.factors or (m.target,))
-    if tuple(expected) != target.factors:
-        raise PresentationMismatchError(
-            "presentation-mismatch: target legs do not match morphism targets"
-        )
-    for m in morphisms:
-        if m.target.factors is not None and m.target.params["zeta"] != zeta:
-            raise PresentationMismatchError(
-                f"presentation-mismatch: '{m.name}' maps into a tensor product "
-                "with another twist"
-            )
-        m._require_verified()
-        if not m.is_equivariant():
-            raise ValueError(
-                "tensor_morphism needs degree-preserving (equivariant) morphisms"
-            )
-
-    images = {}
-    offset = 0
-    for leg, m in enumerate(morphisms, start=1):
-        src_base = source.leg_offsets[leg - 1]
-        for i, _ in _unstarred(m.source):  # starred images are forced
-            images[src_base + i] = retag(m.letter_image(i), target, offset)
-        offset += m.target.n_gens
-
-    name = " x ".join(m.name for m in morphisms)
-    return _proved(source, target, images, f"({name})")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .algebra import confluence_check, suq2_presentation, torus_presentation
-from .braided import braiding_failures, embed, tensor_morphism, twisted_tensor
+from .braided import braiding_failures, embed, twisted_tensor
 from .morphisms import (
     cancellation_witness,
     compose,
@@ -27,6 +27,7 @@ from .morphisms import (
     phi_symmetry,
     q_inverse_iso,
     su_to_uq2,
+    tensor_morphism,
 )
 from .repcalc import (
     constraint_derivation,
@@ -322,7 +323,7 @@ def check_uq2_corep_bijection():
         "u = v U* for the fundamental v is a unitary corepresentation of the "
         "extended algebra, the roundtrip recovers v, and the diagonal z-power "
         "matrix alone is a corepresentation",
-        uq2_from_su2_rep(v),
+        uq2_from_su2_rep(v, delta_uq2()),
     )
 
 

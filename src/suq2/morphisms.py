@@ -11,13 +11,13 @@ to run on a map that does not pass.
 Residuals come about in two ways.  A map built directly as a ``GenMorphism``
 (the named maps below, or any user map) is *expanded*: ``residuals`` pushes
 every source rule through the images.  A map built by
-:func:`identity_morphism`, :func:`compose` or :func:`braided.tensor_morphism`
+:func:`identity_morphism`, :func:`compose` or :func:`tensor_morphism`
 from verified parts is *proved*: it is a homomorphism by construction (the
 identity, a composite of homomorphisms, the twisted tensor product functor
 on equivariant maps), so its residuals are empty when it is built and
-nothing is expanded.  The
-expansion stays available as an oracle: rebuilding a proved map as a plain
-``GenMorphism`` from its images must pass it.
+nothing is expanded.  The expansion stays available as an oracle: a proved
+map rebuilt as a plain ``GenMorphism`` from its images must pass it.  The
+tensor product functor on maps, :func:`tensor_morphism`, lives here.
 
 The named maps are the comultiplications of the braided and ordinary
 algebras, the two embeddings into the tensor square of the circle-extended
@@ -45,8 +45,9 @@ from .algebra import (
     suq2_presentation,
     uq2_presentation,
 )
-from .braided import braiding_failures, embed, grading_flip, twisted_tensor
+from .braided import braiding_failures, embed, grading_flip, retag, twisted_tensor
 from .errors import PresentationMismatchError, UnverifiedMorphismError
+from .repcalc import fundamental_matrix, matrix_apply, matrix_embed
 from .scalars import Scalar
 
 
@@ -184,6 +185,61 @@ def compose(outer, inner):
     outer._require_verified()
     images = {i: outer.apply(inner.letter_image(i)) for i, _ in _unstarred(inner.source)}
     return _proved(inner.source, outer.target, images, f"{outer.name} o {inner.name}")
+
+
+def tensor_morphism(morphisms, target):
+    """The morphism between tensor products acting leg-wise.
+
+    ``morphisms`` is one generator morphism per source leg; ``target`` must be
+    the flat tensor product whose leg list is the concatenation of the target
+    leg lists of the given morphisms, and a morphism whose target is itself a
+    tensor product must share the twist of ``target``.  Each morphism must be
+    verified (else ``UnverifiedMorphismError`` names it) and degree-preserving.
+
+    The result is proved, not expanded.  Retagging into ``target`` is a
+    homomorphism on each part's target, so each part's empty residuals cover
+    the relations inside its leg.  For a cross-leg rule y x -> zeta^(-k l) x y,
+    with x of degree k in an earlier leg and y of degree l in a later one,
+    the images are homogeneous of degrees k and l, and every letter of y's
+    image stands after every letter of x's image in the leg order.  Since
+    zeta^(-deg * deg) is a bicharacter, the image of y times that of x equals
+    zeta^(-k l) times the product in the other order.
+    """
+    morphisms = list(morphisms)
+    if target.factors is None:
+        raise ValueError("target must be a tensor-product presentation")
+    zeta = target.params["zeta"]
+    source_factors = tuple(m.source for m in morphisms)
+    source = twisted_tensor(source_factors, zeta)
+    expected = []
+    for m in morphisms:
+        expected.extend(m.target.factors or (m.target,))
+    if tuple(expected) != target.factors:
+        raise PresentationMismatchError(
+            "presentation-mismatch: target legs do not match morphism targets"
+        )
+    for m in morphisms:
+        if m.target.factors is not None and m.target.params["zeta"] != zeta:
+            raise PresentationMismatchError(
+                f"presentation-mismatch: '{m.name}' maps into a tensor product "
+                "with another twist"
+            )
+        m._require_verified()
+        if not m.is_equivariant():
+            raise ValueError(
+                "tensor_morphism needs degree-preserving (equivariant) morphisms"
+            )
+
+    images = {}
+    offset = 0
+    for leg, m in enumerate(morphisms, start=1):
+        src_base = source.leg_offsets[leg - 1]
+        for i, _ in _unstarred(m.source):  # starred images are forced
+            images[src_base + i] = retag(m.letter_image(i), target, offset)
+        offset += m.target.n_gens
+
+    name = " x ".join(m.name for m in morphisms)
+    return _proved(source, target, images, f"({name})")
 
 
 def equal_on_generators(f, g):
@@ -356,8 +412,6 @@ def cancellation_witness(qparam=None):
     iff there are none.  The matrix identities are checked only when delta
     respects the relations, since otherwise delta(u) is not defined.
     """
-    from .repcalc import fundamental_matrix, matrix_apply, matrix_embed
-
     delta = delta_su(qparam)
     AA = delta.target
     residuals = [

@@ -33,7 +33,6 @@ from __future__ import annotations
 from .algebra import _zpower, free_presentation, suq2_presentation
 from .braided import embed
 from .errors import NotInvariantError, PresentationMismatchError
-from .morphisms import delta_uq2
 from .scalars import Scalar
 
 
@@ -342,18 +341,17 @@ def zpower_matrix(pres, space):
     return AlgMatrix(pres, space, rows)
 
 
-def uq2_from_su2_rep(v):
+def uq2_from_su2_rep(v, delta_b):
     """Turn a representation of the braided algebra into one of the extended one.
 
     ``v`` is the image in the circle-extended algebra of a braided-algebra
     representation; ``udiag`` is the diagonal z-power matrix of its space
     (:func:`zpower_matrix`).  Returns one residual line for each failing
     part of the claim about ``u = v udiag*``: unitarity, the ordinary
-    comultiplication compatibility (through the shared ``delta_uq2`` of
-    ``v``'s parameter), the roundtrip ``u udiag = v``, and the degenerate
-    case where ``v`` is the identity.
+    comultiplication compatibility under the caller's ``delta_b``, whose
+    source must be ``v.pres`` (else ``PresentationMismatchError``), the
+    roundtrip ``u udiag = v``, and the degenerate case ``v = 1``.
     """
-    delta_b = delta_uq2(v.pres.params["q"])
     B = delta_b.source
     if v.pres is not B:
         raise PresentationMismatchError()

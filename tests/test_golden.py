@@ -21,10 +21,9 @@ import pytest
 import suq2
 import suq2.algebra
 from suq2 import checks, morphisms
-from suq2.braided import tensor_morphism
 from suq2.checks import CHECKS
 from suq2.cli import ALGEBRAS, main
-from suq2.morphisms import GenMorphism, compose, identity_morphism, rho_scale
+from suq2.morphisms import GenMorphism, compose, identity_morphism, rho_scale, tensor_morphism
 from test_cli import _module_env
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

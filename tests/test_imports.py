@@ -1,4 +1,13 @@
-"""Import hygiene: every name a module of the package imports is used in it."""
+"""Import hygiene: every name a module of the package imports is used in it,
+and the modules form one chain.
+
+The layering rule: the modules are ordered as ``LAYERS``, and a module
+imports a sibling only at module top and only from earlier in the chain, so
+there is no import cycle and no import hidden inside a function.  ``numeric``
+comes first because it imports no sibling.  The one function-level import is
+``cli``'s lazy ``numeric``, which keeps numpy off the cold path; it is named
+in ``LAZY_IMPORTS``.
+"""
 
 import ast
 import pathlib
@@ -9,6 +18,35 @@ import suq2
 
 PACKAGE = pathlib.Path(suq2.__file__).parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+LAYERS = (
+    "numeric",
+    "errors",
+    "scalars",
+    "render",
+    "algebra",
+    "braided",
+    "parser",
+    "repcalc",
+    "morphisms",
+    "checks",
+    "cli",
+    "__main__",
+)
+LAZY_IMPORTS = {("cli", "numeric")}
+
+PUBLIC_NAMES = """
+AlgMatrix ConfluenceReport Element GaussianRational GenMorphism GradedSpace
+Generator NotInvariantError ParseError PoleError Presentation
+PresentationMismatchError QUBIT RewriteLimitError RewriteRule Scalar
+UnverifiedMorphismError ZeroDivisorError cancellation_witness compose
+confluence_check constraint_derivation corep_check delta_su delta_uq2 embed
+equal_on_generators free_presentation fundamental_matrix grading_flip
+identity_morphism invariant_vector_check iota1 iota2 matrix_apply matrix_embed parse
+phi_symmetry q_inverse_iso rep_tensor rho_scale su_to_uq2 suq2_presentation
+tensor_morphism torus_presentation twisted_tensor uq2_from_su2_rep uq2_presentation
+zpower_matrix
+""".split()
 
 
 def unused_imports(source):
@@ -22,6 +60,32 @@ def unused_imports(source):
             imported += [a.asname or a.name for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in imported if name not in used]
+
+
+def _relative_imports(node, in_function=False):
+    """``(sibling, inside a function?)`` for every relative import under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ImportFrom) and child.level:
+            if child.module:  # from .x import ...
+                yield child.module.split(".")[0], in_function
+            else:  # from . import x, y
+                yield from ((a.name, in_function) for a in child.names)
+        nested = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _relative_imports(child, in_function or nested)
+
+
+def layering_violations(module, source):
+    """One line per relative import of ``module`` that breaks the layering rule."""
+    name = module.removesuffix(".py")
+    below = LAYERS[: LAYERS.index(name)]
+    out = []
+    for sibling, in_function in _relative_imports(ast.parse(source)):
+        if in_function:
+            if (name, sibling) not in LAZY_IMPORTS:
+                out.append(f"{name} imports {sibling} inside a function")
+        elif sibling not in below:
+            out.append(f"{name} imports {sibling}, which is not below it")
+    return out
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -40,3 +104,37 @@ def test_unused_import_detector():
         "    return np.zeros(1), os.sep, render_word\n"
     )
     assert unused_imports(source) == ["PoleError", "ZDE"]
+
+
+def test_every_module_has_a_layer():
+    assert sorted(LAYERS) == sorted(m.removesuffix(".py") for m in MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_only_earlier_layers_at_top(module):
+    assert layering_violations(module, (PACKAGE / module).read_text()) == []
+
+
+def test_layering_detector():
+    source = (
+        "from .errors import PoleError\n"
+        "from .morphisms import compose\n"
+        "def f():\n"
+        "    from .render import render_word\n"
+        "    return render_word\n"
+    )
+    assert layering_violations("algebra.py", source) == [
+        "algebra imports morphisms, which is not below it",
+        "algebra imports render inside a function",
+    ]
+    lazy = "def f():\n    from . import numeric\n"
+    assert layering_violations("cli.py", lazy) == []
+    assert layering_violations("checks.py", lazy) == ["checks imports numeric inside a function"]
+    assert layering_violations("numeric.py", "from .scalars import Scalar\n") == [
+        "numeric imports scalars, which is not below it"
+    ]
+
+
+def test_public_names_are_unchanged():
+    assert suq2.__all__ == PUBLIC_NAMES
+    assert all(hasattr(suq2, name) for name in PUBLIC_NAMES)

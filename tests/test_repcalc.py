@@ -8,6 +8,7 @@ from suq2 import (
     AlgMatrix,
     GradedSpace,
     NotInvariantError,
+    PresentationMismatchError,
     QUBIT,
     Scalar,
     constraint_derivation,
@@ -176,7 +177,7 @@ def test_uq2_corep_bijection_fundamental_case():
     assert inc.check()
     B = inc.target
     v = matrix_apply(inc, U_FUND)
-    assert uq2_from_su2_rep(v) == []
+    assert uq2_from_su2_rep(v, delta_uq2()) == []
     # the converted matrix has the expected entries ((a z', -q g'), (g z', a'))
     u = v * zpower_matrix(B, QUBIT).adjoint()
     assert u[0, 0] == B.gen("a") * B.gen("z'")
@@ -187,10 +188,16 @@ def test_uq2_corep_bijection_fundamental_case():
 
 def test_uq2_corep_bijection_names_each_failing_part():
     wrong = AlgMatrix(A, QUBIT, [[A.gen("a"), A.gen("g'").scale(Q)], [A.gen("g"), A.gen("a'")]])
-    assert uq2_from_su2_rep(matrix_apply(su_to_uq2(), wrong)) == [
+    assert uq2_from_su2_rep(matrix_apply(su_to_uq2(), wrong), delta_uq2()) == [
         "v U* is not unitary",
         "v U* fails the ordinary corepresentation law",
     ]
+
+
+def test_uq2_corep_bijection_rejects_a_delta_over_another_presentation():
+    v = matrix_apply(su_to_uq2(), U_FUND)
+    with pytest.raises(PresentationMismatchError):
+        uq2_from_su2_rep(v, delta_uq2(Scalar.q().inverse()))
 
 
 # -- one-pass matrix product against the entrywise accumulation ------------------------
