@@ -5,7 +5,7 @@ for a formal complex parameter (exact rational-function coefficients in q
 and its formal conjugate), its grading, twisted tensor products, the
 comultiplication and the associated representation calculus, the
 circle-extended ordinary quantum group, and a numeric truncated-operator
-oracle that cross-checks the rewrite engine.  The ``suq2`` CLI drives the
+oracle that cross-checks the normal forms.  The ``suq2`` CLI drives the
 named verification checks.
 
 Importing the package sets ``OPENBLAS_THREAD_TIMEOUT=4`` unless the caller

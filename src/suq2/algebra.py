@@ -5,7 +5,9 @@ generator table (name, degree, adjoint partner, leg tag) plus directed
 rewrite rules whose left-hand sides are one- or two-letter words.  Elements
 are finite sums of scalar-weighted rule-irreducible words; equality is
 structural equality of these normal forms, so the rewrite system doubles as
-the algebra's decision procedure.
+the algebra's decision procedure.  ``suq2`` computes its normal forms by a
+closed-form product of a normal word with one letter, folded over the word;
+every other presentation rewrites.
 
 That reading is proved, not sampled, by Bergman's diamond lemma (G. M.
 Bergman, "The diamond lemma for ring theory", Adv. Math. 29, 1978).  Words
@@ -16,7 +18,10 @@ certificate, checked once per presentation), every reduction terminates.
 When in addition every overlap and inclusion ambiguity of the rule table
 resolves (:func:`confluence_check`), every word has exactly one normal form
 and the irreducible words are a linear basis.  :func:`confluence_check` is
-that proof and nothing else: it reduces no sampled word.  The numeric
+that proof and nothing else: it reduces no sampled word, and it reduces
+through the rewriting loop alone, never through a closed form.  So the rules
+are the proof, and a closed form is tested against the rewriting loop word
+by word (the agreement sweep of ``tests/test_algebra.py``).  The numeric
 operator oracle in :mod:`suq2.numeric` is an independent cross-check of the
 relations.
 
@@ -100,6 +105,11 @@ class Presentation:
     transparent (results are identical with it disabled, see
     ``memo_enabled``).
 
+    ``times_letter`` is ``None`` or a closed form of the rules: given a
+    normal word and one letter, it returns their product's normal form as
+    (coefficient, word) pairs.  ``reduce_word`` then folds words through it
+    instead of rewriting them.  Only ``suq2_presentation`` sets one.
+
     ``deglex_violation`` is the termination certificate: ``None`` when every
     rule's right-hand words are deglex-smaller than its left-hand side, else
     the left-hand side of the first rule that breaks this.
@@ -127,6 +137,7 @@ class Presentation:
         )
         self._memo = {}
         self.memo_enabled = True
+        self.times_letter = None
         self._gens = {}
         self._token = next(_token_counter)
         self._flip = None
@@ -204,29 +215,51 @@ class Presentation:
     def reduce_word(self, word, max_steps=None):
         """Full normal form of a single word as a tuple of (Scalar, word).
 
-        The word is reduced as one linear combination ``pending``.  Each step
-        takes its deglex-largest word: an irreducible one moves to the result,
-        any other is rewritten once at its first redex, each ``c * coeff``
-        added back into ``pending``.  Largest first matters: every rewrite of
-        a certified presentation yields only deglex-smaller words, so a word
-        is taken after all of its contributions have merged, and no word is
-        rewritten twice.  Without the deglex certificate that property is
-        lost and the reduction is bounded only by the step budget.
+        A presentation with a closed form ``times_letter`` folds the word's
+        letters through it: starting from the empty word, every current term
+        is multiplied by the next letter, and each term produced costs one
+        step.  Any other presentation rewrites the word with
+        :meth:`_rewrite`.  Both count against ``max_steps``.
         """
         word = tuple(word)
         memo = self._memo if self.memo_enabled else {}
         if word in memo:
             return memo[word]
         budget = max_steps if max_steps is not None else self.DEFAULT_STEP_LIMIT
+        if self.times_letter is None:
+            done = self._rewrite({word: _ONE}, budget)
+        else:
+            done = {(): _ONE}
+            steps = 0
+            for x in word:
+                terms, done = done, {}
+                for w, c in terms.items():
+                    for f, w2 in self.times_letter(w, x):
+                        steps += 1
+                        if steps > budget:
+                            raise self._limit_error(budget)
+                        _accumulate(done, w2, c * f)
+        nf = memo[word] = tuple((done[w], w) for w in sorted(done, key=deglex_key))
+        return nf
+
+    def _rewrite(self, pending, budget):
+        """Rewrite the linear combination ``pending``, consuming it, to ``{word: coeff}``.
+
+        Each step takes the deglex-largest pending word: an irreducible one
+        moves to the result, any other is rewritten once at its first redex,
+        each ``c * coeff`` added back into ``pending``.  Largest first
+        matters: every rewrite of a certified presentation yields only
+        deglex-smaller words, so a word is taken after all of its
+        contributions have merged, and no word is rewritten twice.  Without
+        the deglex certificate that property is lost and the reduction is
+        bounded only by the step budget.
+        """
         steps = 0
-        pending = {word: _ONE}
         done = {}
         while pending:
             steps += 1
             if steps > budget:
-                raise RewriteLimitError(
-                    f"reduction exceeded {budget} steps in '{self.label}'"
-                )
+                raise self._limit_error(budget)
             w = max(pending, key=deglex_key)
             c = pending.pop(w)
             redexes = self._redexes(w)
@@ -237,23 +270,26 @@ class Presentation:
             head, tail = w[:pos], w[pos + len(rule.lhs) :]
             for coeff, rw in rule.rhs:
                 _accumulate(pending, head + rw + tail, c * coeff)
-        nf = memo[word] = tuple((done[w], w) for w in sorted(done, key=deglex_key))
-        return nf
+        return done
+
+    def _limit_error(self, budget):
+        return RewriteLimitError(f"reduction exceeded {budget} steps in '{self.label}'")
 
     # -- element factories -----------------------------------------------------
 
     def normalize_raw(self, raw_terms, max_steps=None):
         """Normalize a raw sum of (coeff, word) pairs into an Element."""
         acc = {}
+        n = len(self.generators)
         for coeff, word in raw_terms:
             if not isinstance(coeff, Scalar):
                 coeff = Scalar.from_int(coeff)
             if coeff.is_zero():
                 continue
             word = tuple(word)
-            for i in word:
-                if not (0 <= i < self.n_gens):
-                    raise ValueError(f"generator index {i} out of range")
+            if word and (min(word) < 0 or max(word) >= n):
+                bad = next(i for i in word if not 0 <= i < n)
+                raise ValueError(f"generator index {bad} out of range")
             for c2, w2 in self.reduce_word(word, max_steps=max_steps):
                 _accumulate(acc, w2, coeff * c2)
         return Element(self, acc)
@@ -490,11 +526,57 @@ def suq2_presentation(qparam=None):
             RewriteRule((a, as_), ((_ONE, ()), (-(q * qb), (g, gs)))),
             RewriteRule((as_, a), ((_ONE, ()), (-_ONE, (g, gs)))),
         ]
-        return Presentation(
+        pres = Presentation(
             "suq2", gens, rules, params={"q": q, "qb": qb, "zeta": q / qb}
         )
+        pres.times_letter = _suq2_times_letter(q, qb)
+        return pres
 
     return _cached(("suq2", q), build)
+
+
+def _suq2_times_letter(q, qb):
+    """The closed-form right product of a normal suq2 word by one letter.
+
+    A normal word is g^b g'^c u with u = a^k or a'^k; let e = k for a^k and
+    e = -k for a'^k, and r = q qb.  Then
+
+    * times g: R2 or R4 moves g left past u with qb^e, R1 past g'^c freely;
+    * times g': R3 or R5 moves g' left past u with q^e;
+    * times the letter of u, or any a when k = 0: the word stays normal;
+    * times the other a: one R6 or R7 step, then R2-R5 move g g' left past
+      u' = u with one letter fewer, giving u' - r^k g g' u' after a^k and
+      u' - r^(1-k) g g' u' after a'^k (the q-Pochhammer step).
+
+    Returns (coefficient, word) pairs.  Each coefficient is built once per
+    (letter, e) and cached, and a factor 1 is the shared one.
+    """
+    r = q * qb
+    factors = {}
+
+    def factor(x, e):
+        f = factors.get((x, e))
+        if f is None:
+            if x < 2:
+                f = (qb, q)[x] ** e if e else _ONE
+            else:
+                f = -(r ** (e + 1 if x == 2 else e))
+            factors[(x, e)] = f
+        return f
+
+    def times_letter(w, x):
+        bc = w.count(0) + w.count(1)
+        k = len(w) - bc
+        if x > 1 and (k == 0 or w[-1] == x):
+            return ((_ONE, w + (x,)),)
+        e = -k if k and w[-1] == 3 else k
+        if x == 0:
+            return ((factor(0, e), (0,) + w),)
+        if x == 1:
+            return ((factor(1, e), w[:bc] + (1,) + w[bc:]),)
+        return ((_ONE, w[:-1]), (factor(x, e), (0,) + w[:bc] + (1,) + w[bc:-1]))
+
+    return times_letter
 
 
 def torus_presentation(zeta=None):
@@ -624,8 +706,10 @@ def confluence_check(pres, maxlen=None, trials=None, seed=None):
     deglex-smaller than their left-hand sides (``pres.deglex_violation`` is
     ``None``) is confluent as soon as every overlap and inclusion ambiguity
     resolves.  Each ambiguity word gets every matching rule applied once;
-    each result is fully reduced and all the normal forms must agree.  That
-    proves normal form equals algebra equality for words of every length.
+    each result is fully reduced by the rules (``Presentation._rewrite``,
+    never a closed form or the memo) and all the normal forms must agree.
+    That proves normal form equals algebra equality for words of every
+    length.
 
     A rule set without the certificate is reported at once as
     ``non-termination``, naming the offending left-hand side, and nothing is
@@ -658,18 +742,13 @@ def confluence_check(pres, maxlen=None, trials=None, seed=None):
         if len(report.divergences) >= max_divergences:
             break
         report.words_checked += 1
-        redexes = pres._redexes(word)
+        forms = []
         try:
-            forms = [
-                pres.normalize_raw(
-                    [
-                        (coeff, word[:pos] + rw + word[pos + len(rule.lhs) :])
-                        for coeff, rw in rule.rhs
-                    ],
-                    max_steps=step_cap,
-                )
-                for pos, rule in redexes
-            ]
+            for pos, rule in pres._redexes(word):
+                branch = {}
+                for coeff, rw in rule.rhs:
+                    _accumulate(branch, word[:pos] + rw + word[pos + len(rule.lhs) :], coeff)
+                forms.append(pres._rewrite(branch, step_cap))
         except RewriteLimitError:
             report.divergences.append({"kind": "non-termination", "word": list(word)})
             continue

@@ -23,9 +23,10 @@ Parameters with ``|q| >= 1`` are handled by building the model at ``1/q``
 and transporting the generators along the parameter-inversion isomorphism
 (alpha -> alpha*, gamma -> q^-1 gamma).
 
-The oracle is deliberately independent of the rewrite engine: it evaluates
-concrete operators, so agreement between a raw word and its normal form is
-evidence that the directed rule system computes honest algebra.
+The oracle is deliberately independent of how normal forms are computed, by
+rewriting or by suq2's closed form: it evaluates concrete operators, so
+agreement between a raw word and its normal form is evidence that the
+engine computes honest algebra.
 
 Every letter is a weighted shift of the ladder basis whose weight depends on
 the radial index alone: it sends e(n, k) to amp[n] e(n + dn, k + dk mod M).

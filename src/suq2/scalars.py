@@ -686,9 +686,12 @@ def _mono_str(key):
 def _poly_str(poly, lc):
     """Text of poly / lc, terms in descending lex order."""
     chunks = []
+    # a monic denominator divides nothing: skip the Fraction arithmetic
+    monic = lc.re == 1 and lc.im == 0
     for key in sorted(poly, reverse=True):
         mono = _mono_str(key)
-        cs, is_sum = _gr_str(GaussianRational(*poly[key]) / lc)
+        c = GaussianRational(*poly[key])
+        cs, is_sum = _gr_str(c if monic else c / lc)
         if is_sum:
             cs = f"({cs})"
         if mono:

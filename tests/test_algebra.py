@@ -1,5 +1,8 @@
 """Presentations, normal forms, degrees, and the involution."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +15,7 @@ from suq2 import (
     twisted_tensor,
     uq2_presentation,
 )
+from suq2.algebra import deglex_key
 
 A = suq2_presentation()
 Q, QB = A.params["q"], A.params["qb"]
@@ -121,8 +125,6 @@ def test_normal_words_build_no_scalar(monkeypatch):
 
 def test_normal_words_have_single_alpha_kind():
     # no normal word mixes a with a'
-    import itertools
-
     for word in itertools.product(range(4), repeat=3):
         for _, w in A.reduce_word(word):
             assert not ({2, 3} <= set(w))
@@ -189,8 +191,7 @@ def test_no_word_is_rewritten_twice(monkeypatch, pres, word):
         return redexes(self, w)
 
     monkeypatch.setattr(Presentation, "_redexes", counted)
-    monkeypatch.setattr(pres, "memo_enabled", False)
-    pres.reduce_word(word)
+    pres._rewrite({word: Scalar.one()}, Presentation.DEFAULT_STEP_LIMIT)
     assert len(seen) > len(word)
     assert len(seen) == len(set(seen))
 
@@ -202,6 +203,13 @@ def test_memo_holds_only_requested_words():
     assert fresh.reduce_word(_a_star_a(6)) is nf
 
 
+def test_closed_form_memo_holds_only_requested_words():
+    # a parameter no other test uses, so the memo starts cold
+    fresh = suq2_presentation(Scalar.q() ** 3)
+    nf = fresh.reduce_word(_a_star_a(6))
+    assert fresh._memo == {_a_star_a(6): nf}
+
+
 def _pochhammer(ks):
     """prod over k in ``ks`` of (1 - (q qb)^k g g'), by Element arithmetic."""
     out = A.unit()
@@ -211,13 +219,101 @@ def _pochhammer(ks):
 
 
 @pytest.mark.parametrize("memo", [True, False])
-@pytest.mark.parametrize("n", [1, 2, 7, 16, 24])
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 24, 32, 50])
 def test_long_words_match_the_closed_form(monkeypatch, n, memo):
     # a'^n a^n = prod_{k=0}^{n-1} (1 - (q qb)^-k g g')
     # a^n a'^n = prod_{k=1}^{n}   (1 - (q qb)^k  g g')
     monkeypatch.setattr(A, "memo_enabled", memo)
     assert A.element([(1, _a_star_a(n))]) == _pochhammer(range(0, -n, -1))
     assert A.element([(1, (2,) * n + (3,) * n)]) == _pochhammer(range(1, n + 1))
+
+
+# -- the closed form against the rewriting loop ---------------------------------
+
+
+def _words_up_to(n):
+    return [w for k in range(n + 1) for w in itertools.product(range(4), repeat=k)]
+
+
+def _fold_disagreements(pres, words):
+    """Words whose closed-form normal form differs from the rewriting loop's."""
+    out = []
+    for word in words:
+        done = pres._rewrite({word: Scalar.one()}, Presentation.DEFAULT_STEP_LIMIT)
+        if pres.reduce_word(word) != tuple((done[w], w) for w in sorted(done, key=deglex_key)):
+            out.append(word)
+    return out
+
+
+@pytest.mark.parametrize("qparam", [None, Scalar.q() ** 2], ids=["q", "q^2"])
+def test_closed_form_agrees_with_rewriting_on_short_words(monkeypatch, qparam):
+    pres = suq2_presentation(qparam)
+    monkeypatch.setattr(pres, "memo_enabled", False)
+    words = _words_up_to(6)
+    assert len(words) == 5461
+    assert _fold_disagreements(pres, words) == []
+
+
+def test_closed_form_agrees_with_rewriting_on_seeded_long_words(monkeypatch):
+    rng = random.Random(22)
+    words = [tuple(rng.randrange(4) for _ in range(rng.randint(7, 24))) for _ in range(200)]
+    monkeypatch.setattr(A, "memo_enabled", False)
+    assert _fold_disagreements(A, words) == []
+
+
+def _off_by_one_pochhammer(rule):
+    """``rule`` with (q qb)^-k in place of (q qb)^-(k-1) after a'^k."""
+    r = Q * QB
+
+    def broken(w, x):
+        out = rule(w, x)
+        if x == 2 and len(out) == 2:
+            (c0, w0), (c1, w1) = out
+            return (c0, w0), (c1 * r.inverse(), w1)
+        return out
+
+    return broken
+
+
+def _q_for_qb_in_g(rule):
+    """``rule`` with q^e in place of qb^e when g passes a^e or a'^-e."""
+
+    def broken(w, x):
+        out = rule(w, x)
+        if x == 0:
+            ((c, w2),) = out
+            return ((c * (Q / QB) ** (w.count(2) - w.count(3)), w2),)
+        return out
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "control, caught",
+    [(_off_by_one_pochhammer, 66), (_q_for_qb_in_g, 112)],
+    ids=["pochhammer-off-by-one", "q-for-qb"],
+)
+def test_broken_closed_forms_fail_the_sweep(monkeypatch, control, caught):
+    monkeypatch.setattr(A, "memo_enabled", False)
+    monkeypatch.setattr(A, "times_letter", control(A.times_letter))
+    words = _words_up_to(4)
+    assert len(words) == 341
+    assert len(_fold_disagreements(A, words)) == caught
+
+
+def test_hand_built_presentations_have_no_closed_form():
+    fresh = Presentation("fresh", A.generators, A.rules.values(), params=A.params)
+    assert A.times_letter is not None
+    assert fresh.times_letter is None
+    assert uq2_presentation().times_letter is None
+    assert twisted_tensor([A, A], A.params["zeta"]).times_letter is None
+
+
+@pytest.mark.parametrize("word, bad", [((0, 4, -1), 4), ((2, -1, 9), -1), ((-3,), -3)])
+def test_out_of_range_letter_names_the_first_bad_index(word, bad):
+    with pytest.raises(ValueError) as err:
+        A.normalize_raw([(1, (0, 1)), (1, word)])
+    assert str(err.value) == f"generator index {bad} out of range"
 
 
 def test_mixed_presentations_error():

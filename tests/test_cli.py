@@ -445,10 +445,10 @@ _SCALAR_ATOMS = ("q", "qb", "zeta", "i", "0", "1", "2", "17")
 # z is no generator of the default algebra: an unknown-name error
 _GENERATOR_ATOMS = ("a", "a'", "g", "g'", "z")
 # longest word an expression may expand to: the fuzz test is after crashes,
-# not load; reduction rewrites each word once, so even a'^8 a^8 takes
-# milliseconds, and longer words are covered by the closed-form test of
-# tests/test_algebra.py
-_MAX_LETTERS = 16
+# not load; suq2 folds each word through its closed-form letter products, so
+# even a'^16 a^16 takes milliseconds, and longer words are covered by the
+# closed-form tests of tests/test_algebra.py
+_MAX_LETTERS = 32
 
 
 @st.composite

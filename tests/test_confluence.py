@@ -304,13 +304,29 @@ def test_randomized_reduction_matches_deterministic():
     assert _order_dependent_words(A, random.Random(3), 50, 5) == []
 
 
+def _fields(r):
+    return r.ok, r.words_checked, r.critical_pairs, r.certificate, r.divergences
+
+
 def test_inert_keywords_leave_the_report_unchanged():
     # the confluence-tensor benchmark still passes maxlen, trials and seed
     T3 = _algebra("suq2-tensor3")
-
-    def fields(r):
-        return r.ok, r.words_checked, r.critical_pairs, r.certificate, r.divergences
-
-    assert fields(confluence_check(T3, maxlen=4, trials=500, seed=9)) == fields(
+    assert _fields(confluence_check(T3, maxlen=4, trials=500, seed=9)) == _fields(
         confluence_check(T3)
     )
+
+
+def test_suq2_proof_never_reads_the_closed_form(monkeypatch):
+    # the proof is about the rules: it reduces through the rewriting loop
+    # alone, so a closed form that raises and an empty memo change nothing
+    A = suq2_presentation()
+    proved = _fields(confluence_check(A))
+    assert proved[0]
+
+    def refuse(word, letter):
+        raise AssertionError("the confluence proof read the closed form")
+
+    monkeypatch.setattr(A, "times_letter", refuse)
+    monkeypatch.setattr(A, "_memo", {})
+    assert _fields(confluence_check(A)) == proved
+    assert A._memo == {}

@@ -46,6 +46,8 @@ CASES = {
     **{f"confluence-{name}": ["confluence", "--algebra", name] for name in ALGEBRAS},
     "nf-suq2": ["nf", "a'*a*g^2 + (2/3 - i/5)*q^-2*a*g'*a' + a^3*g'"],
     "nf-torus": ["nf", "--algebra", "torus", "V'*U*V*U' - zeta + U'^2*V*U"],
+    # long words: the a-letters reduce through q-Pochhammer steps
+    "nf-suq2-long": ["nf", "a'^12*a^12 - q*a^7*g'^2*a'^9*g"],
     "nf-scalar-powers": ["nf", "((1 + q)/(2 - i*qb))^3*g + (q*qb)^-2*a^2 - zeta^5"],
     "nf-uq2": ["nf", "--algebra", "uq2", "z*g*z'*a' + (qb/q)*z'^2*g'*z^2"],
     "nf-suq2-tensor3": [
@@ -55,6 +57,7 @@ CASES = {
         "j3(a)*j2(g)*j1(g') + j2(a')*j1(a)",
     ],
     "mul-suq2": ["mul", "(1 + q*qb)*a^2 - g'", "a'^2*g + (q - qb)/(1 + q)"],
+    "mul-suq2-long": ["mul", "a'^6*g", "a^6*g'^2"],
     "mul-suq2-tensor2": [
         "mul",
         "--algebra",
