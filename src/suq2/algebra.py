@@ -1,11 +1,11 @@
 """Finitely presented graded *-algebras with directed rewrite rules.
 
 A :class:`Presentation` is the finite datum defining one algebra: an ordered
-generator table (name, degree, adjoint partner, leg tag) plus directed
-rewrite rules whose left-hand sides are one- or two-letter words.  Elements
-are finite sums of scalar-weighted rule-irreducible words; equality is
-structural equality of these normal forms, so the rewrite system doubles as
-the algebra's decision procedure.  ``suq2`` computes its normal forms by a
+generator table (name, degree, adjoint partner) plus directed rewrite rules
+whose left-hand sides are one- or two-letter words.  Elements are finite
+sums of scalar-weighted rule-irreducible words; equality is structural
+equality of these normal forms, so the rewrite system doubles as the
+algebra's decision procedure.  ``suq2`` computes its normal forms by a
 closed-form product of a normal word with one letter, folded over the word;
 every other presentation rewrites.
 
@@ -49,8 +49,6 @@ from .scalars import Scalar
 
 _ONE = Scalar.one()
 
-_token_counter = itertools.count()
-
 _PRESENTATION_CACHE: dict = {}
 
 
@@ -76,7 +74,6 @@ class Generator:
     name: str
     degree: int
     adjoint: int  # index of the adjoint partner
-    leg: int = 1
 
 
 @dataclass(frozen=True)
@@ -99,6 +96,10 @@ class RewriteRule:
 
 class Presentation:
     """Generator table plus rewrite rules; immutable after construction.
+
+    A twisted tensor product passes its ``factors``, whose letters it lays out
+    leg after leg; ``leg_offsets`` is the one record of those blocks (leg j
+    owns ``leg_offsets[j-1] <= i < leg_offsets[j]``), read by :meth:`split_legs`.
 
     An optional memo table holds the normal form of each word that
     ``reduce_word`` is asked for, and no intermediate word; it is
@@ -139,15 +140,8 @@ class Presentation:
         self.memo_enabled = True
         self.times_letter = None
         self._gens = {}
-        self._token = next(_token_counter)
         self._flip = None
-        if self.factors:
-            offsets = [0]
-            for f in self.factors:
-                offsets.append(offsets[-1] + f.n_gens)
-            self.leg_offsets = tuple(offsets)
-        else:
-            self.leg_offsets = None
+        self.leg_offsets = _leg_offsets(self.factors) if self.factors else None
         self._validate()
 
     # -- basic structure -------------------------------------------------------
@@ -163,18 +157,16 @@ class Presentation:
         return sum(self.generators[i].degree for i in word)
 
     def gen_index(self, name, leg=None):
-        for i, g in enumerate(self.generators):
-            if g.name == name and (leg is None or g.leg == leg):
+        lo, hi = (0, self.n_gens) if leg is None else self.leg_offsets[leg - 1 : leg + 1]
+        for i in range(lo, hi):
+            if self.generators[i].name == name:
                 return i
         raise KeyError(name)
 
-    def leg_of(self, i):
-        return self.generators[i].leg
-
-    def local_index(self, i):
-        if not self.factors:
-            return i
-        return i - self.leg_offsets[self.generators[i].leg - 1]
+    def split_legs(self, word):
+        """The local word of each leg of a tensor-product ``word``, leg 1 first."""
+        blocks = itertools.pairwise(self.leg_offsets)
+        return tuple(tuple(i - lo for i in word if lo <= i < hi) for lo, hi in blocks)
 
     def _validate(self):
         for i, g in enumerate(self.generators):
@@ -212,26 +204,31 @@ class Presentation:
                     out.append((p, rule))
         return out
 
-    def reduce_word(self, word, max_steps=None):
+    def reduce_word(self, word):
         """Full normal form of a single word as a tuple of (Scalar, word).
 
         A presentation with a closed form ``times_letter`` folds the word's
-        letters through it: starting from the empty word, every current term
-        is multiplied by the next letter, and each term produced costs one
-        step.  Any other presentation rewrites the word with
-        :meth:`_rewrite`.  Both count against ``max_steps``.
+        letters through it: starting from the word's longest prefix that
+        contains no redex (a normal word, one step per letter), every current
+        term is multiplied by the next letter, and each term produced costs
+        one step.  Any other presentation rewrites the word with
+        :meth:`_rewrite`.  Both count against ``DEFAULT_STEP_LIMIT``.
         """
         word = tuple(word)
         memo = self._memo if self.memo_enabled else {}
         if word in memo:
             return memo[word]
-        budget = max_steps if max_steps is not None else self.DEFAULT_STEP_LIMIT
+        budget = self.DEFAULT_STEP_LIMIT
         if self.times_letter is None:
             done = self._rewrite({word: _ONE}, budget)
         else:
-            done = {(): _ONE}
-            steps = 0
-            for x in word:
+            redexes = self._redexes(word)
+            cut = redexes[0][0] + len(redexes[0][1].lhs) - 1 if redexes else len(word)
+            steps = cut
+            if steps > budget:
+                raise self._limit_error(budget)
+            done = {word[:cut]: _ONE}
+            for x in word[cut:]:
                 terms, done = done, {}
                 for w, c in terms.items():
                     for f, w2 in self.times_letter(w, x):
@@ -277,7 +274,7 @@ class Presentation:
 
     # -- element factories -----------------------------------------------------
 
-    def normalize_raw(self, raw_terms, max_steps=None):
+    def normalize_raw(self, raw_terms):
         """Normalize a raw sum of (coeff, word) pairs into an Element."""
         acc = {}
         n = len(self.generators)
@@ -290,7 +287,7 @@ class Presentation:
             if word and (min(word) < 0 or max(word) >= n):
                 bad = next(i for i in word if not 0 <= i < n)
                 raise ValueError(f"generator index {bad} out of range")
-            for c2, w2 in self.reduce_word(word, max_steps=max_steps):
+            for c2, w2 in self.reduce_word(word):
                 _accumulate(acc, w2, coeff * c2)
         return Element(self, acc)
 
@@ -456,7 +453,7 @@ class Element:
         return self.pres is other.pres and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.pres._token, frozenset(self._terms.items())))
+        return hash(frozenset(self._terms.items()))
 
     # -- rendering ---------------------------------------------------------------------
 
@@ -473,6 +470,11 @@ class Element:
 # ---------------------------------------------------------------------------
 # Shipped presentations
 # ---------------------------------------------------------------------------
+
+
+def _leg_offsets(factors):
+    """Where each leg's letters start in a tensor product of ``factors``, then the end."""
+    return tuple(itertools.accumulate((f.n_gens for f in factors), initial=0))
 
 
 def _cached(key, build):

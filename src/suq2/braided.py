@@ -1,22 +1,24 @@
 """Twisted tensor products of presented graded algebras.
 
 ``twisted_tensor([P1, ..., Pn], zeta)`` builds one flat presentation whose
-letters carry leg tags 1..n.  Normal words put leg-1 letters first, then
-leg-2, and so on; a leg-j letter y of degree l directly left of a leg-i
-letter x of degree k (i < j) commutes across it with the factor
-``zeta^(-k*l)``, which is the directed form of the cross-leg commutation law
-``j_i(x) j_j(y) = zeta^(k*l) j_j(y) j_i(x)``.  Iterating is unnecessary: the
-triple product is built directly with three legs and the same pairwise
-twist, and bracketed forms are identified with it letter-for-letter.  This
-module builds presentations, their leg embeddings and the braiding test
-only; maps between presentations live in :mod:`morphisms`.
+letters are those of P1, then those of P2, and so on: each leg is one block
+of indices, recorded in ``Presentation.leg_offsets``.  Normal words put
+leg-1 letters first, then leg-2, and so on; a leg-j letter y of degree l
+directly left of a leg-i letter x of degree k (i < j) commutes across it
+with the factor ``zeta^(-k*l)``, which is the directed form of the cross-leg
+commutation law ``j_i(x) j_j(y) = zeta^(k*l) j_j(y) j_i(x)``.  Iterating is
+unnecessary: the triple product is built directly with three legs and the
+same pairwise twist, and bracketed forms are identified with it
+letter-for-letter.  This module builds presentations, their leg embeddings
+and the braiding test only; maps between presentations live in
+:mod:`morphisms`.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .algebra import Generator, Presentation, RewriteRule, _cached
+from .algebra import Generator, Presentation, RewriteRule, _cached, _leg_offsets
 from .errors import PresentationMismatchError
 from .scalars import Scalar
 
@@ -37,14 +39,12 @@ def twisted_tensor(factors, zeta=None):
         raise ValueError("zeta must be formally unimodular")
 
     def build():
-        gens = []
-        offsets = [0]
-        for leg, f in enumerate(factors, start=1):
-            base = offsets[-1]
-            for g in f.generators:
-                gens.append(Generator(g.name, g.degree, g.adjoint + base, leg))
-            offsets.append(base + f.n_gens)
-
+        offsets = _leg_offsets(factors)
+        gens = [
+            Generator(g.name, g.degree, g.adjoint + base)
+            for f, base in zip(factors, offsets)
+            for g in f.generators
+        ]
         rules = []
         for leg, f in enumerate(factors, start=1):
             base = offsets[leg - 1]
@@ -72,7 +72,7 @@ def twisted_tensor(factors, zeta=None):
         params["zeta"] = zeta
         return Presentation(label, gens, rules, params=params, factors=factors)
 
-    return _cached(("tensor", tuple(f._token for f in factors), zeta), build)
+    return _cached(("tensor", factors, zeta), build)
 
 
 def retag(x, target, offset):
@@ -128,14 +128,11 @@ def grading_flip(pres):
             [grading_flip(f) for f in pres.factors], pres.params["zeta"]
         )
     else:
-        flipped = _cached(
-            ("flip", pres._token),
-            lambda: Presentation(
-                pres.label + "-flip",
-                [Generator(g.name, -g.degree, g.adjoint, g.leg) for g in pres.generators],
-                list(pres.rules.values()),
-                params=pres.params,
-            ),
+        flipped = Presentation(
+            pres.label + "-flip",
+            [Generator(g.name, -g.degree, g.adjoint) for g in pres.generators],
+            list(pres.rules.values()),
+            params=pres.params,
         )
     pres._flip = flipped
     flipped._flip = pres

@@ -258,12 +258,8 @@ def _numeric_command(args):
             }
         )
     else:  # spectrum
-        import numpy as np
-
         tol = args.tol if args.tol is not None else 1e-12
-        got = numeric.gamma_singular_values(rep)
-        want = numeric.expected_singular_values(rep)
-        dev = float(np.max(np.abs(got - want) / want))
+        dev = numeric.spectrum_deviation(rep)
         ok = dev <= tol
         base.update(
             {

@@ -277,7 +277,7 @@ def delta_su(qparam=None, source=None):
         }
         return GenMorphism(A, AA, images, name="delta")
 
-    return _cached(("delta", A._token), build)
+    return _cached(("delta", A), build)
 
 
 def delta_uq2(qparam=None):
@@ -300,8 +300,7 @@ def delta_uq2(qparam=None):
         def lift(el):
             pairs = []
             for w, c in el.terms():
-                x1 = tuple(i for i in w if AA.leg_of(i) == 1)
-                x2 = tuple(AA.local_index(i) for i in w if AA.leg_of(i) == 2)
+                x1, x2 = AA.split_legs(w)
                 head = B.element([(c, x1)]) * _zpower(B, A.degree_of_word(x2))
                 pairs.append((embed(BB, 1, head), embed(BB, 2, B.element([(1, x2)]))))
             return BB.product_sum(pairs)
@@ -310,7 +309,7 @@ def delta_uq2(qparam=None):
         images[B.gen_index("z")] = embed(BB, 1, z) * embed(BB, 2, z)
         return GenMorphism(B, BB, images, name="delta_B")
 
-    return _cached(("delta_B", B._token), build)
+    return _cached(("delta_B", B), build)
 
 
 def iota1(qparam=None):

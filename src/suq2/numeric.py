@@ -329,3 +329,9 @@ def expected_singular_values(rep):
     else:
         base = [r**n for n in range(rep.N + 1)]
     return np.repeat(sorted(base, reverse=True), rep.M)
+
+
+def spectrum_deviation(rep):
+    """Largest relative deviation of gamma's singular values from the expected ones."""
+    want = expected_singular_values(rep)
+    return float(np.max(np.abs(gamma_singular_values(rep) - want) / want))

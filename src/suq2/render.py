@@ -48,24 +48,13 @@ def render_word(pres, word, unicode_names=False):
         return "1"
     if pres.factors is None:
         return _render_letters(pres, word, unicode_names)
-    # group consecutive letters of the same leg into j<leg>(...) wrappers
-    chunks = []
-    current_leg = None
-    current = []
-    for idx in word:
-        leg = pres.leg_of(idx)
-        if leg != current_leg and current:
-            chunks.append((current_leg, current))
-            current = []
-        current_leg = leg
-        current.append(idx)
-    chunks.append((current_leg, current))
-    parts = []
-    for leg, letters in chunks:
-        factor = pres.factors[leg - 1]
-        local = [pres.local_index(i) for i in letters]
-        parts.append(f"j{leg}({_render_letters(factor, local, unicode_names)})")
-    return "*".join(parts)
+    # a normal word is sorted by leg: one j<leg>(...) per nonempty leg
+    legs = zip(pres.factors, pres.split_legs(word))
+    return "*".join(
+        f"j{leg}({_render_letters(factor, local, unicode_names)})"
+        for leg, (factor, local) in enumerate(legs, start=1)
+        if local
+    )
 
 
 def render_element(el, unicode_names=False):

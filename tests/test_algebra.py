@@ -152,17 +152,45 @@ def test_reduce_word_pairs_in_deglex_order():
     assert A.reduce_word((2, 3)) == ((one, ()), (-(Q * QB), (0, 1)))
 
 
-def test_step_budget_raises_labelled_error():
+def test_step_budget_raises_labelled_error(monkeypatch):
     from suq2.algebra import RewriteLimitError
     from suq2.errors import RewriteLimitError as FromErrors
 
     assert RewriteLimitError is FromErrors
-    A.memo_enabled = False
-    try:
-        with pytest.raises(RewriteLimitError, match="^rewrite-limit: .* 2 steps"):
-            A.reduce_word((3, 2, 0, 1, 2), max_steps=2)
-    finally:
-        A.memo_enabled = True
+    monkeypatch.setattr(A, "memo_enabled", False)
+    monkeypatch.setattr(Presentation, "DEFAULT_STEP_LIMIT", 2)
+    with pytest.raises(RewriteLimitError, match="^rewrite-limit: .* 2 steps"):
+        A.reduce_word((3, 2, 0, 1, 2))
+
+
+def test_normal_prefix_costs_one_step_a_letter(monkeypatch):
+    from suq2.errors import RewriteLimitError
+
+    word = (0, 0, 1, 2, 2, 2)  # g^2 g' a^3, normal
+    monkeypatch.setattr(A, "memo_enabled", False)
+    monkeypatch.setattr(Presentation, "DEFAULT_STEP_LIMIT", len(word))
+    assert A.reduce_word(word) == ((Scalar.one(), word),)
+    monkeypatch.setattr(Presentation, "DEFAULT_STEP_LIMIT", len(word) - 1)
+    with pytest.raises(RewriteLimitError):
+        A.reduce_word(word)
+
+
+def test_fold_starts_after_the_normal_prefix(monkeypatch):
+    calls = []
+    times_letter = A.times_letter
+
+    def counted(w, x):
+        calls.append((w, x))
+        return times_letter(w, x)
+
+    monkeypatch.setattr(A, "memo_enabled", False)
+    monkeypatch.setattr(A, "times_letter", counted)
+    assert A.gen("a") ** 200 == A.element([(1, (2,) * 200)])
+    assert A.reduce_word((0, 0, 1, 3, 3)) == ((Scalar.one(), (0, 0, 1, 3, 3)),)
+    assert calls == []
+    # g g' a^2 g: the prefix g g' a^2 is normal, so only the last g is folded in
+    A.reduce_word((0, 1, 2, 2, 0))
+    assert calls == [((0, 1, 2, 2), 0)]
 
 
 def _a_star_a(n):

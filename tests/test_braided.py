@@ -93,8 +93,39 @@ def test_triple_product_association_orders_agree():
     # fully mixed word reduces to leg-sorted normal form
     mixed = e3 * e1 * e2
     for word, _ in mixed.terms():
-        legs = [A3.leg_of(i) for i in word]
-        assert legs == sorted(legs)
+        assert _join_legs(A3, A3.split_legs(word)) == word
+
+
+def _join_legs(product, locals_):
+    """The word whose legs are ``locals_``, leg 1 first."""
+    return tuple(i + off for off, local in zip(product.leg_offsets, locals_) for i in local)
+
+
+def test_split_legs_round_trips_every_normal_word():
+    normal = {
+        w
+        for n in range(4)
+        for word in itertools.product(range(A3.n_gens), repeat=n)
+        for _, w in A3.reduce_word(word)
+    }
+    assert len(normal) > 100
+    for word in normal:
+        legs = A3.split_legs(word)
+        assert len(legs) == 3
+        assert all(0 <= i < A.n_gens for local in legs for i in local)
+        assert _join_legs(A3, legs) == word
+
+
+def test_gen_index_searches_one_leg():
+    for leg in (1, 2, 3):
+        lo, hi = A3.leg_offsets[leg - 1 : leg + 1]
+        for name in ("g", "g'", "a", "a'"):
+            i = A3.gen_index(name, leg)
+            assert lo <= i < hi and A3.generators[i].name == name
+            assert A3.split_legs((i,))[leg - 1] == (A.gen_index(name),)
+    assert A3.gen_index("a") == A.gen_index("a")
+    with pytest.raises(KeyError):
+        A3.gen_index("z", 2)
 
 
 def test_grading_flip_involution_and_degrees():

@@ -46,9 +46,7 @@ def exhaustive_critical_pairs(pres, maxlen):
                     cut = pos + len(rule.lhs)
                     acc = {}
                     for coeff, rw in rule.rhs:
-                        for c2, w2 in pres.reduce_word(
-                            word[:pos] + rw + word[cut:], max_steps=10_000
-                        ):
+                        for c2, w2 in pres.reduce_word(word[:pos] + rw + word[cut:]):
                             s = acc.get(w2)
                             s = coeff * c2 if s is None else s + coeff * c2
                             if s.is_zero():

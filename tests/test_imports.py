@@ -2,11 +2,12 @@
 and the modules form one chain.
 
 The layering rule: the modules are ordered as ``LAYERS``, and a module
-imports a sibling only at module top and only from earlier in the chain, so
-there is no import cycle and no import hidden inside a function.  ``numeric``
-comes first because it imports no sibling.  The one function-level import is
-``cli``'s lazy ``numeric``, which keeps numpy off the cold path; it is named
-in ``LAZY_IMPORTS``.
+imports a sibling only from earlier in the chain, so there is no import
+cycle.  Every import, of a sibling or of any other module, sits at module
+top, so none hides inside a function.  ``numeric`` comes first because it
+imports no sibling.  The one function-level import is ``cli``'s lazy
+``numeric``, which keeps numpy off the cold path; it is named in
+``LAZY_IMPORTS``.
 """
 
 import ast
@@ -62,29 +63,31 @@ def unused_imports(source):
     return [name for name in imported if name not in used]
 
 
-def _relative_imports(node, in_function=False):
-    """``(sibling, inside a function?)`` for every relative import under ``node``."""
+def _imports(node, in_function=False):
+    """``(module, relative?, inside a function?)`` for every import under ``node``."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.ImportFrom) and child.level:
-            if child.module:  # from .x import ...
-                yield child.module.split(".")[0], in_function
+        if isinstance(child, ast.Import):
+            yield from ((a.name.split(".")[0], False, in_function) for a in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            if child.module:  # from x import ... or from .x import ...
+                yield child.module.split(".")[0], bool(child.level), in_function
             else:  # from . import x, y
-                yield from ((a.name, in_function) for a in child.names)
+                yield from ((a.name, True, in_function) for a in child.names)
         nested = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-        yield from _relative_imports(child, in_function or nested)
+        yield from _imports(child, in_function or nested)
 
 
 def layering_violations(module, source):
-    """One line per relative import of ``module`` that breaks the layering rule."""
+    """One line per import of ``module`` that breaks the layering rule."""
     name = module.removesuffix(".py")
     below = LAYERS[: LAYERS.index(name)]
     out = []
-    for sibling, in_function in _relative_imports(ast.parse(source)):
+    for imported, relative, in_function in _imports(ast.parse(source)):
         if in_function:
-            if (name, sibling) not in LAZY_IMPORTS:
-                out.append(f"{name} imports {sibling} inside a function")
-        elif sibling not in below:
-            out.append(f"{name} imports {sibling}, which is not below it")
+            if (name, imported) not in LAZY_IMPORTS:
+                out.append(f"{name} imports {imported} inside a function")
+        elif relative and imported not in below:
+            out.append(f"{name} imports {imported}, which is not below it")
     return out
 
 
@@ -130,6 +133,11 @@ def test_layering_detector():
     lazy = "def f():\n    from . import numeric\n"
     assert layering_violations("cli.py", lazy) == []
     assert layering_violations("checks.py", lazy) == ["checks imports numeric inside a function"]
+    absolute = "import numpy as np\ndef f():\n    import numpy as np\n    from math import inf\n"
+    assert layering_violations("cli.py", absolute) == [
+        "cli imports numpy inside a function",
+        "cli imports math inside a function",
+    ]
     assert layering_violations("numeric.py", "from .scalars import Scalar\n") == [
         "numeric imports scalars, which is not below it"
     ]

@@ -268,9 +268,7 @@ def test_uq2_is_derived_exactly_at_every_parameter(label):
 
     d = delta_uq2(p)
     BB = d.target
-    split = lambda w: tuple(
-        names(tuple(BB.local_index(i) for i in w if BB.leg_of(i) == leg)) for leg in (1, 2)
-    )
+    split = lambda w: tuple(names(local) for local in BB.split_legs(w))
     assert {
         B.generators[i].name: {split(w): c for w, c in el.terms()} for i, el in d.images.items()
     } == images
