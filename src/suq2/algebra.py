@@ -140,6 +140,10 @@ class Presentation:
         self.memo_enabled = True
         self.times_letter = None
         self._gens = {}
+        # a bare name means its first occurrence, on a tensor product leg 1's
+        self._index = {}
+        for i, g in enumerate(self.generators):
+            self._index.setdefault(g.name, i)
         self._flip = None
         self.leg_offsets = _leg_offsets(self.factors) if self.factors else None
         self._validate()
@@ -157,7 +161,9 @@ class Presentation:
         return sum(self.generators[i].degree for i in word)
 
     def gen_index(self, name, leg=None):
-        lo, hi = (0, self.n_gens) if leg is None else self.leg_offsets[leg - 1 : leg + 1]
+        if leg is None:
+            return self._index[name]
+        lo, hi = self.leg_offsets[leg - 1 : leg + 1]
         for i in range(lo, hi):
             if self.generators[i].name == name:
                 return i

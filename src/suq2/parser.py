@@ -21,6 +21,9 @@ alone) evaluate as :class:`~suq2.scalars.Scalar`; a scalar becomes an element
 of the selected presentation only where it meets a generator, a ``jN(...)``
 or the end of the input, so scalar arithmetic and algebra words share one
 grammar and ``parse`` always returns an element.
+
+Tokens are plain strings: an integer literal, a name or one other character,
+then ``""`` as the end token.  Columns are recomputed only for a ParseError.
 """
 
 from __future__ import annotations
@@ -32,12 +35,13 @@ from .braided import embed
 from .errors import ParseError
 from .scalars import Scalar
 
-# one alternative per token kind; the last catches any other non-space
-# character, so a single finditer pass both tokenizes and finds strays
-_LEXEME = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|(['^()*/+-])|(\S)")
+# an integer literal, a name or any other non-space character, of which the
+# descent reads only operators: tokenize() refuses a _STRAY before it runs
+_LEXEME = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|\S")
+_STRAY = re.compile(r"[^\s\dA-Za-z'^()*/+-]")
 
-# nesting bound for parentheses: at four frames a level the recursive descent
-# leaves about 180 frames of Python's default recursion limit to the caller,
+# nesting bound for parentheses: at two frames a level the recursive descent
+# leaves about 590 frames of Python's default recursion limit to the caller,
 # so the bound, not the caller's stack depth, decides; RecursionError in
 # parse() stays as a backstop for callers deeper than that
 MAX_DEPTH = 200
@@ -51,93 +55,144 @@ _SCALARS = {
 
 
 def tokenize(text):
-    tokens = []
-    for m in _LEXEME.finditer(text):
-        number, name, op, stray = m.groups()
-        col = m.start() + 1
-        if number is not None:
-            try:
-                value = int(number)
-            except ValueError:  # Python's int-from-str digit limit
-                raise ParseError(
-                    f"int-digits: integer literal has {len(number)} digits, over "
-                    f"the limit of {sys.get_int_max_str_digits()}",
-                    col,
-                ) from None
-            tokens.append(("int", value, col))
-        elif name is not None:
-            tokens.append(("name", name, col))
-        elif op is not None:
-            tokens.append(("op", op, col))
-        else:
-            raise ParseError(f"unexpected character {stray!r}", col)
-    tokens.append(("end", None, len(text) + 1))
+    """The token strings of ``text``, then the end token ``""``."""
+    limit = sys.get_int_max_str_digits()
+    if _STRAY.search(text) or 0 < limit < len(text):
+        # report the first stray or over-long literal, in text order
+        for m in _LEXEME.finditer(text):
+            lexeme = m.group()
+            if _STRAY.match(lexeme):
+                raise ParseError(f"unexpected character {lexeme!r}", m.start() + 1)
+            if lexeme.isdecimal():
+                try:
+                    int(lexeme)
+                except ValueError:  # Python's int-from-str digit limit
+                    raise ParseError(
+                        f"int-digits: integer literal has {len(lexeme)} digits, "
+                        f"over the limit of {limit}",
+                        m.start() + 1,
+                    ) from None
+    tokens = _LEXEME.findall(text)
+    tokens.append("")
     return tokens
 
 
+def _column(text, k):
+    """The 1-based column of token ``k`` of ``text``; the end token's is one past it."""
+    starts = [m.start() + 1 for m in _LEXEME.finditer(text)]
+    return starts[k] if k < len(starts) else len(text) + 1
+
+
 class _Parser:
-    def __init__(self, pres, tokens):
+    """Top-down descent: ``parse_expr`` reads the expr and term rules, and
+    ``parse_factor`` the factor and primary rules, so a level of parentheses
+    costs two frames."""
+
+    def __init__(self, pres, text):
         self.pres = pres
-        self.tokens = tokens
+        self.text = text
+        self.tokens = tokenize(text)
         self.i = 0
-        self.open_parens = []
+        self.open_parens = []  # token indices of the "(" not yet closed
 
-    # -- grammar ------------------------------------------------------------
+    def error(self, message, k):
+        return ParseError(message, _column(self.text, k))
 
-    def parse_expr(self, pres=None):
-        pres = pres or self.pres
-        kind, value, col = self.tokens[self.i]
-        negate = False
-        if kind == "op" and value == "-":
+    def parse_expr(self, pres):
+        tokens = self.tokens
+        sign = tokens[self.i]  # a leading "-" negates the first term
+        if sign == "-":
             self.i += 1
-            negate = True
-        out = self.parse_term(pres)
-        if negate:
-            out = -out
+        out = None
         while True:
-            kind, value, col = self.tokens[self.i]
-            if kind == "op" and value in "+-":
-                self.i += 1
-                rhs = self.parse_term(pres)
-                out = out + rhs if value == "+" else out - rhs
-            else:
-                return out
-
-    def parse_term(self, pres):
-        out = self.parse_factor(pres)
-        while True:
-            kind, value, col = self.tokens[self.i]
-            if kind == "op" and value in "*/":
-                self.i += 1
-                rhs = self.parse_factor(pres)
-                if value == "*":
-                    out = out * rhs
+            term = self.parse_factor(pres)
+            while True:
+                tok = tokens[self.i]
+                if tok == "*" or tok == "/":
+                    k = self.i
+                    self.i += 1
+                    rhs = self.parse_factor(pres)
+                    if tok == "/":
+                        rhs = self._as_scalar(rhs, k).inverse()
+                elif tok.isalnum() or tok == "(":
+                    rhs = self.parse_factor(pres)
                 else:
-                    out = out * self._as_scalar(rhs, col).inverse()
-            elif kind in ("int", "name") or (kind == "op" and value == "("):
-                out = out * self.parse_factor(pres)
+                    break
+                if isinstance(term, Scalar) and not isinstance(rhs, Scalar):
+                    term = rhs.scale(term)
+                else:
+                    term = term * rhs
+            if out is None:
+                out = -term if sign == "-" else term
             else:
+                out = out + term if sign == "+" else out - term
+            sign = tokens[self.i]
+            if sign != "+" and sign != "-":
                 return out
+            self.i += 1
 
     def parse_factor(self, pres):
-        out = self.parse_primary(pres)
+        tokens = self.tokens
+        k = self.i
+        tok = tokens[k]
+        self.i += 1
+        if tok.isdecimal():
+            out = Scalar.from_int(int(tok))
+        elif tok == "(":
+            self.open_parens.append(k)
+            # the "jN(" of an enclosing leg embedding is not a nesting level
+            if len(self.open_parens) - (pres is not self.pres) > MAX_DEPTH:
+                raise self.error(f"parse-depth: more than {MAX_DEPTH} nested parentheses", k)
+            out = self._close(self.parse_expr(pres))
+        elif tok in _SCALARS:
+            out = _SCALARS[tok]()
+        elif len(tok) == 2 and tok[0] == "j" and tok[1].isdigit():
+            leg = int(tok[1])
+            if pres.factors is None:
+                raise self.error(f"leg embedding {tok} needs a tensor-product algebra", k)
+            if not (1 <= leg <= len(pres.factors)):
+                raise self.error(f"algebra has no leg {leg}", k)
+            if tokens[self.i] != "(":
+                raise self.error(f"expected '(' after {tok}", self.i)
+            self.open_parens.append(self.i)
+            self.i += 1
+            factor = pres.factors[leg - 1]
+            inner = self._close(self.parse_expr(factor))
+            if isinstance(inner, Scalar):
+                inner = factor.scalar(inner)
+            out = embed(pres, leg, inner)
+        elif tok.isalnum():
+            # generator name; a following apostrophe is handled as the
+            # adjoint postfix, which on a generator is its starred partner
+            try:
+                idx = pres.gen_index(tok)
+            except KeyError:
+                raise self.error(
+                    f"unknown generator {tok!r} for algebra {pres.label!r}", k
+                ) from None
+            out = pres.gen(idx)
+        elif not tok and self.open_parens:
+            raise self.error("unclosed parenthesis", self.open_parens[-1])
+        else:
+            raise self.error("unexpected end of expression" if not tok else
+                             f"unexpected token {tok!r}", k)
         while True:
-            kind, value, col = self.tokens[self.i]
-            if kind == "op" and value == "'":
+            tok = tokens[self.i]
+            if tok == "'":
                 self.i += 1
                 out = out.conjugate() if isinstance(out, Scalar) else out.adjoint()
-            elif kind == "op" and value == "^":
+            elif tok == "^":
+                k = self.i
                 self.i += 1
-                kind2, value2, col2 = self.tokens[self.i]
                 sign = 1
-                if kind2 == "op" and value2 == "-":
+                if tokens[self.i] == "-":
                     self.i += 1
                     sign = -1
-                    kind2, value2, col2 = self.tokens[self.i]
-                if kind2 != "int":
-                    raise ParseError("expected an integer exponent", col2)
+                exponent = tokens[self.i]
+                if not exponent.isdecimal():
+                    raise self.error("expected an integer exponent", self.i)
                 self.i += 1
-                n = sign * value2
+                n = sign * int(exponent)
                 # a scalar base takes Scalar.__pow__, which squares repeatedly
                 if (
                     n >= 0
@@ -146,71 +201,19 @@ class _Parser:
                 ):
                     out = out**n
                 else:
-                    out = self._as_scalar(out, col) ** n
+                    out = self._as_scalar(out, k) ** n
             else:
                 return out
 
-    def parse_primary(self, pres):
-        kind, value, col = self.tokens[self.i]
+    def _close(self, inner):
+        """Consume the ")" of the innermost open parenthesis; return ``inner``."""
+        if self.tokens[self.i] != ")":
+            raise self.error("unclosed parenthesis", self.open_parens[-1])
         self.i += 1
-        if kind == "int":
-            return Scalar.from_int(value)
-        if kind == "op" and value == "(":
-            self.open_parens.append(col)
-            # the "jN(" of an enclosing leg embedding is not a nesting level
-            if len(self.open_parens) - (pres is not self.pres) > MAX_DEPTH:
-                raise ParseError(
-                    f"parse-depth: more than {MAX_DEPTH} nested parentheses", col
-                )
-            inner = self.parse_expr(pres)
-            k2, v2, _ = self.tokens[self.i]
-            if not (k2 == "op" and v2 == ")"):
-                raise ParseError("unclosed parenthesis", col)
-            self.i += 1
-            self.open_parens.pop()
-            return inner
-        if kind == "name":
-            if value in _SCALARS:
-                return _SCALARS[value]()
-            if len(value) == 2 and value[0] == "j" and value[1].isdigit():
-                leg = int(value[1])
-                if pres.factors is None:
-                    raise ParseError(
-                        f"leg embedding {value} needs a tensor-product algebra", col
-                    )
-                if not (1 <= leg <= len(pres.factors)):
-                    raise ParseError(f"algebra has no leg {leg}", col)
-                kind2, value2, col2 = self.tokens[self.i]
-                if not (kind2 == "op" and value2 == "("):
-                    raise ParseError(f"expected '(' after {value}", col2)
-                self.i += 1
-                self.open_parens.append(col2)
-                factor = pres.factors[leg - 1]
-                inner = self.parse_expr(factor)
-                k3, v3, _ = self.tokens[self.i]
-                if not (k3 == "op" and v3 == ")"):
-                    raise ParseError("unclosed parenthesis", col2)
-                self.i += 1
-                self.open_parens.pop()
-                if isinstance(inner, Scalar):
-                    inner = factor.scalar(inner)
-                return embed(pres, leg, inner)
-            # generator name; a following apostrophe is handled as the
-            # adjoint postfix, which on a generator is its starred partner
-            try:
-                idx = pres.gen_index(value)
-            except KeyError:
-                raise ParseError(
-                    f"unknown generator {value!r} for algebra {pres.label!r}", col
-                ) from None
-            return pres.gen(idx)
-        if kind == "end" and self.open_parens:
-            raise ParseError("unclosed parenthesis", self.open_parens[-1])
-        raise ParseError("unexpected end of expression" if kind == "end" else
-                         f"unexpected token {value!r}", col)
+        self.open_parens.pop()
+        return inner
 
-    @staticmethod
-    def _as_scalar(el, col):
+    def _as_scalar(self, el, k):
         if isinstance(el, Scalar):
             return el
         terms = el.terms()
@@ -218,19 +221,16 @@ class _Parser:
             return Scalar.zero()
         if len(terms) == 1 and terms[0][0] == ():
             return terms[0][1]
-        raise ParseError("this operation needs a scalar operand", col)
+        raise self.error("this operation needs a scalar operand", k)
 
 
 def parse(text, pres):
     """Parse an expression into a normalized element of ``pres``."""
-    parser = _Parser(pres, tokenize(text))
+    parser = _Parser(pres, text)
     try:
-        out = parser.parse_expr()
+        out = parser.parse_expr(pres)
     except RecursionError:
-        raise ParseError(
-            "parse-depth: expression nests too deeply", parser.tokens[parser.i][2]
-        ) from None
-    kind, value, col = parser.tokens[parser.i]
-    if kind != "end":
-        raise ParseError(f"unexpected token {value!r}", col)
+        raise parser.error("parse-depth: expression nests too deeply", parser.i) from None
+    if parser.tokens[parser.i]:
+        raise parser.error(f"unexpected token {parser.tokens[parser.i]!r}", parser.i)
     return pres.scalar(out) if isinstance(out, Scalar) else out

@@ -1,6 +1,8 @@
 """The expression front-end: grammar, errors, round-trips."""
 
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from suq2 import (
     uq2_presentation,
 )
 from suq2.cli import _algebra
-from suq2.parser import tokenize
+from suq2.parser import _column, tokenize
 
 A = suq2_presentation()
 Q = A.params["q"]
@@ -184,20 +186,120 @@ def test_scalar_operand_error_column(text, column):
 @pytest.mark.parametrize(
     "text, tokens",
     [
-        ("a\t*\tg", [("name", "a", 1), ("op", "*", 3), ("name", "g", 5)]),
-        ("a\n+ q\n", [("name", "a", 1), ("op", "+", 3), ("name", "q", 5)]),
-        ("q  \t ", [("name", "q", 1)]),
-        ("q^-2 a'", [("name", "q", 1), ("op", "^", 2), ("op", "-", 3),
-                     ("int", 2, 4), ("name", "a", 6), ("op", "'", 7)]),
-        ("j1(", [("name", "j1", 1), ("op", "(", 3)]),
+        ("a\t*\tg", [("a", 1), ("*", 3), ("g", 5)]),
+        ("a\n+ q\n", [("a", 1), ("+", 3), ("q", 5)]),
+        ("q  \t ", [("q", 1)]),
+        ("q^-2 a'", [("q", 1), ("^", 2), ("-", 3), ("2", 4), ("a", 6), ("'", 7)]),
+        ("j1(", [("j1", 1), ("(", 3)]),
         ("", []),
         ("   ", []),
         ("\t\n ", []),
     ],
 )
 def test_tokens_and_columns(text, tokens):
-    # the end token sits one past the text, also after trailing whitespace
-    assert tokenize(text) == tokens + [("end", None, len(text) + 1)]
+    # the end token "" sits one past the text, also after trailing whitespace
+    tokens = tokens + [("", len(text) + 1)]
+    assert tokenize(text) == [tok for tok, _ in tokens]
+    assert [_column(text, k) for k in range(len(tokens))] == [col for _, col in tokens]
+
+
+# the tokenizer of (kind, value, column) tuples that tokenize() replaced, kept
+# verbatim as the oracle of tokens, columns and lexical errors
+_REFERENCE_LEXEME = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|(['^()*/+-])|(\S)")
+
+
+def _reference_tokenize(text):
+    tokens = []
+    for m in _REFERENCE_LEXEME.finditer(text):
+        number, name, op, stray = m.groups()
+        col = m.start() + 1
+        if number is not None:
+            try:
+                value = int(number)
+            except ValueError:  # Python's int-from-str digit limit
+                raise ParseError(
+                    f"int-digits: integer literal has {len(number)} digits, over "
+                    f"the limit of {sys.get_int_max_str_digits()}",
+                    col,
+                ) from None
+            tokens.append(("int", value, col))
+        elif name is not None:
+            tokens.append(("name", name, col))
+        elif op is not None:
+            tokens.append(("op", op, col))
+        else:
+            raise ParseError(f"unexpected character {stray!r}", col)
+    tokens.append(("end", None, len(text) + 1))
+    return tokens
+
+
+def _as_triples(text):
+    """tokenize()'s strings and their columns, in the reference's tuple form."""
+    triples = []
+    for k, tok in enumerate(tokenize(text)):
+        col = _column(text, k)
+        assert text[col - 1 : col - 1 + len(tok)] == tok
+        if not tok:
+            triples.append(("end", None, col))
+        elif tok.isdecimal():
+            triples.append(("int", int(tok), col))
+        else:
+            triples.append(("name" if tok.isalnum() else "op", tok, col))
+    return triples
+
+
+def _lex_outcome(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ParseError as err:
+        return str(err)  # the message and its column
+
+
+def test_tokenizer_matches_the_reference():
+    rng = random.Random(1)
+    alphabet = " \t\n'^()*/+-agqzj109é%٣²"
+    errors = 0
+    for _ in range(20_000):
+        text = "".join(rng.choices(alphabet, k=rng.randint(0, 14)))
+        expected = _lex_outcome(_reference_tokenize, text)
+        assert _lex_outcome(_as_triples, text) == expected, text
+        errors += isinstance(expected, str)
+    assert 5_000 < errors < 15_000
+    # an over-long literal under a lowered digit limit, before, after or
+    # without a stray character; the text alone may also exceed the limit
+    limit = sys.get_int_max_str_digits()
+    kinds = set()
+    try:
+        sys.set_int_max_str_digits(640)
+        for _ in range(300):
+            digits = "".join(rng.choices("109٣", k=rng.choice((640, 641, 700))))
+            pieces = [rng.choice(("", digits)), rng.choice(("", "%", "é", "²"))]
+            rng.shuffle(pieces)
+            head, tail = rng.choice(("", "a ", "2*", "q(")), rng.choice(("", " g", ")"))
+            text = head + "".join(pieces) + tail + " " * rng.choice((0, 700))
+            expected = _lex_outcome(_reference_tokenize, text)
+            assert _lex_outcome(_as_triples, text) == expected, text
+            kinds.add(expected.split()[0] if isinstance(expected, str) else "ok")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert kinds == {"int-digits:", "unexpected", "ok"}
+
+
+@pytest.mark.parametrize(
+    "algebra, text, message",
+    [
+        ("suq2", "2^", "expected an integer exponent (column 3)"),
+        ("suq2", "a^-", "expected an integer exponent (column 4)"),
+        ("suq2-tensor2", "j1 a", "expected '(' after j1 (column 4)"),
+        ("suq2", "a)", "unexpected token ')' (column 2)"),
+        ("suq2", "a**g", "unexpected token '*' (column 3)"),
+        ("suq2", "'", "unexpected token \"'\" (column 1)"),
+    ],
+)
+def test_descent_error_messages(algebra, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text, _algebra(algebra))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
