@@ -364,9 +364,6 @@ class Element:
     def is_zero(self):
         return not self._terms
 
-    def __len__(self):
-        return len(self._terms)
-
     # -- ring operations ----------------------------------------------------------
 
     def _check_same(self, other):

@@ -23,7 +23,7 @@ from .errors import PresentationMismatchError
 from .scalars import Scalar
 
 
-def twisted_tensor(factors, zeta=None):
+def twisted_tensor(factors, zeta):
     """The zeta-twisted tensor product of two or more base presentations."""
     factors = tuple(factors)
     if len(factors) < 2:
@@ -31,8 +31,6 @@ def twisted_tensor(factors, zeta=None):
     for f in factors:
         if f.factors is not None:
             raise ValueError("tensor factors must be base presentations")
-    if zeta is None:
-        zeta = Scalar.zeta()
     if not isinstance(zeta, Scalar):
         raise TypeError("zeta must be a Scalar")
     if not (zeta * zeta.conjugate()).is_one():

@@ -4,7 +4,8 @@ Every check runs over the formal parameter, so a pass is an exact identity
 in the two-variable coefficient field and therefore holds for every complex
 specialisation at once.  Each check returns a :class:`CheckResult` whose
 ``residuals`` list renders whatever failed.  That list is the verdict: a
-check passes exactly when it has no residuals.
+check passes exactly when it has no residuals.  A check's id is its key in
+:data:`CHECKS` and nowhere else.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .scalars import Scalar
 
 @dataclass
 class CheckResult:
-    check_id: str
     anchor: str
     residuals: list
     details: dict
@@ -55,8 +55,8 @@ class CheckResult:
         return not self.residuals
 
 
-def _result(check_id, anchor, residuals, **details):
-    return CheckResult(check_id, anchor, list(residuals), details)
+def _result(anchor, residuals, **details):
+    return CheckResult(anchor, list(residuals), details)
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +70,6 @@ def check_unitary_u():
         f"(u* u - 1)[{r},{c}] = {el.render()}" for (r, c), el in r2.nonzero_entries()
     ]
     return _result(
-        "unitary-u",
         "the fundamental 2x2 matrix ((a, -q g'), (g, a')) is unitary",
         residuals,
     )
@@ -81,7 +80,6 @@ def check_delta_hom():
         f"image of rule {rule.lhs} leaves {el.render()}" for rule, el in delta_su().residuals
     ]
     return _result(
-        "delta-hom",
         "the comultiplication images satisfy all five defining relations "
         "inside the twisted square, for the formal parameter",
         residuals,
@@ -118,7 +116,6 @@ def check_delta_coassoc():
         if not (matrix_apply(mor, u) - t3).is_zero():
             residuals.append(f"{mor.name} disagrees with the triple matrix product")
     return _result(
-        "delta-coassoc",
         "(delta x id) o delta = (id x delta) o delta on all generators, and "
         "both equal the entrywise triple product j1(u) j2(u) j3(u)",
         residuals,
@@ -127,7 +124,6 @@ def check_delta_coassoc():
 
 def check_delta_equivariance():
     return _result(
-        "delta-equivariance",
         "the comultiplication sends each generator to a homogeneous element "
         "of the same degree",
         delta_su().degree_residuals(),
@@ -148,7 +144,6 @@ def check_cancellation_witness():
     generator pairs.
     """
     return _result(
-        "cancellation-witness",
         "j1(u) = delta(u) j2(u)* and j2(u) = j1(u)* delta(u) entrywise; hence "
         "every word has an explicit delta(a) j2(b) expansion",
         cancellation_witness(),
@@ -175,7 +170,6 @@ def check_prop_8_44():
     AA = twisted_tensor([A, A], A.params["zeta"])
     failures = braiding_failures(A, partial(embed, AA, 1), partial(embed, AA, 2))
     return _result(
-        "prop-8-44",
         "j1(x) j2(y) = zeta^(deg x deg y) j2(y) j1(x) for homogeneous monomials",
         [f"x={x}, y={y}" for x, y in failures],
         pairs_checked=A.n_gens**2,
@@ -194,7 +188,6 @@ def check_tensprod_corep():
     if not all(r.is_zero() for r in v.unitarity_residuals()):
         residuals.append("tensor square is not unitary")
     return _result(
-        "tensprod-corep",
         "the tensor square of the fundamental representation is again a "
         "unitary invariant corepresentation",
         residuals,
@@ -215,7 +208,6 @@ def check_invariant_vector():
     if all(el.is_zero() for el in invariant_vector_check(v, xi_bad)):
         residuals.append("the doubled-coefficient perturbation was wrongly fixed")
     return _result(
-        "invariant-vector",
         "the tensor square fixes e0 x e1 - q e1 x e0 and does not fix the "
         "doubled-coefficient perturbation",
         residuals,
@@ -225,7 +217,6 @@ def check_invariant_vector():
 def check_invariance_constraints():
     equations, residuals = constraint_derivation()
     return _result(
-        "invariance-constraints",
         "invariance of e0 x e1 - q e1 x e0 for a generic invariant unitary "
         "forces exactly b = -q c*, d = a*, b* = -q conj(zeta) c, hence "
         "conj(q) zeta = q when b is nonzero",
@@ -245,7 +236,6 @@ def check_aq_symmetry():
     if not equal_on_generators(compose(phi2, d_flip), compose(d_tilde, phi)):
         residuals.append("(phi x phi) o delta != delta o phi")
     return _result(
-        "aq-symmetry",
         "the grading flip is isomorphic to the algebra at parameter "
         "1/conj(q) via a |-> a'~, g |-> q~ g'~, compatibly with the "
         "comultiplications",
@@ -265,7 +255,6 @@ def check_q_inverse_iso():
     ):
         residuals.append("the double parameter inversion is not the identity")
     return _result(
-        "q-inverse-iso",
         "a |-> a', g |-> q^-1 g is an isomorphism onto the algebra at "
         "parameter 1/q; doing it twice is the identity",
         residuals,
@@ -288,7 +277,6 @@ def check_halmosh_poly():
     if a * gs != (gs * a).scale(q):
         residuals.append("a g' != q g' a")
     return _result(
-        "halmosh-poly",
         "a f(g) = f(qb g) a for every polynomial f, and the adjoint-variable "
         "analogue with q",
         residuals,
@@ -299,7 +287,6 @@ def check_halmosh_poly():
 def check_uq2_hom():
     residuals = [f"rule {r.lhs}: {el.render()}" for r, el in delta_uq2().residuals]
     return _result(
-        "uq2-hom",
         "the extended comultiplication (z |-> z x z, a |-> a x a - q g'z x g, "
         "g |-> g x a + a'z x g) respects all relations",
         residuals,
@@ -309,7 +296,6 @@ def check_uq2_hom():
 def check_uq2_coassoc():
     residuals, _, _ = _coassoc(delta_uq2(), Scalar.one())
     return _result(
-        "uq2-coassoc",
         "the extended comultiplication is coassociative on all generators",
         residuals,
     )
@@ -319,7 +305,6 @@ def check_uq2_corep_bijection():
     inc = su_to_uq2()
     v = matrix_apply(inc, fundamental_matrix(inc.source))
     return _result(
-        "uq2-corep-bijection",
         "u = v U* for the fundamental v is a unitary corepresentation of the "
         "extended algebra, the roundtrip recovers v, and the diagonal z-power "
         "matrix alone is a corepresentation",
@@ -343,7 +328,6 @@ def check_torus_relations():
     if not rep.ok:
         residuals.append(f"confluence divergences: {rep.divergences}")
     return _result(
-        "torus-relations",
         "two unitaries with U V = zeta V U: unitarity, the derived "
         "adjoint-ordered relation, and confluence of the directed rules",
         residuals,
@@ -363,7 +347,6 @@ def check_su2_commutation():
         for x, y in itertools.product(range(A.n_gens), repeat=2)
     )
     return _result(
-        "su2-commutation",
         "i1(x) i2(y) = zeta^(deg x deg y) i2(y) i1(x) for the embeddings "
         "into the extended tensor square",
         [f"x={x}, y={y}" for x, y in failures],
@@ -406,4 +389,5 @@ def run_check(check_id):
 
 
 def run_all():
-    return [run_check(cid) for cid in sorted(CHECKS)]
+    """Every check's result, keyed by its id, in sorted id order."""
+    return {cid: run_check(cid) for cid in sorted(CHECKS)}

@@ -12,10 +12,13 @@ Subcommands::
     numeric    truncated-operator oracle: relation residuals, normal-form
                comparisons, spectrum of the ladder operator
 
-Every command prints one JSON report (schema 1) and exits 0 on pass, 1 on a
-failed check, 2 on usage or parse errors.  Reports are byte-stable for fixed
-options and seed; ``--out PATH`` additionally writes the report to a file
-(an unwritable path is ``error: out-file``, exit 2, and prints no report).
+Each command handler returns its JSON report (schema 1) and exit code;
+:func:`main` alone emits the report and maps results to exit codes: 0 on
+pass, 1 on a failed check, 2 on usage, parse and engine errors (one
+``error: <label>: ...`` line on stderr and no report).  Reports are
+byte-stable for fixed options and seed; ``--out PATH`` writes the report to
+a file before printing it (an unwritable path is ``error: out-file``,
+exit 2, and prints no report).
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ def _tolerance(text):
     return value
 
 
-def _emit(report, out_path=None):
+def _emit(report, out_path):
     text = json.dumps(report, indent=2, ensure_ascii=True)
     if out_path:
         try:
@@ -116,39 +119,28 @@ def _emit(report, out_path=None):
 
 def _expression_command(args):
     pres = _algebra(args.algebra)
-    renderer = (lambda el: el.render(unicode_names=True)) if args.unicode else (
-        lambda el: el.render()
-    )
-    if args.command == "nf":
-        el = parse(args.expr[0], pres)
-        result = renderer(el)
-    elif args.command == "deg":
-        el = parse(args.expr[0], pres)
-        result = el.degree()
-    elif args.command == "mul":
-        el = parse(args.expr[0], pres) * parse(args.expr[1], pres)
-        result = renderer(el)
-    else:  # adjoint
-        el = parse(args.expr[0], pres).adjoint()
-        result = renderer(el)
+    el = parse(args.expr[0], pres)
+    if args.command == "mul":
+        el = el * parse(args.expr[1], pres)
+    elif args.command == "adjoint":
+        el = el.adjoint()
     report = {
         "schema": SCHEMA,
         "command": args.command,
         "algebra": args.algebra,
-        "result": result,
+        "result": el.degree() if args.command == "deg" else el.render(args.unicode),
         "residuals": [],
         "paper_anchor": "",
     }
-    _emit(report, args.out)
-    return 0
+    return report, 0
 
 
-def _check_report(res):
+def _check_report(check_id, res):
     report = {
         "schema": SCHEMA,
         "command": "verify",
         "algebra": "suq2",
-        "check": res.check_id,
+        "check": check_id,
         "result": "pass" if res.ok else "fail",
         "residuals": res.residuals,
         "paper_anchor": res.anchor,
@@ -161,20 +153,19 @@ def _check_report(res):
 
 
 def _verify_command(args):
-    if args.check == "all":
-        results = run_all()
-        report = {
-            "schema": SCHEMA,
-            "command": "verify",
-            "algebra": "suq2",
-            "result": "pass" if all(r.ok for r in results) else "fail",
-            "checks": [_check_report(r) for r in results],
-        }
-        _emit(report, args.out)
-        return 0 if all(r.ok for r in results) else 1
-    res = run_check(args.check)
-    _emit(_check_report(res), args.out)
-    return 0 if res.ok else 1
+    if args.check != "all":
+        res = run_check(args.check)
+        return _check_report(args.check, res), 0 if res.ok else 1
+    results = run_all()
+    ok = all(r.ok for r in results.values())
+    report = {
+        "schema": SCHEMA,
+        "command": "verify",
+        "algebra": "suq2",
+        "result": "pass" if ok else "fail",
+        "checks": [_check_report(cid, r) for cid, r in results.items()],
+    }
+    return report, 0 if ok else 1
 
 
 def _confluence_command(args):
@@ -195,46 +186,32 @@ def _confluence_command(args):
             "words_checked": rep.words_checked,
         },
     }
-    _emit(report, args.out)
-    return 0 if rep.ok else 1
+    return report, 0 if rep.ok else 1
+
+
+# default tolerance of each numeric mode; --tol overrides it
+NUMERIC_TOL = {"relations": 1e-12, "compare": 1e-11, "spectrum": 1e-12}
 
 
 def _numeric_command(args):
     from . import numeric  # numpy loads only for this command
 
     rep = numeric.build(args.qval, args.N, args.M)
-    pres = suq2_presentation()
-    qtext = (
-        f"{args.qval.real:g}"
-        if args.qval.imag == 0
-        else f"{args.qval.real:g},{args.qval.imag:g}"
-    )
-    base = {
-        "schema": SCHEMA,
-        "command": f"numeric {args.mode}",
-        "algebra": "suq2",
-        "qval": qtext,
-        "N": args.N,
-        "M": args.M,
-    }
+    tol = NUMERIC_TOL[args.mode] if args.tol is None else args.tol
+    extra = {}
     if args.mode == "relations":
         residuals = numeric.relation_residuals(rep)
-        tol = args.tol if args.tol is not None else 1e-12
         ok = all(interior <= tol for interior, _ in residuals.values())
-        base.update(
-            {
-                "result": "pass" if ok else "fail",
-                "tolerance": tol,
-                "residuals": [
-                    f"{name}: interior {interior:.3e}, full {full:.3e}"
-                    for name, (interior, full) in residuals.items()
-                ],
-                "paper_anchor": "the five defining relations hold on the "
-                "truncated ladder away from the boundary row",
-            }
+        lines = [
+            f"{name}: interior {interior:.3e}, full {full:.3e}"
+            for name, (interior, full) in residuals.items()
+        ]
+        anchor = (
+            "the five defining relations hold on the truncated ladder away "
+            "from the boundary row"
         )
     elif args.mode == "compare":
-        tol = args.tol if args.tol is not None else 1e-11
+        pres = suq2_presentation()
         rng = random.Random(args.seed)
         worst = 0.0
         worst_word = ()
@@ -245,38 +222,38 @@ def _numeric_command(args):
             if dev > worst:
                 worst, worst_word = dev, word
         ok = worst <= tol
-        base.update(
-            {
-                "result": "pass" if ok else "fail",
-                "tolerance": tol,
-                "count": args.count,
-                "max_word_length": args.maxlen,
-                "seed": args.seed,
-                "residuals": [f"max deviation {worst:.3e} at word {list(worst_word)}"],
-                "paper_anchor": "raw words and their engine normal forms "
-                "evaluate to the same operator on the exact interior block",
-            }
+        extra = {"count": args.count, "max_word_length": args.maxlen, "seed": args.seed}
+        lines = [f"max deviation {worst:.3e} at word {list(worst_word)}"]
+        anchor = (
+            "raw words and their engine normal forms evaluate to the same "
+            "operator on the exact interior block"
         )
     else:  # spectrum
-        tol = args.tol if args.tol is not None else 1e-12
         dev = numeric.spectrum_deviation(rep)
         ok = dev <= tol
-        base.update(
-            {
-                "result": "pass" if ok else "fail",
-                "tolerance": tol,
-                "residuals": [f"max relative singular-value deviation {dev:.3e}"],
-                "paper_anchor": (
-                    "the ladder operator, transported through 1/q, has "
-                    "singular values |q|^-(n+1), each with the winding multiplicity"
-                    if rep.transported
-                    else "the ladder operator has singular values "
-                    "|q|^n, each with the winding multiplicity"
-                ),
-            }
+        lines = [f"max relative singular-value deviation {dev:.3e}"]
+        anchor = (
+            "the ladder operator, transported through 1/q, has singular "
+            "values |q|^-(n+1), each with the winding multiplicity"
+            if rep.transported
+            else "the ladder operator has singular values |q|^n, each with "
+            "the winding multiplicity"
         )
-    _emit(base, args.out)
-    return 0 if base["result"] == "pass" else 1
+    qval = args.qval
+    report = {
+        "schema": SCHEMA,
+        "command": f"numeric {args.mode}",
+        "algebra": "suq2",
+        "qval": f"{qval.real:g}" if qval.imag == 0 else f"{qval.real:g},{qval.imag:g}",
+        "N": args.N,
+        "M": args.M,
+        "result": "pass" if ok else "fail",
+        "tolerance": tol,
+        **extra,
+        "residuals": lines,
+        "paper_anchor": anchor,
+    }
+    return report, 0 if ok else 1
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -304,8 +281,9 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, handler):
         p.add_argument("--out", metavar="PATH", help="also write the JSON report here")
+        p.set_defaults(handler=handler)
 
     for name, nexpr, help_text in (
         ("nf", 1, "normal form of an expression"),
@@ -317,7 +295,7 @@ def build_parser():
         p.add_argument("--algebra", choices=ALGEBRAS, default="suq2")
         p.add_argument("--unicode", action="store_true", help="pretty generator names")
         p.add_argument("expr", nargs=nexpr, help="expression text")
-        add_common(p)
+        add_common(p, _expression_command)
 
     p = sub.add_parser("verify", help="run named identity checks")
     p.add_argument("check", choices=sorted(CHECKS) + ["all"])
@@ -325,15 +303,15 @@ def build_parser():
     p.add_argument("--seed", type=int, default=1, help=inert)
     p.add_argument("--maxlen", type=int, default=3, help=inert)
     p.add_argument("--trials", type=int, default=200, help=inert)
-    add_common(p)
+    add_common(p, _verify_command)
 
     p = sub.add_parser("confluence", help="diamond-lemma proof that the rewrite "
                        "rules are sound, for words of every length")
     p.add_argument("--algebra", choices=ALGEBRAS, default="suq2")
-    add_common(p)
+    add_common(p, _confluence_command)
 
     p = sub.add_parser("numeric", help="truncated-operator oracle")
-    p.add_argument("mode", choices=("relations", "compare", "spectrum"))
+    p.add_argument("mode", choices=NUMERIC_TOL)
     p.add_argument("--q", dest="qval", type=_parse_qval, required=True,
                    metavar="RE[,IM]", help="numeric parameter value")
     p.add_argument("--N", type=int, default=30, help="radial cutoff")
@@ -345,24 +323,16 @@ def build_parser():
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--tol", type=_tolerance, default=None,
                    help="override the tolerance")
-    add_common(p)
+    add_common(p, _numeric_command)
 
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command in ("nf", "deg", "mul", "adjoint"):
-            return _expression_command(args)
-        if args.command == "verify":
-            return _verify_command(args)
-        if args.command == "confluence":
-            return _confluence_command(args)
-        if args.command == "numeric":
-            return _numeric_command(args)
-        raise AssertionError("unreachable")
+        report, code = args.handler(args)
+        _emit(report, args.out)
     except (
         PoleError,
         ZeroDivisorError,
@@ -372,6 +342,7 @@ def main(argv=None):
     ) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

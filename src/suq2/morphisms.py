@@ -125,9 +125,6 @@ class GenMorphism:
                 _accumulate(acc, w, c * coeff)
         return Element(self.target, acc)
 
-    def __call__(self, x):
-        return self.apply(x)
-
     def _require_verified(self):
         if not self.check():
             raise UnverifiedMorphismError(

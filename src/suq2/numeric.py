@@ -263,14 +263,13 @@ def _accumulate(rep, terms, levels, groups, side):
         sums[side] = sums[side] + coeff.evaluate(rep.qval) * val
 
 
-def oracle_compare(rep, pres, raw_terms, depth=None):
+def oracle_compare(rep, pres, raw_terms):
     """Max deviation between a raw expression and its engine normal form.
 
     The comparison is restricted to columns with n <= N - depth, where depth
-    bounds the word length: raising chains started there never touch the
+    is the longest raw word: raising chains started there never touch the
     truncated boundary row, so the model is exact on that block.  Only those
-    interior columns are evaluated.  A ``depth`` below the longest raw word
-    would let the direct side reach the boundary row and is rejected.
+    interior columns are evaluated.
 
     Every letter is a radial weighted shift, its ``radial_tables`` entry, so
     all words with one summed shift ``(dn, dk mod M)`` send a column to the
@@ -286,18 +285,8 @@ def oracle_compare(rep, pres, raw_terms, depth=None):
     maximum over the groups is the dense maximum, and 0.0 when there are no
     terms.
     """
-    raw = []
-    maxlen = 0
-    for coeff, word in raw_terms:
-        word = tuple(word)
-        maxlen = max(maxlen, len(word))
-        raw.append((coeff, word))
-    if depth is None:
-        depth = maxlen
-    if depth < maxlen:
-        raise ValueError(
-            f"depth-below-word: depth {depth} is below the longest word length {maxlen}"
-        )
+    raw = [(coeff, tuple(word)) for coeff, word in raw_terms]
+    depth = max((len(word) for _, word in raw), default=0)
     if depth > rep.N - 1:
         raise ValueError(
             f"depth-beyond-interior: word length {depth} exceeds the exact interior "

@@ -4,16 +4,15 @@ The ASCII form round-trips through the expression parser; a Unicode form
 with the conventional generator glyphs is available for human eyes.
 """
 
+import itertools
+
 _UNICODE_NAMES = {
     "g": "γ",
     "g'": "γ*",
     "a": "α",
     "a'": "α*",
-    "z": "z",
     "z'": "z*",
-    "U": "U",
     "U'": "U*",
-    "V": "V",
     "V'": "V*",
 }
 
@@ -25,19 +24,10 @@ def _letter_name(pres, idx, unicode_names):
     return name
 
 
-def _runs(seq):
-    out = []
-    for item in seq:
-        if out and out[-1][0] == item:
-            out[-1][1] += 1
-        else:
-            out.append([item, 1])
-    return out
-
-
 def _render_letters(pres, letters, unicode_names):
     parts = []
-    for idx, count in _runs(letters):
+    for idx, run in itertools.groupby(letters):
+        count = len(list(run))
         name = _letter_name(pres, idx, unicode_names)
         parts.append(name if count == 1 else f"{name}^{count}")
     return "*".join(parts)

@@ -201,6 +201,39 @@ def test_unwritable_out_file_is_a_usage_error(tmp_path):
     assert not missing.parent.exists()
 
 
+OUT_COMMANDS = [
+    ("nf", "a*a'"),
+    ("deg", "g"),
+    ("mul", "a", "g"),
+    ("adjoint", "a*g"),
+    ("verify", "unitary-u"),
+    ("confluence", "--algebra", "torus"),
+    ("numeric", "relations", "--q", "0.5"),
+]
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=" ".join)
+def test_out_file_holds_the_printed_report(tmp_path, capsys, argv):
+    plain_code = main(list(argv))
+    plain = capsys.readouterr().out
+    path = tmp_path / "report.json"
+    code = main([*argv, "--out", str(path)])
+    assert code == plain_code
+    assert capsys.readouterr().out == plain
+    assert path.read_bytes() == plain.encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify", "unitary-u"), ("numeric", "relations", "--q", "0.5")], ids=" ".join
+)
+def test_unwritable_out_file_prints_no_report(tmp_path, capsys, argv):
+    missing = tmp_path / "missing-dir" / "report.json"
+    assert main([*argv, "--out", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out-file:")
+
+
 def test_bad_q_value_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["numeric", "relations", "--q", "nope"])

@@ -302,7 +302,7 @@ def _record_constructions(monkeypatch):
 
 def test_proved_verdicts_pass_the_full_expansion(monkeypatch):
     built = _record_constructions(monkeypatch)
-    assert all(res.ok for res in checks.run_all())
+    assert all(res.ok for res in checks.run_all().values())
     assert sorted({m.name for m in built}) == [
         "(delta x id)",
         "(delta x id) o delta",

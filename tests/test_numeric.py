@@ -253,9 +253,9 @@ def test_oracle_compare_merges_repeated_words_across_terms():
     q = Scalar.q()
     w, w2 = (2, 0, 3), (0, 3, 2)
     raw = [(q, w), (q, w), (ONE, w2)]
-    depth = len(w) + 1
+    depth = max(len(x) for _, x in raw)
     # the normal form carries 2q nf(w): both raw copies of w must be summed
-    dev = numeric.oracle_compare(rep, A, raw, depth=depth)
+    dev = numeric.oracle_compare(rep, A, raw)
     assert dev <= 1e-12
     assert abs(dev - _dense_deviation(rep, A, raw, depth)) <= 1e-13
 
@@ -302,8 +302,8 @@ def test_oracle_compare_equals_the_keyed_merge(qv, N, M):
                 (rng.choice(coeffs), tuple(rng.randrange(4) for _ in range(rng.randint(0, 5))))
                 for _ in range(rng.randint(1, 4))
             ]
-            depth = max(len(w) for _, w in raw) + rng.randint(0, 1)
-            got = numeric.oracle_compare(rep, pres, raw, depth=depth)
+            depth = max(len(w) for _, w in raw)
+            got = numeric.oracle_compare(rep, pres, raw)
             assert got == _keyed_merge_deviation(rep, pres, raw, depth), raw
 
 
@@ -384,18 +384,9 @@ def test_evaluate_element_of_a_letter_is_its_matrix(qv):
         assert np.array_equal(numeric.evaluate_element(rep, A.gen(name)), mat), name
 
 
-@pytest.mark.parametrize("depth", [1, -3])
-def test_depth_below_the_longest_word_rejected(depth):
-    # the direct side would run into the truncated boundary row
+def test_longest_word_inside_the_interior_accepted():
     rep = numeric.build(0.5, 6, 3)
-    with pytest.raises(ValueError, match="depth"):
-        numeric.oracle_compare(rep, A, [(ONE, (2, 2, 3, 3))], depth=depth)
-
-
-@pytest.mark.parametrize("depth", [None, 4, 5])
-def test_depth_at_or_above_the_longest_word_accepted(depth):
-    rep = numeric.build(0.5, 6, 3)
-    assert numeric.oracle_compare(rep, A, [(ONE, (2, 2, 3, 3))], depth=depth) <= 1e-12
+    assert numeric.oracle_compare(rep, A, [(ONE, (2, 2, 3, 3))]) <= 1e-12
 
 
 def test_word_length_beyond_interior_rejected():
@@ -406,8 +397,6 @@ def test_word_length_beyond_interior_rejected():
 
 def test_depth_errors_carry_stable_labels():
     rep = numeric.build(0.5, 6, 3)
-    with pytest.raises(ValueError, match=r"^depth-below-word: depth 2 .* length 4$"):
-        numeric.oracle_compare(rep, A, [(ONE, (2, 2, 3, 3))], depth=2)
     with pytest.raises(ValueError, match=r"^depth-beyond-interior: .* N - 1 = 5\)$"):
         numeric.oracle_compare(rep, A, [(ONE, (3,) * 6)])
 
