@@ -73,7 +73,7 @@ from .repcalc import (
     uq2_from_su2_rep,
     zpower_matrix,
 )
-from .scalars import GaussianRational, Scalar
+from .scalars import Scalar
 
 __version__ = "0.1.0"
 
@@ -81,7 +81,6 @@ __all__ = [
     "AlgMatrix",
     "ConfluenceReport",
     "Element",
-    "GaussianRational",
     "GenMorphism",
     "GradedSpace",
     "Generator",

@@ -181,13 +181,23 @@ class Presentation:
                 raise ValueError("adjoint pairing must be an involution")
             if self.generators[j].degree != -g.degree:
                 raise ValueError("adjoint partner must have opposite degree")
+        # a dict, not the generator tuple, so that a negative index cannot wrap round
+        degree = {i: g.degree for i, g in enumerate(self.generators)}
         for rule in self.rules.values():
-            d = self.degree_of_word(rule.lhs)
-            for _, w in rule.rhs:
-                if self.degree_of_word(w) != d:
-                    raise ValueError(
-                        f"rule {rule.lhs} right-hand side is not degree-homogeneous"
-                    )
+            lhs = rule.lhs
+            # the redex finder matches one or two letters, so a longer rule
+            # would never fire and its confluence proof would be vacuous
+            if not 1 <= len(lhs) <= 2:
+                raise ValueError(f"rule {lhs} left-hand side must have one or two letters")
+            try:
+                d = sum([degree[i] for i in lhs])
+                for _, w in rule.rhs:
+                    if sum([degree[i] for i in w]) != d:
+                        raise ValueError(
+                            f"rule {lhs} right-hand side is not degree-homogeneous"
+                        )
+            except KeyError as err:
+                raise ValueError(f"rule {lhs} has generator index {err} out of range") from None
 
     # -- reduction engine ------------------------------------------------------
 

@@ -1,10 +1,15 @@
 """Canonical text rendering of elements.
 
 The ASCII form round-trips through the expression parser; a Unicode form
-with the conventional generator glyphs is available for human eyes.
+with the conventional generator glyphs, and q̄ for ``qb``, is available for
+human eyes.  An element prints as a sum of coefficient and word terms
+through :func:`scalars.join_terms`, the same joiner that prints the
+polynomials inside a coefficient.
 """
 
 import itertools
+
+from .scalars import join_terms
 
 _UNICODE_NAMES = {
     "g": "γ",
@@ -15,20 +20,16 @@ _UNICODE_NAMES = {
     "U'": "U*",
     "V'": "V*",
 }
-
-
-def _letter_name(pres, idx, unicode_names):
-    name = pres.generators[idx].name
-    if unicode_names:
-        return _UNICODE_NAMES.get(name, name)
-    return name
+_UNICODE_QBAR = "q̄"
 
 
 def _render_letters(pres, letters, unicode_names):
     parts = []
     for idx, run in itertools.groupby(letters):
         count = len(list(run))
-        name = _letter_name(pres, idx, unicode_names)
+        name = pres.generators[idx].name
+        if unicode_names:
+            name = _UNICODE_NAMES.get(name, name)
         parts.append(name if count == 1 else f"{name}^{count}")
     return "*".join(parts)
 
@@ -50,26 +51,13 @@ def render_word(pres, word, unicode_names=False):
 def render_element(el, unicode_names=False):
     if el.is_zero():
         return "0"
-    pieces = []
+    terms = []
     for word, coeff in el.terms():
-        cs = coeff.render_unicode() if unicode_names else coeff.render()
-        if not word:
-            text = f"({cs})" if " " in cs else cs
-        else:
-            ws = render_word(el.pres, word, unicode_names)
-            if cs == "1":
-                text = ws
-            elif cs == "-1":
-                text = f"-{ws}"
-            else:
-                if " " in cs:
-                    cs = f"({cs})"
-                text = f"{cs}*{ws}"
-        pieces.append(text)
-    out = pieces[0]
-    for text in pieces[1:]:
-        if text.startswith("-"):
-            out += f" - {text[1:]}"
-        else:
-            out += f" + {text}"
-    return out
+        cs = coeff.render()
+        if unicode_names:
+            cs = cs.replace("qb", _UNICODE_QBAR)
+        # a coefficient that is a sum or a fraction of sums prints in parentheses
+        if " " in cs:
+            cs = f"({cs})"
+        terms.append((cs, render_word(el.pres, word, unicode_names) if word else ""))
+    return join_terms(terms)

@@ -16,9 +16,10 @@ polynomial with zero minimum exponent in each variable, the two share no
 factor in Z[i][q, qb] (a common Gaussian integer counts as a factor), and the
 denominator's lexicographically leading coefficient is the associate with
 ``re > 0`` and ``im >= 0``.  Such a pair is unique, so equality of Scalars is
-structural equality of canonical forms.  :class:`GaussianRational` is used
-only for input (:meth:`Scalar.monomial`, :meth:`Scalar.gaussian`) and for
-rendering, which divides through by that leading coefficient.
+structural equality of canonical forms.  An input coefficient is a real and
+an imaginary part, each an ``int`` or a ``Fraction``; any other type, a
+``float`` included, raises ``TypeError``.  Rendering divides through by the
+denominator's leading coefficient.
 
 Sums and products of two reduced fractions follow Henrici (J. ACM 3, 1956;
 Knuth, TAOCP vol. 2, 4.5.1), so no gcd ever sees a whole cross-multiplied
@@ -62,36 +63,14 @@ from fractions import Fraction
 from .errors import PoleError, ZeroDivisorError
 
 
-class GaussianRational:
-    """A complex number with rational real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __truediv__(self, other):
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisorError()
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-
-def _split(value):
-    """A Gaussian rational as a Gaussian-integer pair over a positive integer."""
-    if not isinstance(value, GaussianRational):
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
-        value = GaussianRational(value)
-    scale = math.lcm(value.re.denominator, value.im.denominator)
-    return (int(value.re * scale), int(value.im * scale)), scale
+def _split(re, im=0):
+    """re + im*i as a Gaussian-integer pair over a positive integer."""
+    for part in (re, im):
+        if not isinstance(part, (int, Fraction)):
+            raise TypeError(f"cannot use {type(part).__name__} as a coefficient")
+    re, im = Fraction(re), Fraction(im)
+    scale = math.lcm(re.denominator, im.denominator)
+    return (int(re * scale), int(im * scale)), scale
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +407,11 @@ class Scalar:
 
     @staticmethod
     def gaussian(re, im=0):
-        return Scalar.monomial(0, 0, GaussianRational(re, im))
+        return Scalar.monomial(0, 0, re, im)
 
     @staticmethod
-    def monomial(q_exp, qb_exp, coeff=1):
-        c, scale = _split(coeff)
+    def monomial(q_exp, qb_exp, re=1, im=0):
+        c, scale = _split(re, im)
         if c == (0, 0):
             return _ZERO
         return _quotient({(q_exp, qb_exp): c}, {(0, 0): (scale, 0)})
@@ -625,27 +604,23 @@ class Scalar:
         """Canonical ASCII form, parseable by the expression front-end."""
         if self.is_zero():
             return "0"
-        lc = GaussianRational(*self._den[max(self._den)])
+        lc = self._den[max(self._den)]
         try:
             num = _poly_str(self._num, lc)
-            den = _poly_str(self._den, lc) if len(self._den) > 1 else None
+            if len(self._den) == 1:
+                return num
+            den = _poly_str(self._den, lc)
         except ValueError:
             # Python's int-to-str digit limit: reported with a label, not lifted
             raise ValueError(
                 "int-digits: a coefficient or exponent has more than "
                 f"{sys.get_int_max_str_digits()} decimal digits"
             ) from None
-        if den is None:
-            return num
         if len(self._num) > 1 or num.startswith("-"):
             num = f"({num})"
         return f"{num}/({den})"
 
-    def render_unicode(self):
-        return self.render().replace("qb", "q̄")
-
-    def __str__(self):
-        return self.render()
+    __str__ = render
 
     def __repr__(self):
         return f"Scalar({self.render()!r})"
@@ -654,59 +629,57 @@ class Scalar:
 # -- rendering helpers --------------------------------------------------------
 
 
-def _gr_str(c):
-    """Coefficient text; second component tells whether it is a sum."""
-    if c.im == 0:
-        return str(c.re), False
-    if c.re == 0:
-        if c.im == 1:
-            return "i", False
-        if c.im == -1:
-            return "-i", False
-        return f"{c.im}*i", False
-    im = "i" if c.im == 1 else ("-i" if c.im == -1 else f"{c.im}*i")
-    joiner = "" if im.startswith("-") else "+"
-    return f"{c.re}{joiner}{im}", True
+def _gr_str(re, im):
+    """Text of re + im*i, in parentheses when both parts are nonzero."""
+    if im == 0:
+        return str(re)
+    imag = "i" if im == 1 else ("-i" if im == -1 else f"{im}*i")
+    if re == 0:
+        return imag
+    joiner = "" if imag.startswith("-") else "+"
+    return f"({re}{joiner}{imag})"
 
 
 def _mono_str(key):
-    a, b = key
-    parts = []
-    if a == 1:
-        parts.append("q")
-    elif a != 0:
-        parts.append(f"q^{a}")
-    if b == 1:
-        parts.append("qb")
-    elif b != 0:
-        parts.append(f"qb^{b}")
-    return "*".join(parts)
+    powers = zip(("q", "qb"), key)
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in powers if e)
 
 
 def _poly_str(poly, lc):
-    """Text of poly / lc, terms in descending lex order."""
-    chunks = []
-    # a monic denominator divides nothing: skip the Fraction arithmetic
-    monic = lc.re == 1 and lc.im == 0
+    """Text of poly / lc for a Gaussian integer lc, terms in descending lex order."""
+    lr, li = lc
+    norm = lr * lr + li * li
+    terms = []
     for key in sorted(poly, reverse=True):
-        mono = _mono_str(key)
-        c = GaussianRational(*poly[key])
-        cs, is_sum = _gr_str(c if monic else c / lc)
-        if is_sum:
-            cs = f"({cs})"
-        if mono:
-            if cs == "1":
-                text = mono
-            elif cs == "-1":
-                text = f"-{mono}"
-            else:
-                text = f"{cs}*{mono}"
-        else:
+        x, y = poly[key]
+        # a monic denominator divides nothing: skip the Fraction arithmetic
+        if lc != (1, 0):
+            x, y = Fraction(x * lr + y * li, norm), Fraction(y * lr - x * li, norm)
+        terms.append((_gr_str(x, y), _mono_str(key)))
+    return join_terms(terms)
+
+
+def join_terms(terms):
+    """The text of a sum of (coefficient text, body text) terms.
+
+    An empty body leaves the coefficient alone, a coefficient of 1 or -1
+    leaves the body with its sign, and any other is joined to it by ``*``.
+    A term that starts with ``-`` is subtracted.  The caller parenthesises
+    a coefficient that is itself a sum.
+    """
+    out = ""
+    for cs, body in terms:
+        if not body:
             text = cs
-        chunks.append(text)
-    out = chunks[0]
-    for text in chunks[1:]:
-        if text.startswith("-"):
+        elif cs == "1":
+            text = body
+        elif cs == "-1":
+            text = f"-{body}"
+        else:
+            text = f"{cs}*{body}"
+        if not out:
+            out = text
+        elif text.startswith("-"):
             out += f" - {text[1:]}"
         else:
             out += f" + {text}"

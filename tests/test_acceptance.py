@@ -21,7 +21,6 @@ from suq2 import (
 )
 from suq2 import numeric
 from suq2.checks import run_check
-from suq2.scalars import GaussianRational
 
 A = suq2_presentation()
 Q, QB, ZETA = A.params["q"], A.params["qb"], A.params["zeta"]
@@ -127,7 +126,8 @@ def _random_scalar(rng):
         total = total + Scalar.monomial(
             rng.randint(-2, 2),
             rng.randint(-2, 2),
-            GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1)),
+            rng.randint(-3, 3),
+            rng.randint(-1, 1),
         )
     return total
 

@@ -10,6 +10,7 @@ from suq2 import (
     Presentation,
     PresentationMismatchError,
     Scalar,
+    parse,
     suq2_presentation,
     torus_presentation,
     twisted_tensor,
@@ -436,3 +437,18 @@ def test_halmosh_monomials():
     for m in range(9):
         assert AL * G**m == (G**m * AL).scale(QB**m)
         assert AL * GS**m == (GS**m * AL).scale(Q**m)
+
+
+def test_scalars_on_the_left_and_differences():
+    x = AL * G + GS
+    assert Q * x == x.scale(Q) == x * Q
+    assert 2 * x == x + x == x.scale(2)
+    assert x - x == 0
+    assert (x - x).is_zero()
+
+
+def test_equal_elements_hash_alike():
+    built = AL * G - GS.scale(Q)
+    parsed = parse("a*g - q*g'", A)
+    assert built == parsed
+    assert hash(built) == hash(parsed)

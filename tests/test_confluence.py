@@ -13,7 +13,7 @@ from suq2 import (
     twisted_tensor,
     uq2_presentation,
 )
-from suq2.algebra import Generator, Presentation, RewriteRule, _accumulate
+from suq2.algebra import Generator, Presentation, RewriteRule, _accumulate, _ambiguity_words
 from suq2.cli import ALGEBRAS, _algebra
 from suq2.errors import RewriteLimitError
 
@@ -178,6 +178,56 @@ def test_certificate_needs_strictly_smaller_words(rhs_word, violation):
         "shrink", gens, [RewriteRule((0, 1), ((Scalar.from_int(2), rhs_word),))]
     )
     assert pres.deglex_violation == violation
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs_word, message",
+    [
+        ((0,), (1,), "not degree-homogeneous"),
+        # U U U -> 1 would never fire, so its confluence proof would be vacuous
+        ((0, 0, 0), (), "one or two letters"),
+        ((), (), "one or two letters"),
+        # -1 would wrap round to U'
+        ((0, 1), (-1,), "out of range"),
+        ((0, 5), (), "out of range"),
+    ],
+    ids=["inhomogeneous", "three-letters", "empty", "negative-index", "index-past-the-table"],
+)
+def test_presentation_refuses_rules_the_engine_cannot_apply(lhs, rhs_word, message):
+    gens = (Generator("U", 1, 1), Generator("U'", -1, 0))
+    rule = RewriteRule(lhs, ((Scalar.one(), rhs_word),))
+    with pytest.raises(ValueError, match=message):
+        Presentation("unusable", gens, [rule])
+
+
+def test_report_stops_at_ten_divergences():
+    # Uk Uk' -> 1 and Uk' Uk -> 2 disagree on both overlaps of each of six pairs
+    one, two = Scalar.one(), Scalar.from_int(2)
+    gens, rules = [], []
+    for k in range(6):
+        u, us = 2 * k, 2 * k + 1
+        gens += [Generator(f"U{k}", 0, us), Generator(f"U{k}'", 0, u)]
+        rules += [RewriteRule((u, us), ((one, ()),)), RewriteRule((us, u), ((two, ()),))]
+    pres = Presentation("six-pairs", gens, rules)
+    assert len(_ambiguity_words(pres)) == 12
+    report = confluence_check(pres)
+    assert report.words_checked == 10
+    assert len(report.divergences) == 10
+    assert all(d["kind"] == "critical-pair" for d in report.divergences)
+
+
+def test_reduction_past_the_step_cap_is_a_non_termination_entry(monkeypatch):
+    pres = _diverging_presentation()
+
+    def over_budget(pending, budget):
+        raise RewriteLimitError(f"reduction exceeded {budget} steps")
+
+    monkeypatch.setattr(pres, "_rewrite", over_budget)
+    words = _ambiguity_words(pres)
+    assert words
+    report = confluence_check(pres)
+    assert report.divergences == [{"kind": "non-termination", "word": list(w)} for w in words]
+    assert (report.words_checked, report.critical_pairs) == (len(words), 0)
 
 
 AMBIGUITIES = {

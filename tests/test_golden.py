@@ -50,6 +50,10 @@ CASES = {
     "nf-suq2-long": ["nf", "a'^12*a^12 - q*a^7*g'^2*a'^9*g"],
     "nf-scalar-powers": ["nf", "((1 + q)/(2 - i*qb))^3*g + (q*qb)^-2*a^2 - zeta^5"],
     "nf-uq2": ["nf", "--algebra", "uq2", "z*g*z'*a' + (qb/q)*z'^2*g'*z^2"],
+    # a denominator whose leading coefficient 1+i is not real divides through
+    "nf-suq2-complex-den": ["nf", "a/((1+i)*q + 2) + (2-3*i)*g'/((2+i)*qb^2 + q)"],
+    "nf-suq2-unicode": ["nf", "--unicode", "(qb - i)*a'*g + zeta*g'^2/(1 + q*qb)"],
+    "nf-uq2-unicode": ["nf", "--algebra", "uq2", "--unicode", "z'*g*qb"],
     "nf-suq2-tensor3": [
         "nf",
         "--algebra",

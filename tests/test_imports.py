@@ -37,7 +37,7 @@ LAYERS = (
 LAZY_IMPORTS = {("cli", "numeric")}
 
 PUBLIC_NAMES = """
-AlgMatrix ConfluenceReport Element GaussianRational GenMorphism GradedSpace
+AlgMatrix ConfluenceReport Element GenMorphism GradedSpace
 Generator NotInvariantError ParseError PoleError Presentation
 PresentationMismatchError QUBIT RewriteLimitError RewriteRule Scalar
 UnverifiedMorphismError ZeroDivisorError cancellation_witness compose

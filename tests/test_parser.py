@@ -3,6 +3,7 @@
 import random
 import re
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,7 +65,7 @@ def test_scalar_grammar():
     assert parse("zeta - q/qb", A).is_zero()
     assert parse("i*i + 1", A).is_zero()
     assert parse("zeta'*zeta - 1", A).is_zero()
-    assert parse("-3/4", A) == A.scalar(Scalar.gaussian(-0.75))
+    assert parse("-3/4", A) == A.scalar(Scalar.gaussian(Fraction(-3, 4)))
 
 
 def test_division_needs_scalar():

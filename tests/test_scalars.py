@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from suq2 import PoleError, Scalar, ZeroDivisorError, parse, suq2_presentation
 from suq2 import scalars as scalars_module
-from suq2.scalars import GaussianRational
 
 Q = Scalar.q()
 QB = Scalar.qbar()
@@ -31,7 +30,7 @@ def monomials(draw):
     b = draw(st.integers(min_value=-2, max_value=2))
     re = draw(small_ints)
     im = draw(st.integers(min_value=-2, max_value=2))
-    return Scalar.monomial(a, b, GaussianRational(re, im))
+    return Scalar.monomial(a, b, re, im)
 
 
 @st.composite
@@ -82,6 +81,35 @@ def test_division_by_zero_raises():
 def test_gcd_cancellation():
     assert (ONE - Q**2 * QB**2) / (ONE - Q * QB) == ONE + Q * QB
     assert (Q**3 * QB) / (Q * QB) == Q**2
+
+
+def test_int_and_fraction_operands_on_the_left():
+    # the reflected operators; a Fraction goes through _coerce and gaussian
+    assert 1 - Q == -Q + ONE
+    assert (1 - Q).render() == "-q + 1"
+    assert 1 / Q == Q**-1
+    assert Fraction(1, 2) * Q == Q / 2
+    assert (Fraction(1, 2) * Q).render() == "1/2*q"
+
+
+def test_coefficients_are_ints_or_fractions():
+    assert Scalar.gaussian(Fraction(1, 2), -3) == ONE / 2 - 3 * I
+    assert Scalar.monomial(2, -1, Fraction(-3, 4), 1) == (Fraction(-3, 4) + I) * Q**2 / QB
+    for bad in (0.1, 1 + 0j, "1"):
+        for build in (
+            lambda: Scalar.gaussian(bad),
+            lambda: Scalar.gaussian(0, bad),
+            lambda: Scalar.monomial(0, 0, bad),
+        ):
+            with pytest.raises(TypeError, match="as a coefficient"):
+                build()
+
+
+def test_one_joiner_prints_every_sum():
+    terms = [("1", "a"), ("-1", "g"), ("-2", ""), ("(1+i)", "q"), ("1/2", "qb")]
+    assert scalars_module.join_terms(terms) == "a - g - 2 + (1+i)*q + 1/2*qb"
+    # a denominator's leading coefficient 1+i divides every printed coefficient
+    assert (ONE / ((1 + I) * Q + 2)).render() == "(1/2-1/2*i)/(q + (1-i))"
 
 
 def test_evaluate_examples():
@@ -653,7 +681,7 @@ def _random_poly(rng, sympy, q, qb):
         re = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         im = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         a, b = rng.randint(0, 2), rng.randint(0, 2)
-        scalar = scalar + Scalar.monomial(a, b, GaussianRational(re, im))
+        scalar = scalar + Scalar.monomial(a, b, re, im)
         expr += (sympy.Rational(re) + sympy.I * sympy.Rational(im)) * q**a * qb**b
     return scalar, expr
 
