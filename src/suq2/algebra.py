@@ -57,6 +57,14 @@ def deglex_key(word):
     return (len(word), word)
 
 
+def _as_scalar(value):
+    """``value`` as a Scalar: an int, a Fraction or a Scalar, else a TypeError."""
+    s = Scalar._coerce(value)
+    if s is NotImplemented:
+        raise TypeError(f"cannot use {type(value).__name__} as a scalar")
+    return s
+
+
 def _accumulate(acc, word, c):
     """Add ``c`` to ``acc[word]``, dropping the entry when the sum cancels."""
     s = acc.get(word)
@@ -136,6 +144,8 @@ class Presentation:
             ),
             None,
         )
+        # the redex finder scans letters as well as pairs only when it must
+        self._letter_rules = any(len(lhs) == 1 for lhs in self.rules)
         self._memo = {}
         self.memo_enabled = True
         self.times_letter = None
@@ -201,23 +211,33 @@ class Presentation:
 
     # -- reduction engine ------------------------------------------------------
 
-    def _redexes(self, word):
-        """Every ``(position, rule)`` that matches in ``word``, leftmost first.
+    def _redexes(self, word, first=False):
+        """The ``(position, rule)`` pairs that match in ``word``, leftmost first.
 
-        One- and two-letter left-hand sides never collide, so ``rules`` is the
-        one lookup table; at a position the one-letter match comes first.
+        Redexes are matched by letter pairs: each ``(word[p], word[p + 1])``
+        is looked up in ``rules``.  Only a rule table with a one-letter
+        left-hand side also looks up each letter alone, before the pair that
+        starts at the same position; one- and two-letter left-hand sides
+        never collide, so ``rules`` stays the one lookup table.  With
+        ``first`` the scan stops at the first match, so the list holds at
+        most one pair.
         """
         rules = self.rules
+        if self._letter_rules:
+            keys = []
+            for p, x in enumerate(word):
+                keys.append((p, (x,)))
+                if p + 1 < len(word):
+                    keys.append((p, (x, word[p + 1])))
+        else:
+            keys = enumerate(zip(word, word[1:]))
         out = []
-        n = len(word)
-        for p in range(n):
-            rule = rules.get(word[p : p + 1])
+        for p, key in keys:
+            rule = rules.get(key)
             if rule is not None:
                 out.append((p, rule))
-            if p + 1 < n:
-                rule = rules.get(word[p : p + 2])
-                if rule is not None:
-                    out.append((p, rule))
+                if first:
+                    break
         return out
 
     def reduce_word(self, word):
@@ -238,7 +258,7 @@ class Presentation:
         if self.times_letter is None:
             done = self._rewrite({word: _ONE}, budget)
         else:
-            redexes = self._redexes(word)
+            redexes = self._redexes(word, first=True)
             cut = redexes[0][0] + len(redexes[0][1].lhs) - 1 if redexes else len(word)
             steps = cut
             if steps > budget:
@@ -258,14 +278,15 @@ class Presentation:
     def _rewrite(self, pending, budget):
         """Rewrite the linear combination ``pending``, consuming it, to ``{word: coeff}``.
 
-        Each step takes the deglex-largest pending word: an irreducible one
-        moves to the result, any other is rewritten once at its first redex,
-        each ``c * coeff`` added back into ``pending``.  Largest first
-        matters: every rewrite of a certified presentation yields only
-        deglex-smaller words, so a word is taken after all of its
-        contributions have merged, and no word is rewritten twice.  Without
-        the deglex certificate that property is lost and the reduction is
-        bounded only by the step budget.
+        Each step takes the deglex-largest pending word (a lone pending word
+        is taken as it is, with no comparison): an irreducible one moves to
+        the result, any other is rewritten once at its first redex, each
+        ``c * coeff`` added back into ``pending``.  The finder stops at that
+        first redex.  Largest first matters: every rewrite of a certified
+        presentation yields only deglex-smaller words, so a word is taken
+        after all of its contributions have merged, and no word is rewritten
+        twice.  Without the deglex certificate that property is lost and the
+        reduction is bounded only by the step budget.
         """
         steps = 0
         done = {}
@@ -273,9 +294,12 @@ class Presentation:
             steps += 1
             if steps > budget:
                 raise self._limit_error(budget)
-            w = max(pending, key=deglex_key)
-            c = pending.pop(w)
-            redexes = self._redexes(w)
+            if len(pending) == 1:
+                w, c = pending.popitem()
+            else:
+                w = max(pending, key=deglex_key)
+                c = pending.pop(w)
+            redexes = self._redexes(w, first=True)
             if not redexes:
                 _accumulate(done, w, c)
                 continue
@@ -296,7 +320,7 @@ class Presentation:
         n = len(self.generators)
         for coeff, word in raw_terms:
             if not isinstance(coeff, Scalar):
-                coeff = Scalar.from_int(coeff)
+                coeff = _as_scalar(coeff)
             if coeff.is_zero():
                 continue
             word = tuple(word)
@@ -337,8 +361,7 @@ class Presentation:
         return el
 
     def scalar(self, s):
-        if not isinstance(s, Scalar):
-            s = Scalar.from_int(s)
+        s = _as_scalar(s)
         return Element(self, {} if s.is_zero() else {(): s})
 
     def __repr__(self):
@@ -380,9 +403,17 @@ class Element:
         if self.pres is not other.pres:
             raise PresentationMismatchError()
 
+    def _operand(self, other):
+        """``other`` as an Element, a scalar as one of this presentation; else NotImplemented."""
+        if isinstance(other, Element):
+            return other
+        s = Scalar._coerce(other)
+        return s if s is NotImplemented else self.pres.scalar(s)
+
     def __add__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = self.pres.scalar(other)
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
         self._check_same(other)
         acc = dict(self._terms)
         for w, c in other._terms.items():
@@ -395,16 +426,18 @@ class Element:
         return Element(self.pres, {w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = self.pres.scalar(other)
+        other = self._operand(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.scale(other)
+        if not isinstance(other, Element):
+            s = Scalar._coerce(other)
+            return s if s is NotImplemented else self.scale(s)
         self._check_same(other)
         # a scalar side only scales the other's words, which are already normal
         for s, x in ((self, other), (other, self)):
@@ -413,13 +446,11 @@ class Element:
         return self.pres.product_sum(((self, other),))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Scalar)):
-            return self.scale(other)
-        return NotImplemented
+        s = Scalar._coerce(other)
+        return s if s is NotImplemented else self.scale(s)
 
     def scale(self, s):
-        if not isinstance(s, Scalar):
-            s = Scalar.from_int(s)
+        s = _as_scalar(s)
         if s.is_zero():
             return Element(self.pres, {})
         return Element(self.pres, {w: c * s for w, c in self._terms.items()})
@@ -459,14 +490,17 @@ class Element:
     # -- comparison ------------------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Scalar)):
-            other = self.pres.scalar(other)
-        if not isinstance(other, Element):
+        other = self._operand(other)
+        if other is NotImplemented:
             return NotImplemented
         return self.pres is other.pres and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        terms = self._terms
+        # an element with no word but the empty one equals its scalar
+        if not terms or (len(terms) == 1 and () in terms):
+            return hash(terms.get((), Scalar.zero()))
+        return hash(frozenset(terms.items()))
 
     # -- rendering ---------------------------------------------------------------------
 

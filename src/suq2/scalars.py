@@ -402,6 +402,8 @@ class Scalar:
 
     @staticmethod
     def from_int(n):
+        if not isinstance(n, int):
+            raise TypeError(f"from_int takes an int, not {type(n).__name__}")
         # one shared instance for each one-digit integer: Scalars are immutable
         return _DIGITS[n] if 0 <= n <= 9 else Scalar({(0, 0): (n, 0)})
 
@@ -593,9 +595,13 @@ class Scalar:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(
-                (frozenset(self._num.items()), frozenset(self._den.items()))
-            )
+            num, den = self._num, self._den
+            (x, y), (d, e) = num.get((0, 0), (0, 0)), den.get((0, 0), (0, 0))
+            if num.keys() <= {(0, 0)} and den.keys() == {(0, 0)} and y == e == 0:
+                # equal to the Fraction x/d, and so to an int when d is 1
+                self._hash = hash(Fraction(x, d))
+            else:
+                self._hash = hash((frozenset(num.items()), frozenset(den.items())))
         return self._hash
 
     # -- rendering -------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,9 +216,9 @@ def test_no_word_is_rewritten_twice(monkeypatch, pres, word):
     seen = []
     redexes = Presentation._redexes
 
-    def counted(self, w):
+    def counted(self, w, first=False):
         seen.append(w)
-        return redexes(self, w)
+        return redexes(self, w, first)
 
     monkeypatch.setattr(Presentation, "_redexes", counted)
     pres._rewrite({word: Scalar.one()}, Presentation.DEFAULT_STEP_LIMIT)
@@ -452,3 +453,74 @@ def test_equal_elements_hash_alike():
     parsed = parse("a*g - q*g'", A)
     assert built == parsed
     assert hash(built) == hash(parsed)
+    half = Fraction(1, 2)
+    # a scalar-only element equals its scalar, a rational Scalar its Fraction
+    for equal in (
+        (2, Fraction(2), Scalar.from_int(2), A.scalar(2)),
+        (0, Fraction(0), Scalar.zero(), A.zero()),
+        (half, Scalar.gaussian(half), A.scalar(half)),
+    ):
+        for x, y in itertools.product(equal, repeat=2):
+            assert x == y
+            assert hash(x) == hash(y), (x, y)
+    table = {2: "two", half: "half", AL: "a", Q: "q"}
+    assert table[Scalar.from_int(2)] == table[A.scalar(2)] == table[Fraction(4, 2)] == "two"
+    assert table[Scalar.gaussian(half)] == table[A.scalar(Scalar.gaussian(half))] == "half"
+    assert table[A.gen("a")] == "a"
+    assert table[A.scalar(Q)] == table[Scalar.q()] == "q"
+    mixed = {0, 2, half, A.zero(), Scalar.zero(), Fraction(2), A.scalar(2), Scalar.from_int(2),
+             A.scalar(half), Scalar.gaussian(half), Q, A.scalar(Q), AL, A.gen("a")}
+    assert len(mixed) == 5
+    # unequal values keep their own entries
+    assert len({half, Scalar.gaussian(half, 1), A.scalar(Scalar.imag_unit()), AL, G}) == 5
+
+
+HALF = Fraction(1, 2)
+HALF_AL = A.element([(Scalar.gaussian(HALF), (2,))])
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (lambda: AL * HALF, HALF_AL),
+        (lambda: AL + HALF, A.element([(Scalar.gaussian(HALF), ()), (1, (2,))])),
+        (lambda: HALF * AL, HALF_AL),
+        (lambda: HALF + AL, AL + Scalar.gaussian(HALF)),
+        (lambda: AL - HALF, AL + Scalar.gaussian(-HALF)),
+        (lambda: HALF - AL, Scalar.gaussian(HALF) - AL),
+        (lambda: AL.scale(HALF), HALF_AL),
+        (lambda: A.scalar(HALF), A.scalar(Scalar.gaussian(HALF))),
+        (lambda: A.element([(HALF, (2,))]), HALF_AL),
+        (lambda: A.scalar(Scalar.gaussian(HALF)) == HALF, True),
+        (lambda: HALF == A.scalar(Scalar.gaussian(HALF)), True),
+        (lambda: A.scalar(HALF) == Fraction(1, 3), False),
+    ],
+    ids=[
+        "a*half", "a+half", "half*a", "half+a", "a-half", "half-a", "a.scale(half)",
+        "scalar(half)", "element(half)", "scalar==half", "half==scalar", "scalar!=third",
+    ],
+)
+def test_fraction_operands_on_elements(value, expected):
+    assert value() == expected
+
+
+def test_only_ints_fractions_and_scalars_are_scalars():
+    a = A.gen("a")
+    with pytest.raises(TypeError):
+        Scalar.from_int(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        Scalar.from_int(2.0)
+    with pytest.raises(TypeError):
+        A.scalar(0.5)
+    with pytest.raises(TypeError):
+        a.scale(0.5)
+    for bad in (0.5, "a", None):
+        with pytest.raises(TypeError):
+            a * bad
+        with pytest.raises(TypeError):
+            bad * a
+        with pytest.raises(TypeError):
+            a + bad
+        with pytest.raises(TypeError):
+            a - bad
+        assert a != bad

@@ -13,7 +13,14 @@ from suq2 import (
     twisted_tensor,
     uq2_presentation,
 )
-from suq2.algebra import Generator, Presentation, RewriteRule, _accumulate, _ambiguity_words
+from suq2.algebra import (
+    Generator,
+    Presentation,
+    RewriteRule,
+    _accumulate,
+    _ambiguity_words,
+    deglex_key,
+)
 from suq2.cli import ALGEBRAS, _algebra
 from suq2.errors import RewriteLimitError
 
@@ -255,16 +262,34 @@ def test_certificate_and_ambiguity_counts(name):
     assert report.critical_pairs == ambiguities
 
 
-def test_inclusion_ambiguity_divergence_is_a_critical_pair():
+def _inclusion_presentation():
     one, two = Scalar.one(), Scalar.from_int(2)
     gens = (Generator("x", 0, 1), Generator("y", 0, 0))
     # y -> x and y x -> 2 both terminate under deglex, but the inclusion
     # ambiguity y x gives x x on one side and 2 on the other
-    pres = Presentation(
+    return Presentation(
         "inclusion",
         gens,
         [RewriteRule((1,), ((one, (0,)),)), RewriteRule((1, 0), ((two, ()),))],
     )
+
+
+def _end_letter_presentation():
+    # U' alone is a left-hand side, so the last letter of U U' is a redex
+    one = Scalar.one()
+    U, Us = 0, 1
+    return Presentation(
+        "incl",
+        (Generator("U", 0, 1), Generator("U'", 0, 0)),
+        [
+            RewriteRule((U, Us), ((one, (U, U)),)),
+            RewriteRule((Us,), ((one, (U,)),)),
+        ],
+    )
+
+
+def test_inclusion_ambiguity_divergence_is_a_critical_pair():
+    pres = _inclusion_presentation()
     assert pres.deglex_violation is None
     report = confluence_check(pres)
     assert report.certificate["ambiguities"] == 1
@@ -273,18 +298,10 @@ def test_inclusion_ambiguity_divergence_is_a_critical_pair():
 
 
 def test_redex_enumerator_at_the_end_of_a_word():
-    # U' alone is a left-hand side, so the last letter of U U' is a redex
-    # exactly once, after the two-letter redex at position 0
-    one = Scalar.one()
+    # the last letter of U U' is a redex exactly once, after the two-letter
+    # redex at position 0
     U, Us = 0, 1
-    incl = Presentation(
-        "incl",
-        (Generator("U", 0, 1), Generator("U'", 0, 0)),
-        [
-            RewriteRule((U, Us), ((one, (U, U)),)),
-            RewriteRule((Us,), ((one, (U,)),)),
-        ],
-    )
+    incl = _end_letter_presentation()
     assert incl.deglex_violation is None
     assert incl._redexes((U, Us)) == [(0, incl.rules[U, Us]), (1, incl.rules[Us,])]
     assert incl._redexes((Us,)) == [(0, incl.rules[Us,])]
@@ -378,3 +395,131 @@ def test_suq2_proof_never_reads_the_closed_form(monkeypatch):
     monkeypatch.setattr(A, "_memo", {})
     assert _fields(confluence_check(A)) == proved
     assert A._memo == {}
+
+
+# -- the redex finder against the two-slice reference ------------------------------
+
+
+def _redexes_by_slices(pres, word):
+    """Reference oracle: the redex finder that matched by two slices per position.
+
+    Every ``(position, rule)`` that matches in ``word``, leftmost first, and
+    at one position the one-letter match before the two-letter one.
+    """
+    rules = pres.rules
+    out = []
+    n = len(word)
+    for p in range(n):
+        rule = rules.get(word[p : p + 1])
+        if rule is not None:
+            out.append((p, rule))
+        if p + 1 < n:
+            rule = rules.get(word[p : p + 2])
+            if rule is not None:
+                out.append((p, rule))
+    return out
+
+
+def _finder_disagreements(pres, words):
+    """Words whose full or first-only redex list differs from the reference."""
+    out = []
+    for word in words:
+        expected = _redexes_by_slices(pres, word)
+        if pres._redexes(word) != expected or pres._redexes(word, first=True) != expected[:1]:
+            out.append(word)
+    return out
+
+
+def _all_words(pres, maxlen):
+    return [
+        w for k in range(maxlen + 1) for w in itertools.product(range(pres.n_gens), repeat=k)
+    ]
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_redex_finder_matches_two_slice_reference_on_short_words(name):
+    pres = _algebra(name)
+    assert not pres._letter_rules
+    assert _finder_disagreements(pres, _all_words(pres, 4)) == []
+
+
+@pytest.mark.parametrize(
+    "pres_factory",
+    [_inclusion_presentation, _end_letter_presentation],
+    ids=["inclusion", "end-letter"],
+)
+def test_redex_finder_matches_two_slice_reference_with_one_letter_rules(pres_factory):
+    pres = pres_factory()
+    assert pres._letter_rules
+    assert _finder_disagreements(pres, _all_words(pres, 6)) == []
+
+
+@pytest.mark.parametrize("name", ["suq2-tensor3", "uq2"])
+def test_redex_finder_matches_two_slice_reference_on_seeded_long_words(name):
+    pres = _algebra(name)
+    rng = random.Random(27)
+    words = [
+        tuple(rng.randrange(pres.n_gens) for _ in range(rng.randint(5, 30))) for _ in range(500)
+    ]
+    assert _finder_disagreements(pres, words) == []
+
+
+# -- the rewriting loop's step counts ----------------------------------------------
+
+# Exact step counts of ``Presentation._rewrite`` on three words: one step per
+# pending word taken, irreducible or not.  A change to the loop's kernel keeps
+# its strategy, so these counts must not move.
+STEP_COUNTS = [
+    ("uq2", (3,) * 6 + (2,) * 6, 133),
+    ("suq2-tensor3", (11, 6, 3, 10, 1, 7, 2, 9, 4, 0, 11, 5, 8, 2, 7, 10), 258),
+    ("torus", (2, 3, 2, 2, 1, 3, 0, 2, 0, 1, 3, 3, 0, 2, 1, 0), 17),
+]
+
+
+@pytest.mark.parametrize(
+    "name, word, steps", STEP_COUNTS, ids=["uq2-a'^6a^6", "suq2-tensor3-mixed", "torus"]
+)
+def test_rewrite_limit_fires_one_step_below_the_step_count(name, word, steps):
+    pres = _algebra(name)
+    with pytest.raises(RewriteLimitError, match=f"exceeded {steps - 1} steps"):
+        pres._rewrite({word: Scalar.one()}, steps - 1)
+    done = pres._rewrite({word: Scalar.one()}, steps)
+    assert tuple((done[w], w) for w in sorted(done, key=deglex_key)) == pres.reduce_word(word)
+
+
+def test_looping_rules_end_as_non_termination_at_the_step_cap(monkeypatch):
+    looping = _looping_presentation()
+    with pytest.raises(RewriteLimitError, match="exceeded 10000 steps"):
+        looping._rewrite({(2, 0): Scalar.one()}, 10_000)
+    # past the certificate, the proof reduces each ambiguity until the cap stops it
+    monkeypatch.setattr(looping, "deglex_violation", None)
+    calls = []
+    finder = Presentation._redexes
+
+    def counted(self, word, first=False):
+        calls.append(first)
+        return finder(self, word, first)
+
+    monkeypatch.setattr(Presentation, "_redexes", counted)
+    report = confluence_check(looping)
+    words = _ambiguity_words(looping)
+    assert words == [(0, 2, 0), (2, 0, 2)]
+    assert report.divergences == [{"kind": "non-termination", "word": list(w)} for w in words]
+    assert (report.words_checked, report.critical_pairs) == (2, 0)
+    # one full scan of each ambiguity, then exactly 10,000 steps on its first branch
+    assert calls.count(False) == 2
+    assert calls.count(True) == 2 * 10_000
+
+
+def test_control_reports_are_unchanged():
+    assert _fields(confluence_check(_looping_presentation())) == (
+        False, 0, 0, None, [{"kind": "non-termination", "rule": [0, 2]}]
+    )
+    certificate = {"order": "deglex", "generators": ["U", "U'"], "ambiguities": 5}
+    divergences = [
+        {"kind": "critical-pair", "word": w}
+        for w in ([0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 0, 1])
+    ]
+    assert _fields(confluence_check(_diverging_presentation())) == (
+        False, 5, 1, certificate, divergences
+    )
