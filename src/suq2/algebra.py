@@ -272,7 +272,12 @@ class Presentation:
                         if steps > budget:
                             raise self._limit_error(budget)
                         _accumulate(done, w2, c * f)
-        nf = memo[word] = tuple((done[w], w) for w in sorted(done, key=deglex_key))
+        if len(done) == 1:
+            ((w, c),) = done.items()
+            nf = ((c, w),)
+        else:
+            nf = tuple((done[w], w) for w in sorted(done, key=deglex_key))
+        memo[word] = nf
         return nf
 
     def _rewrite(self, pending, budget):
@@ -315,7 +320,12 @@ class Presentation:
     # -- element factories -----------------------------------------------------
 
     def normalize_raw(self, raw_terms):
-        """Normalize a raw sum of (coeff, word) pairs into an Element."""
+        """Normalize a raw sum of (coeff, word) pairs into an Element.
+
+        Raw input is checked term by term: each coefficient is coerced to a
+        Scalar, a zero one is dropped, and each word must be a sequence of
+        generator indices in range.
+        """
         acc = {}
         n = len(self.generators)
         for coeff, word in raw_terms:
@@ -332,13 +342,28 @@ class Presentation:
         return Element(self, acc)
 
     def product_sum(self, pairs):
-        """Normalize the sum of ``x * y`` over element pairs in one pass."""
-        return self.normalize_raw(
-            (c1 * c2, w1 + w2)
-            for x, y in pairs
-            for w1, c1 in x._terms.items()
-            for w2, c2 in y._terms.items()
-        )
+        """Normalize the sum of ``x * y`` over element pairs in one pass.
+
+        It trusts what its operands have settled: the terms of an Element
+        have nonzero Scalar coefficients (so each product ``c1 * c2`` is
+        nonzero) and words of in-range generator indices, so no term goes
+        through :meth:`normalize_raw`'s guard.  It checks only that both
+        elements of every pair belong to this presentation, and raises
+        ``PresentationMismatchError`` otherwise.  Each concatenated word
+        goes to :meth:`reduce_word` and its terms are summed into one dict.
+        """
+        acc = {}
+        reduce_word = self.reduce_word
+        for x, y in pairs:
+            if not (x.pres is self is y.pres):
+                raise PresentationMismatchError()
+            y_terms = y._terms.items()
+            for w1, c1 in x._terms.items():
+                for w2, c2 in y_terms:
+                    c = c1 * c2
+                    for c3, w3 in reduce_word(w1 + w2):
+                        _accumulate(acc, w3, c * c3)
+        return Element(self, acc)
 
     def element(self, raw_terms):
         return self.normalize_raw(raw_terms)
@@ -451,6 +476,8 @@ class Element:
 
     def scale(self, s):
         s = _as_scalar(s)
+        if s is _ONE:  # elements are immutable, so 1 returns this one
+            return self
         if s.is_zero():
             return Element(self.pres, {})
         return Element(self.pres, {w: c * s for w, c in self._terms.items()})
@@ -489,16 +516,24 @@ class Element:
 
     # -- comparison ------------------------------------------------------------------
 
+    def _scalar_only(self):
+        """True when no word but the empty one appears: the element is its scalar."""
+        terms = self._terms
+        return not terms or (len(terms) == 1 and () in terms)
+
     def __eq__(self, other):
         other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.pres is other.pres and self._terms == other._terms
+        if self.pres is other.pres:
+            return self._terms == other._terms
+        # a scalar-only element equals its scalar, and so every element that
+        # equals that scalar, whatever its presentation; this keeps == transitive
+        return self._scalar_only() and other._scalar_only() and self._terms == other._terms
 
     def __hash__(self):
         terms = self._terms
-        # an element with no word but the empty one equals its scalar
-        if not terms or (len(terms) == 1 and () in terms):
+        if self._scalar_only():
             return hash(terms.get((), Scalar.zero()))
         return hash(frozenset(terms.items()))
 

@@ -18,7 +18,11 @@ pass, 1 on a failed check, 2 on usage, parse and engine errors (one
 ``error: <label>: ...`` line on stderr and no report).  Reports are
 byte-stable for fixed options and seed; ``--out PATH`` writes the report to
 a file before printing it (an unwritable path is ``error: out-file``,
-exit 2, and prints no report).
+exit 2, and prints no report).  When standard output closes before the
+report is written, as when a reader such as ``head`` stops early, the run
+ends with exit code 141 (:data:`EXIT_CLOSED_STDOUT`, the code a shell
+gives a process ended by SIGPIPE) and prints nothing more, on either
+stream.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 
@@ -47,6 +52,7 @@ from .parser import parse
 from .scalars import Scalar
 
 SCHEMA = 1
+EXIT_CLOSED_STDOUT = 141
 
 def _suq2_tensor(legs):
     A = suq2_presentation()
@@ -114,7 +120,7 @@ def _emit(report, out_path):
                 fh.write(text + "\n")
         except OSError as ex:
             raise ValueError(f"out-file: {ex}") from None
-    print(text)
+    print(text, flush=True)
 
 
 def _expression_command(args):
@@ -342,6 +348,11 @@ def main(argv=None):
     ) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit has somewhere to write what is still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     return code
 
 

@@ -352,6 +352,9 @@ def _cancel(num, den):
     if len(num) == 1 or len(den) == 1:
         small, big = (num, den) if len(num) == 1 else (den, num)
         (c,) = small.values()
+        # a unit coefficient shares no factor with anything
+        if c[0] * c[0] + c[1] * c[1] == 1:
+            return num, den
         g = _gi_content(big, c)
         if g[0] * g[0] + g[1] * g[1] == 1:
             return num, den
@@ -497,16 +500,21 @@ class Scalar:
         return (-self) + other
 
     def __neg__(self):
-        return Scalar(_pneg(self._num), self._den)
+        return _canonical(_pneg(self._num), self._den)
 
     def __mul__(self, other):
+        # a factor 1 returns the other factor itself: Scalars are immutable.
+        # The shared 1 is found by identity, before anything else is tested.
+        if other is _ONE:
+            return self
         if not isinstance(other, Scalar):
             other = Scalar._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        if self is _ONE:
+            return other
         if not self._num or not other._num:
             return _ZERO
-        # a factor 1 returns the other factor itself: Scalars are immutable
         if other._num == _ONE_POLY and other._den == _ONE_POLY:
             return self
         if self._num == _ONE_POLY and self._den == _ONE_POLY:
@@ -518,13 +526,12 @@ class Scalar:
             if len(m._num) == 1 and m._den == _ONE_POLY:
                 mono, den = _cancel(m._num, s._den)
                 ((a, b), (x, y)), = mono.items()
-                return Scalar(
-                    {
-                        (a + a2, b + b2): (x * x2 - y * y2, x * y2 + y * x2)
-                        for (a2, b2), (x2, y2) in s._num.items()
-                    },
-                    den,
-                )
+                num = {
+                    (a + a2, b + b2): (x * x2 - y * y2, x * y2 + y * x2)
+                    for (a2, b2), (x2, y2) in s._num.items()
+                }
+                # D itself, uncancelled, is already canonical: keep its unit
+                return _canonical(num, den) if den is s._den else Scalar(num, den)
         # both inputs are reduced, so only the cross pairs can share a factor
         # (Henrici, J. ACM 3, 1956)
         n1, d2 = _cancel(self._num, other._den)
@@ -554,6 +561,8 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
+        if n == 0:
+            return _ONE
         base = self if n >= 0 else self.inverse()
         bnum, bden = base._num, base._den
         num, den = _ONE_POLY, _ONE_POLY
@@ -569,7 +578,8 @@ class Scalar:
 
     def conjugate(self):
         """Ring involution: swap q with qb and negate the imaginary unit."""
-        return Scalar(_pconj(self._num), _pconj(self._den))
+        den = self._den
+        return Scalar(_pconj(self._num), den if den is _ONE_POLY else _pconj(den))
 
     # -- evaluation -----------------------------------------------------------
 
@@ -630,6 +640,13 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self.render()!r})"
+
+
+def _canonical(num, den):
+    """The Scalar num / den of a pair that is canonical already, unit included."""
+    s = object.__new__(Scalar)
+    s._num, s._den, s._hash = num, den, None
+    return s
 
 
 # -- rendering helpers --------------------------------------------------------

@@ -28,17 +28,16 @@ G, GS, AL, ALS = A.gen("g"), A.gen("g'"), A.gen("a"), A.gen("a'")
 
 words = st.lists(st.integers(0, 3), min_size=0, max_size=4).map(tuple)
 
-coeffs = st.sampled_from(
-    [
-        Scalar.one(),
-        -Scalar.one(),
-        Scalar.q(),
-        Scalar.qbar(),
-        Scalar.from_int(2),
-        Scalar.imag_unit(),
-        Scalar.q() * Scalar.qbar(),
-    ]
-)
+COEFFS = [
+    Scalar.one(),
+    -Scalar.one(),
+    Scalar.q(),
+    Scalar.qbar(),
+    Scalar.from_int(2),
+    Scalar.imag_unit(),
+    Scalar.q() * Scalar.qbar(),
+]
+coeffs = st.sampled_from(COEFFS)
 
 
 @st.composite
@@ -352,6 +351,54 @@ def test_mixed_presentations_error():
         A.gen("a") * B.gen("a")
 
 
+def test_product_sum_refuses_an_operand_of_another_presentation():
+    B, T = uq2_presentation(), torus_presentation()
+    for pairs in (
+        [(AL, B.gen("a"))],
+        [(B.gen("a"), AL)],
+        [(B.gen("a"), B.gen("z"))],
+        [(AL, G), (GS, T.gen("U"))],
+        [(A.scalar(2), B.scalar(2))],
+    ):
+        with pytest.raises(PresentationMismatchError):
+            A.product_sum(pairs)
+
+
+def _product_algebras():
+    """The six command-line algebras and the untwisted square of uq2."""
+    from suq2.cli import ALGEBRAS, _algebra
+
+    B = uq2_presentation()
+    return [_algebra(name) for name in ALGEBRAS] + [twisted_tensor([B, B], Scalar.one())]
+
+
+def _raw_product(x, y):
+    """The raw concatenated terms of ``x * y``, as ``normalize_raw`` takes them."""
+    return [(c1 * c2, w1 + w2) for w1, c1 in x.terms() for w2, c2 in y.terms()]
+
+
+def test_products_match_normalize_raw_of_the_concatenated_terms():
+    rng = random.Random(28)
+    pool = [*COEFFS, Scalar.one() / (1 + Scalar.q()), Scalar.gaussian(Fraction(2, 3), 1)]
+    for pres in _product_algebras():
+
+        def element():
+            raw = [
+                (rng.choice(pool), tuple(rng.randrange(pres.n_gens) for _ in range(rng.randint(0, 4))))
+                for _ in range(rng.randint(1, 3))
+            ]
+            return pres.normalize_raw(raw)
+
+        for _ in range(40):
+            x, y, z = element(), element(), element()
+            assert x * y == pres.normalize_raw(_raw_product(x, y)), pres.label
+            both = pres.product_sum([(x, y), (z, x)])
+            assert both == pres.normalize_raw(_raw_product(x, y) + _raw_product(z, x))
+            assert not any(c.is_zero() for c in both._terms.values())
+            # terms that cancel across pairs leave no entry behind
+            assert pres.product_sum([(x, y), (-x, y)]).is_zero()
+
+
 # -- torus and extended algebra -----------------------------------------------------
 
 
@@ -473,6 +520,55 @@ def test_equal_elements_hash_alike():
     assert len(mixed) == 5
     # unequal values keep their own entries
     assert len({half, Scalar.gaussian(half, 1), A.scalar(Scalar.imag_unit()), AL, G}) == 5
+
+
+def test_scalar_only_elements_are_equal_across_presentations():
+    T, B = torus_presentation(), uq2_presentation()
+    half = Fraction(1, 2)
+    for equal in (
+        (2, A.scalar(2), T.scalar(2), B.scalar(2)),
+        (0, A.zero(), T.zero()),
+        (half, Scalar.gaussian(half), A.scalar(half), T.scalar(half)),
+        (Q, A.scalar(Q), B.scalar(Q)),
+    ):
+        # equality is transitive, so no insertion order splits a set
+        for order in itertools.permutations(equal):
+            assert len(set(order)) == 1, order
+        for x, y in itertools.product(equal, repeat=2):
+            assert x == y and not x != y
+    assert len({2, A.scalar(2), T.scalar(2)}) == len({A.scalar(2), T.scalar(2), 2}) == 1
+    assert A.scalar(2) != T.scalar(3)
+    assert A.zero() != T.scalar(2)
+    # an element with a word belongs to its presentation: the same terms
+    # in another one are another element
+    assert AL._terms == B.gen("a")._terms
+    assert AL != B.gen("a")
+    assert AL + 2 != B.gen("a") + 2
+    assert A.scalar(2) != B.gen("a") + 2
+    assert len({AL, B.gen("a"), A.scalar(2), B.scalar(2)}) == 3
+
+
+def test_the_shared_one_costs_nothing():
+    assert Scalar.q() ** 0 is Scalar.one()
+    for x in (AL * G - GS.scale(Q), A.unit(), A.zero(), A.scalar(Q)):
+        assert x.scale(1) is x
+        assert x.scale(Scalar.one()) is x
+        assert x * 1 is x
+
+
+def test_one_term_memo_entries_equal_the_sorted_form():
+    # a one-term normal form skips the deglex sort, yet the memo must hand
+    # out what the sort gives, here against the rewriting loop itself
+    for pres in (A, uq2_presentation(), torus_presentation()):
+        single = 0
+        for k in range(4):
+            for word in itertools.product(range(pres.n_gens), repeat=k):
+                nf = pres.reduce_word(word)
+                done = pres._rewrite({word: Scalar.one()}, Presentation.DEFAULT_STEP_LIMIT)
+                assert nf == tuple((done[w], w) for w in sorted(done, key=deglex_key)), word
+                assert pres._memo[word] is nf
+                single += len(nf) == 1
+        assert single > 40, pres.label
 
 
 HALF = Fraction(1, 2)

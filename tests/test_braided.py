@@ -14,6 +14,7 @@ from suq2 import (
     suq2_presentation,
     tensor_morphism,
     twisted_tensor,
+    uq2_presentation,
 )
 from suq2.morphisms import delta_su, identity_morphism, iota2
 
@@ -41,6 +42,35 @@ def test_cross_rule_examples():
         assert j(2, a) * j(1, x) == j(1, x) * j(2, a)
     # j2(g') j1(g) -> zeta j1(g) j2(g')
     assert j(2, gs) * j(1, g) == (j(1, g) * j(2, gs)).scale(ZETA)
+
+
+def _cross_rules(product):
+    """The (x, y, coefficient) of every cross-leg rule y x -> c x y of ``product``."""
+    starts = product.leg_offsets[1:-1]
+
+    def leg(i):
+        return sum(i >= lo for lo in starts)
+
+    out = []
+    for lhs, rule in product.rules.items():
+        if leg(lhs[0]) != leg(lhs[-1]):
+            ((c, (x, y)),) = rule.rhs
+            out.append((x, y, c))
+    return out
+
+
+def test_degree_zero_cross_rules_carry_the_shared_one():
+    U = uq2_presentation()
+    # every letter of uq2 has degree 0, so every cross rule has zeta^0
+    cross = _cross_rules(twisted_tensor([U, U], U.params["zeta"]))
+    assert len(cross) == U.n_gens**2
+    assert all(c is Scalar.one() for _, _, c in cross)
+    for product in (AA, A3):
+        cross = _cross_rules(product)
+        assert len(cross) == (16 if product is AA else 48)
+        for x, y, c in cross:
+            flat = product.generators[x].degree * product.generators[y].degree == 0
+            assert (c is Scalar.one()) == flat, (x, y)
 
 
 def test_embed_is_a_unital_star_homomorphism():

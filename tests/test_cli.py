@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import suq2
-from suq2.cli import main
+from suq2.cli import EXIT_CLOSED_STDOUT, main
 
 
 def run_cli(capsys, *argv):
@@ -385,6 +385,25 @@ def test_python_dash_m_entry_point():
     assert bad.returncode == 2
     assert "error: zero-divisor" in bad.stderr
     assert "Traceback" not in bad.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_stdout_closed_after_the_first_line_ends_quietly(unbuffered):
+    # the report, about 250 kB on one line after "{", is far larger than a
+    # pipe's buffer, so the engine is still writing when the reader stops
+    env = dict(_module_env(), PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "suq2", "nf", "a'^40*a^40"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_CLOSED_STDOUT == 141
+    assert stderr == b""
 
 
 def test_leading_minus_is_expression_text(tmp_path):

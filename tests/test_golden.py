@@ -69,6 +69,9 @@ CASES = {
         "j2(g)*j1(a)",
         "j1(g')*j2(a') + i",
     ],
+    # products on rewriting presentations, with no closed form
+    "mul-uq2": ["mul", "--algebra", "uq2", "z*g*a' + q*z'", "g'*z*a"],
+    "mul-torus": ["mul", "--algebra", "torus", "U'*V + zeta*V^2", "V'*U^2 - q*U'"],
     "mul-suq2-content": [
         "mul",
         "2*a + (1+i)*g",

@@ -554,10 +554,27 @@ def test_certified_coprime_pairs_skip_the_prs(monkeypatch):
 
 def test_product_by_one_is_the_other_factor():
     x = (Q * QB + 2 * Q + I) / (3 * Q**2 + QB + 1)
-    for y in (x, Q, ZETA, Scalar.from_int(7), ONE):
+    for y in (x, Q, ZETA, Scalar.from_int(7), ONE, Scalar.zero()):
         assert y * Scalar.one() is y
         assert Scalar.one() * y is y
         assert y * 1 is y
+        assert y**0 is Scalar.one()
+    assert 1 * ONE is ONE
+    assert ONE * 2 == 2 * ONE == Scalar.from_int(2)
+
+
+def test_negation_and_conjugation_keep_canonical_pairs():
+    quotient = scalars_module._quotient
+    rng = random.Random(28)
+    for _ in range(300):
+        r = _rational(rng)
+        assert -r == quotient(scalars_module._pneg(r._num), r._den)
+        assert r.conjugate() == quotient(
+            scalars_module._pconj(r._num), scalars_module._pconj(r._den)
+        )
+    # a polynomial keeps the shared denominator 1 under conjugation
+    for p in (Q, Q * QB + 2 * I, Scalar.from_int(3)):
+        assert p.conjugate()._den is scalars_module._ONE_POLY
 
 
 # -- content-only cancellation and the denominator-1 paths ----------------------
