@@ -350,8 +350,12 @@ def main(argv=None):
         return 2
     except BrokenPipeError:
         # the reader is gone; point stdout at devnull so that the flush at
-        # interpreter exit has somewhere to write what is still buffered
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # interpreter exit has somewhere to write what is still buffered.
+        # This is meant for the top-level process: the redirection holds
+        # for the rest of whatever process runs main().
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_CLOSED_STDOUT
     return code
 

@@ -352,9 +352,6 @@ def _cancel(num, den):
     if len(num) == 1 or len(den) == 1:
         small, big = (num, den) if len(num) == 1 else (den, num)
         (c,) = small.values()
-        # a unit coefficient shares no factor with anything
-        if c[0] * c[0] + c[1] * c[1] == 1:
-            return num, den
         g = _gi_content(big, c)
         if g[0] * g[0] + g[1] * g[1] == 1:
             return num, den
@@ -500,7 +497,7 @@ class Scalar:
         return (-self) + other
 
     def __neg__(self):
-        return _canonical(_pneg(self._num), self._den)
+        return Scalar(_pneg(self._num), self._den)
 
     def __mul__(self, other):
         # a factor 1 returns the other factor itself: Scalars are immutable.
@@ -526,12 +523,13 @@ class Scalar:
             if len(m._num) == 1 and m._den == _ONE_POLY:
                 mono, den = _cancel(m._num, s._den)
                 ((a, b), (x, y)), = mono.items()
-                num = {
-                    (a + a2, b + b2): (x * x2 - y * y2, x * y2 + y * x2)
-                    for (a2, b2), (x2, y2) in s._num.items()
-                }
-                # D itself, uncancelled, is already canonical: keep its unit
-                return _canonical(num, den) if den is s._den else Scalar(num, den)
+                return Scalar(
+                    {
+                        (a + a2, b + b2): (x * x2 - y * y2, x * y2 + y * x2)
+                        for (a2, b2), (x2, y2) in s._num.items()
+                    },
+                    den,
+                )
         # both inputs are reduced, so only the cross pairs can share a factor
         # (Henrici, J. ACM 3, 1956)
         n1, d2 = _cancel(self._num, other._den)
@@ -640,13 +638,6 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self.render()!r})"
-
-
-def _canonical(num, den):
-    """The Scalar num / den of a pair that is canonical already, unit included."""
-    s = object.__new__(Scalar)
-    s._num, s._den, s._hash = num, den, None
-    return s
 
 
 # -- rendering helpers --------------------------------------------------------
