@@ -2,10 +2,11 @@
 
 A :class:`Presentation` is the finite datum defining one algebra: an ordered
 generator table (name, degree, adjoint partner) plus directed rewrite rules
-whose left-hand sides are one- or two-letter words.  Elements are finite
-sums of scalar-weighted rule-irreducible words; equality is structural
-equality of these normal forms, so the rewrite system doubles as the
-algebra's decision procedure.  ``suq2`` computes its normal forms by a
+whose left-hand sides are letter pairs.  A word is normal exactly when none
+of its letter pairs is a left-hand side, so a one-letter word is always
+normal.  Elements are finite sums of scalar-weighted normal words; equality
+is structural equality of these normal forms, so the rewrite system doubles
+as the algebra's decision procedure.  ``suq2`` computes its normal forms by a
 closed-form product of a normal word with one letter, folded over the word;
 every other presentation rewrites.
 
@@ -15,14 +16,15 @@ are ordered by deglex: length first, then lexicographically by generator
 index.  This is a well-order compatible with concatenation.  When every rule
 replaces its left-hand side by deglex-smaller words (the termination
 certificate, checked once per presentation), every reduction terminates.
-When in addition every overlap and inclusion ambiguity of the rule table
-resolves (:func:`confluence_check`), every word has exactly one normal form
-and the irreducible words are a linear basis.  :func:`confluence_check` is
-that proof and nothing else: it reduces no sampled word, and it reduces
-through the rewriting loop alone, never through a closed form.  So the rules
-are the proof, and a closed form is tested against the rewriting loop word
-by word (the agreement sweep of ``tests/test_algebra.py``).  The numeric
-operator oracle in :mod:`suq2.numeric` is an independent cross-check of the
+When in addition every ambiguity resolves (:func:`confluence_check`), every
+word has exactly one normal form and the irreducible words are a linear
+basis; letter pairs can only overlap, so the ambiguities are the words xyz
+with xy and yz both left-hand sides.  :func:`confluence_check` is that proof
+and nothing else: it reduces no sampled word, and it reduces through the
+rewriting loop alone, never through a closed form.  So the rules are the
+proof, and a closed form is tested against the rewriting loop word by word
+(the agreement sweep of ``tests/test_algebra.py``).  The numeric operator
+oracle in :mod:`suq2.numeric` is an independent cross-check of the
 relations.
 
 Shipped presentations:
@@ -88,7 +90,7 @@ class Generator:
 class RewriteRule:
     """A directed rule ``lhs -> sum of coeff * word``.
 
-    The left-hand side has one or two letters; every right-hand word must be
+    The left-hand side is a letter pair; every right-hand word must be
     homogeneous of the same total degree as the left-hand side.  Reduction
     terminates when every right-hand word is deglex-smaller than the
     left-hand side (see :func:`deglex_key`): deglex is a well-order that is
@@ -144,8 +146,6 @@ class Presentation:
             ),
             None,
         )
-        # the redex finder scans letters as well as pairs only when it must
-        self._letter_rules = any(len(lhs) == 1 for lhs in self.rules)
         self._memo = {}
         self.memo_enabled = True
         self.times_letter = None
@@ -173,6 +173,8 @@ class Presentation:
     def gen_index(self, name, leg=None):
         if leg is None:
             return self._index[name]
+        if not 1 <= leg < len(self.leg_offsets or ()):
+            raise ValueError(f"invalid leg {leg}")
         lo, hi = self.leg_offsets[leg - 1 : leg + 1]
         for i in range(lo, hi):
             if self.generators[i].name == name:
@@ -195,10 +197,10 @@ class Presentation:
         degree = {i: g.degree for i, g in enumerate(self.generators)}
         for rule in self.rules.values():
             lhs = rule.lhs
-            # the redex finder matches one or two letters, so a longer rule
+            # the redex finder matches letter pairs only, so any other rule
             # would never fire and its confluence proof would be vacuous
-            if not 1 <= len(lhs) <= 2:
-                raise ValueError(f"rule {lhs} left-hand side must have one or two letters")
+            if len(lhs) != 2:
+                raise ValueError(f"rule {lhs} left-hand side must have two letters")
             try:
                 d = sum([degree[i] for i in lhs])
                 for _, w in rule.rhs:
@@ -214,25 +216,12 @@ class Presentation:
     def _redexes(self, word, first=False):
         """The ``(position, rule)`` pairs that match in ``word``, leftmost first.
 
-        Redexes are matched by letter pairs: each ``(word[p], word[p + 1])``
-        is looked up in ``rules``.  Only a rule table with a one-letter
-        left-hand side also looks up each letter alone, before the pair that
-        starts at the same position; one- and two-letter left-hand sides
-        never collide, so ``rules`` stays the one lookup table.  With
-        ``first`` the scan stops at the first match, so the list holds at
-        most one pair.
+        Every left-hand side is a letter pair, so each ``(word[p], word[p + 1])``
+        is looked up in ``rules``; with ``first`` the scan stops at the first match.
         """
         rules = self.rules
-        if self._letter_rules:
-            keys = []
-            for p, x in enumerate(word):
-                keys.append((p, (x,)))
-                if p + 1 < len(word):
-                    keys.append((p, (x, word[p + 1])))
-        else:
-            keys = enumerate(zip(word, word[1:]))
         out = []
-        for p, key in keys:
+        for p, key in enumerate(zip(word, word[1:])):
             rule = rules.get(key)
             if rule is not None:
                 out.append((p, rule))
@@ -259,7 +248,7 @@ class Presentation:
             done = self._rewrite({word: _ONE}, budget)
         else:
             redexes = self._redexes(word, first=True)
-            cut = redexes[0][0] + len(redexes[0][1].lhs) - 1 if redexes else len(word)
+            cut = redexes[0][0] + 1 if redexes else len(word)
             steps = cut
             if steps > budget:
                 raise self._limit_error(budget)
@@ -309,7 +298,7 @@ class Presentation:
                 _accumulate(done, w, c)
                 continue
             pos, rule = redexes[0]
-            head, tail = w[:pos], w[pos + len(rule.lhs) :]
+            head, tail = w[:pos], w[pos + 2 :]
             for coeff, rw in rule.rhs:
                 _accumulate(pending, head + rw + tail, c * coeff)
         return done
@@ -379,10 +368,12 @@ class Presentation:
             i = self.gen_index(name_or_index, leg)
         else:
             i = name_or_index
-        # elements are immutable, so one normalized element per generator
+        # elements are immutable and a lone letter is normal: one per generator
         el = self._gens.get(i)
         if el is None:
-            el = self._gens[i] = self.normalize_raw([(_ONE, (i,))])
+            if not 0 <= i < self.n_gens:
+                raise ValueError(f"generator index {i} out of range")
+            el = self._gens[i] = Element(self, {(i,): _ONE})
         return el
 
     def scalar(self, s):
@@ -768,18 +759,15 @@ class ConfluenceReport:
 
 
 def _ambiguity_words(pres):
-    """The overlap and inclusion ambiguities of the rule table, in deglex order.
+    """The ambiguities of the rule table, in deglex order.
 
-    Overlaps are the words xyz where xy and yz are both left-hand sides;
-    inclusions are the words xy where xy and x or y alone are left-hand sides.
+    Two letter pairs can only overlap: the ambiguities are the words xyz
+    where xy and yz are both left-hand sides.
     """
-    rules = pres.rules
-    pairs = [lhs for lhs in rules if len(lhs) == 2]
     followers = {}
-    for x, y in pairs:
+    for x, y in pres.rules:
         followers.setdefault(x, []).append(y)
-    words = [(x, y, z) for x, y in pairs for z in followers.get(y, ())]
-    words += [(x, y) for x, y in pairs if (x,) in rules or (y,) in rules]
+    words = [(x, y, z) for x, y in pres.rules for z in followers.get(y, ())]
     return sorted(words, key=deglex_key)
 
 
@@ -788,10 +776,11 @@ def confluence_check(pres, maxlen=None, trials=None, seed=None):
 
     By Bergman's diamond lemma, a rule set whose right-hand words are all
     deglex-smaller than their left-hand sides (``pres.deglex_violation`` is
-    ``None``) is confluent as soon as every overlap and inclusion ambiguity
-    resolves.  Each ambiguity word gets every matching rule applied once;
-    each result is fully reduced by the rules (``Presentation._rewrite``,
-    never a closed form or the memo) and all the normal forms must agree.
+    ``None``) is confluent as soon as every ambiguity resolves; with
+    letter-pair left-hand sides these are the overlaps xyz of two rules xy
+    and yz.  Each ambiguity word gets both matching rules applied once; each
+    result is fully reduced by the rules (``Presentation._rewrite``, never a
+    closed form or the memo) and all the normal forms must agree.
     That proves normal form equals algebra equality for words of every
     length.
 
@@ -831,7 +820,7 @@ def confluence_check(pres, maxlen=None, trials=None, seed=None):
             for pos, rule in pres._redexes(word):
                 branch = {}
                 for coeff, rw in rule.rhs:
-                    _accumulate(branch, word[:pos] + rw + word[pos + len(rule.lhs) :], coeff)
+                    _accumulate(branch, word[:pos] + rw + word[pos + 2 :], coeff)
                 forms.append(pres._rewrite(branch, step_cap))
         except RewriteLimitError:
             report.divergences.append({"kind": "non-termination", "word": list(word)})

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import Generator, Presentation, RewriteRule, _cached, _leg_offsets
+from .algebra import Element, Generator, Presentation, RewriteRule, _cached, _leg_offsets
 from .errors import PresentationMismatchError
 from .scalars import Scalar
 
@@ -74,9 +74,17 @@ def twisted_tensor(factors, zeta):
 
 
 def retag(x, target, offset):
-    """Copy an element into ``target`` shifting every letter by ``offset``."""
-    raw = [(c, tuple(i + offset for i in w)) for w, c in x.terms()]
-    return target.normalize_raw(raw)
+    """Copy an element into ``target`` shifting every letter by ``offset``.
+
+    Nothing is reduced.  Whatever the twist, a twisted tensor product word is
+    irreducible exactly when it is sorted by leg with irreducible leg blocks:
+    every later-leg/earlier-leg letter pair is a cross-leg left-hand side,
+    every other pair a factor's own.  So ``x``'s normal words, from the legs
+    of ``target`` that start at ``offset``, stay normal when shifted;
+    :func:`embed` and ``tensor_morphism`` check that the legs match.
+    """
+    terms = {tuple(i + offset for i in w): c for w, c in x._terms.items()}
+    return Element(target, terms)
 
 
 def embed(product, leg, x):

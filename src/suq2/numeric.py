@@ -293,10 +293,11 @@ def oracle_compare(rep, pres, raw_terms):
             f"of the model (at most N - 1 = {rep.N - 1})"
         )
     _check_four_letters(pres)
+    # normalizing first refuses an out-of-range letter before any evaluation
+    normal = pres.normalize_raw(raw)
     levels = rep.N - depth + 1
     groups = {}
     _accumulate(rep, raw, levels, groups, 0)
-    normal = pres.normalize_raw(raw)
     _accumulate(rep, ((c, w) for w, c in normal.terms()), levels, groups, 1)
     return max((float(np.abs(d - n).max()) for d, n in groups.values()), default=0.0)
 

@@ -30,7 +30,7 @@ entry).
 
 from __future__ import annotations
 
-from .algebra import _zpower, free_presentation, suq2_presentation
+from .algebra import _as_scalar, _zpower, free_presentation, suq2_presentation
 from .braided import embed
 from .errors import NotInvariantError, PresentationMismatchError
 from .scalars import Scalar
@@ -267,9 +267,9 @@ def _times_vector(m, xi):
 def invariant_vector_check(v, xi):
     """Residual elements, one per coordinate, of ``v (xi (x) 1) = xi (x) 1``.
 
-    ``xi`` has Scalar coordinates; v fixes it iff every residual is zero.
+    ``xi`` has int, Fraction or Scalar entries; v fixes it iff every residual is 0.
     """
-    xi = [c if isinstance(c, Scalar) else Scalar.from_int(c) for c in xi]
+    xi = [_as_scalar(c) for c in xi]
     if len(xi) != v.dim:
         raise ValueError("vector length must match the matrix dimension")
     return [acc - v.pres.scalar(c) for acc, c in zip(_times_vector(v, xi), xi)]

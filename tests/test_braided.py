@@ -16,7 +16,10 @@ from suq2 import (
     twisted_tensor,
     uq2_presentation,
 )
-from suq2.morphisms import delta_su, identity_morphism, iota2
+from suq2.algebra import Presentation
+from suq2.braided import retag
+from suq2.cli import ALGEBRAS, _algebra
+from suq2.morphisms import delta_su, delta_uq2, identity_morphism, iota2
 
 A = suq2_presentation()
 ZETA = A.params["zeta"]
@@ -156,6 +159,89 @@ def test_gen_index_searches_one_leg():
     assert A3.gen_index("a") == A.gen_index("a")
     with pytest.raises(KeyError):
         A3.gen_index("z", 2)
+
+
+def test_gen_refuses_a_leg_the_presentation_lacks():
+    for leg in (0, 4, -1):
+        with pytest.raises(ValueError, match=f"invalid leg {leg}"):
+            A3.gen("a", leg)
+    with pytest.raises(ValueError, match="invalid leg 1"):
+        A.gen("a", 1)
+
+
+# -- normal by construction: embed, retag and gen build their words directly --------
+
+B = uq2_presentation()
+BB = twisted_tensor([B, B], Scalar.one())
+B3 = twisted_tensor([B, B, B], Scalar.one())
+
+
+def _random_normal(pres, rng):
+    """A seeded element of ``pres``: a few random words reduced by the engine."""
+    coeffs = (Scalar.one(), -Scalar.from_int(2), pres.params["q"], Scalar.imag_unit())
+    raw = [
+        (rng.choice(coeffs), tuple(rng.randrange(pres.n_gens) for _ in range(rng.randint(0, 4))))
+        for _ in range(rng.randint(1, 4))
+    ]
+    return pres.normalize_raw(raw)
+
+
+def _reduced_shift(target, x, offset):
+    """``x``'s words shifted by ``offset`` and reduced in ``target``: the oracle."""
+    return target.normalize_raw([(c, tuple(i + offset for i in w)) for w, c in x.terms()])
+
+
+@pytest.mark.parametrize(
+    "product", [AA, A3, BB], ids=["suq2-tensor2", "suq2-tensor3", "uq2-square"]
+)
+def test_embed_of_normal_elements_needs_no_reduction(product):
+    rng = random.Random(29)
+    for leg, factor in enumerate(product.factors, start=1):
+        offset = product.leg_offsets[leg - 1]
+        for _ in range(40):
+            x = _random_normal(factor, rng)
+            assert embed(product, leg, x) == _reduced_shift(product, x, offset)
+
+
+@pytest.mark.parametrize(
+    "delta, cube",
+    [(delta_su(), A3), (delta_uq2(), B3)],
+    ids=["suq2", "uq2"],
+)
+def test_retag_of_comultiplication_images_into_the_cube(delta, cube):
+    # legs (1, 2) and legs (2, 3) of the cube
+    for offset in cube.leg_offsets[:2]:
+        for image in delta.images.values():
+            assert retag(image, cube, offset) == _reduced_shift(cube, image, offset)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_gen_is_the_reduced_letter(name):
+    pres = _algebra(name)
+    for i in range(pres.n_gens):
+        assert pres.gen(i) == pres.normalize_raw([(1, (i,))])
+
+
+def test_embed_retag_and_gen_reduce_nothing(monkeypatch):
+    rng = random.Random(3)
+    xs = [_random_normal(A, rng) for _ in range(10)]
+    images = list(delta_su().images.values())
+
+    def refuse(*args):
+        raise AssertionError("a normal-by-construction word went to the reducer")
+
+    for method in ("reduce_word", "normalize_raw"):
+        monkeypatch.setattr(Presentation, method, refuse)
+    for x in xs:
+        for leg in (1, 2, 3):
+            embed(A3, leg, x)
+    for image in images:
+        retag(image, A3, A3.leg_offsets[1])
+    monkeypatch.setattr(A3, "_gens", {})
+    for i in range(A3.n_gens):
+        A3.gen(i)
+    with pytest.raises(ValueError, match="out of range"):
+        A3.gen(A3.n_gens)
 
 
 def test_grading_flip_involution_and_degrees():

@@ -435,3 +435,15 @@ def test_transport_for_large_parameter():
     # the engine agrees with the transported model too
     dev = numeric.oracle_compare(rep, A, [(ONE, (2, 0, 3))])
     assert dev <= 1e-11
+
+
+@pytest.mark.parametrize("word", [(7,), (-1, 2)], ids=["past-the-table", "negative"])
+def test_oracle_compare_refuses_bad_letters_before_evaluating(monkeypatch, word):
+    rep = numeric.build(0.5, 10, 4)
+
+    def refuse(*args):
+        raise AssertionError("oracle_compare evaluated a word with a bad letter")
+
+    monkeypatch.setattr(numeric, "_radial_word", refuse)
+    with pytest.raises(ValueError, match="out of range"):
+        numeric.oracle_compare(rep, A, [(ONE, word)])

@@ -1,6 +1,7 @@
 """Representation calculus: unitarity, corepresentations, fixed vectors."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -157,6 +158,13 @@ def test_perturbed_vector_fails():
     # pins the coefficient to the parameter itself
     xi2 = [Scalar.zero(), Scalar.one(), -A.params["qb"], Scalar.zero()]
     assert not all(r.is_zero() for r in invariant_vector_check(v, xi2))
+
+
+def test_invariant_vector_takes_fraction_coordinates():
+    v = rep_tensor(U_FUND, U_FUND)
+    half = Fraction(1, 2)
+    assert all(r.is_zero() for r in invariant_vector_check(v, [0, half, -Q * half, 0]))
+    assert not all(r.is_zero() for r in invariant_vector_check(v, [0, half, -Q, 0]))
 
 
 def test_identity_fixes_any_vector():
