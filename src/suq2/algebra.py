@@ -43,6 +43,7 @@ Shipped presentations:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .errors import PresentationMismatchError, RewriteLimitError
@@ -65,6 +66,15 @@ def _as_scalar(value):
     if s is NotImplemented:
         raise TypeError(f"cannot use {type(value).__name__} as a scalar")
     return s
+
+
+def _check_letters(word, n):
+    """Refuse the first letter out of ``range(n)``, then the first that is not an integer."""
+    for i in word:
+        if not 0 <= i < n:
+            raise ValueError(f"generator index {i} out of range")
+    for i in word:
+        operator.index(i)
 
 
 def _accumulate(acc, word, c):
@@ -313,7 +323,9 @@ class Presentation:
 
         Raw input is checked term by term: each coefficient is coerced to a
         Scalar, a zero one is dropped, and each word must be a sequence of
-        generator indices in range.
+        generator indices in range.  ``bytes`` reads a word's letters through
+        ``__index__``, so it refuses a ``float`` letter, which would otherwise
+        enter the memo, and takes ``True`` and numpy integers.
         """
         acc = {}
         n = len(self.generators)
@@ -323,9 +335,12 @@ class Presentation:
             if coeff.is_zero():
                 continue
             word = tuple(word)
-            if word and (min(word) < 0 or max(word) >= n):
-                bad = next(i for i in word if not 0 <= i < n)
-                raise ValueError(f"generator index {bad} out of range")
+            try:
+                bad = word and max(bytes(word)) >= n
+            except (TypeError, ValueError):
+                bad = True
+            if bad:
+                _check_letters(word, n)
             for c2, w2 in self.reduce_word(word):
                 _accumulate(acc, w2, coeff * c2)
         return Element(self, acc)
@@ -371,9 +386,8 @@ class Presentation:
         # elements are immutable and a lone letter is normal: one per generator
         el = self._gens.get(i)
         if el is None:
-            if not 0 <= i < self.n_gens:
-                raise ValueError(f"generator index {i} out of range")
-            el = self._gens[i] = Element(self, {(i,): _ONE})
+            _check_letters((i,), self.n_gens)
+            el = self._gens[i] = Element(self, {(operator.index(i),): _ONE})
         return el
 
     def scalar(self, s):

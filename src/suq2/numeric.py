@@ -49,11 +49,19 @@ for one: ``alpha``, ``gamma``, ``letter_matrices()`` and ``evaluate_element``
 scatter radial amplitudes into one, and the relation residuals and the
 spectrum check the model by dense products and an SVD, a route that does
 not share the radial kernel.
+
+``oracle_compare`` evaluates each coefficient object and each normal-form
+word once per model, in two tables on the model, and a one-term expression
+that is its own normal form returns 0.0 without evaluating its word.  A
+table hit is the float a fresh evaluation gives and the sums keep their
+term order, so every deviation is the float it was without the tables.
+``evaluate_element`` fills neither table.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +93,15 @@ class TruncatedRep:
     ``amp`` holds the weights on n = 0 .. N with N + 1 zeros on either side,
     so a word's slices stay inside it while its running n-shift stays within
     N + 1.  The dense matrices are scattered from the tables on demand.
+
+    ``oracle_compare`` alone fills two private tables, left out of ``repr``
+    and of ``==``: ``_coeff_values`` maps ``id(coeff)`` to the coefficient
+    and its value at ``qval``, and ``_word_values`` maps ``(word, levels)``
+    of a normal-form word to its ``_radial_word``.  They hold one entry per
+    coefficient object and per normal word and level count the model has
+    compared, and nothing else.  A raw coefficient 1 keeps the engine's own
+    coefficient objects; any other makes new products on each call, and
+    each of those adds an entry.
     """
 
     qval: complex
@@ -93,21 +110,17 @@ class TruncatedRep:
     radial_tables: tuple
     transported: bool = False
 
+    def __post_init__(self):
+        self._coeff_values, self._word_values = {}, {}
+
     @property
     def dim(self):
         return (self.N + 1) * self.M
 
-    def index(self, n, k):
-        return n * self.M + (k % self.M)
-
-    def interior_columns(self, depth=1):
-        """Number of leading columns with n <= N - depth."""
-        return min(max(self.N - depth + 1, 0), self.N + 1) * self.M
-
     def interior_mask(self, depth=1):
-        """Column selector for n <= N - depth."""
+        """Column selector for n <= N - depth: the leading columns."""
         mask = np.zeros(self.dim, dtype=bool)
-        mask[: self.interior_columns(depth)] = True
+        mask[: max(self.N + 1 - depth, 0) * self.M] = True
         return mask
 
     @property
@@ -206,13 +219,12 @@ def relation_residuals(rep):
         a @ g - qc * (g @ a),
         a @ gstar - rep.qval * (gstar @ a),
     )
+    # N >= 2, so the interior is never empty
     mask = rep.interior_mask(1)
-    out = {}
-    for name, diff in zip(RELATION_NAMES, diffs):
-        interior = float(np.max(np.abs(diff[:, mask]))) if mask.any() else 0.0
-        full = float(np.max(np.abs(diff)))
-        out[name] = (interior, full)
-    return out
+    return {
+        name: (float(np.max(np.abs(diff[:, mask]))), float(np.max(np.abs(diff))))
+        for name, diff in zip(RELATION_NAMES, diffs)
+    }
 
 
 def _radial_word(rep, word, levels):
@@ -251,16 +263,30 @@ def evaluate_element(rep, x):
     """Substitute the model's operators into an element over the 4-letter algebra."""
     _check_four_letters(x.pres)
     groups = {}
-    _accumulate(rep, ((c, w) for w, c in x.terms()), rep.N + 1, groups, 0)
+    for word, coeff in x.terms():
+        _add(groups, 0, coeff.evaluate(rep.qval), _radial_word(rep, word, rep.N + 1))
     return rep._scatter({shift: sums[0] for shift, sums in groups.items()})
 
 
-def _accumulate(rep, terms, levels, groups, side):
-    """Add each ``(coeff, word)`` term's radial amplitudes to its summed-shift group."""
-    for coeff, word in terms:
-        dn, dk, val = _radial_word(rep, word, levels)
-        sums = groups.setdefault((dn, dk), [0.0, 0.0])
-        sums[side] = sums[side] + coeff.evaluate(rep.qval) * val
+def _add(groups, side, value, radial):
+    """Add ``value`` times a word's radial amplitudes to its summed-shift group."""
+    dn, dk, val = radial
+    sums = groups.setdefault((dn, dk), [0.0, 0.0])
+    sums[side] = sums[side] + value * val
+
+
+def _coeff_value(rep, coeff):
+    """``coeff`` at the model's q, from its table: an int or a Fraction is ``complex()`` of it.
+
+    The table is keyed by identity: equal Scalars may hold their terms in
+    different orders, and so evaluate to different last bits.  Each entry
+    holds its coefficient, so an id is not reused while its entry stands.
+    """
+    entry = rep._coeff_values.get(id(coeff))
+    if entry is None:
+        value = complex(coeff) if isinstance(coeff, numbers.Rational) else coeff.evaluate(rep.qval)
+        entry = rep._coeff_values[id(coeff)] = (coeff, value)
+    return entry[1]
 
 
 def oracle_compare(rep, pres, raw_terms):
@@ -284,6 +310,17 @@ def oracle_compare(rep, pres, raw_terms):
     in a dense comparison; entries no word reaches are |0 - 0| = 0, so the
     maximum over the groups is the dense maximum, and 0.0 when there are no
     terms.
+
+    The model remembers what it has evaluated: each coefficient object's
+    value, and each normal-form word's ``(dn, dk, amp)`` at each level count.
+    Both are pure functions of the model and of their key, and the arrays
+    are never written, so a table hit is the float a fresh evaluation
+    gives, and every sum is still formed in term order.  A raw expression
+    of one term whose normal form is that same word with that same
+    coefficient object would put one product on both sides, whose
+    difference is exactly 0, so it returns 0.0 without evaluating the word.
+    Its coefficient is evaluated first, so a pole still raises, and a value
+    too large to multiply without overflow is compared as before.
     """
     raw = [(coeff, tuple(word)) for coeff, word in raw_terms]
     depth = max((len(word) for _, word in raw), default=0)
@@ -294,11 +331,22 @@ def oracle_compare(rep, pres, raw_terms):
         )
     _check_four_letters(pres)
     # normalizing first refuses an out-of-range letter before any evaluation
-    normal = pres.normalize_raw(raw)
+    normal = pres.normalize_raw(raw).terms()
+    if len(raw) == 1 and len(normal) == 1:
+        (coeff, word), ((nword, ncoeff),) = raw[0], normal
+        if ncoeff is coeff and nword == word and abs(_coeff_value(rep, coeff)) <= 1e300:
+            # every amplitude has modulus <= 1, so value * amp cannot overflow
+            return 0.0
     levels = rep.N - depth + 1
+    words = rep._word_values
     groups = {}
-    _accumulate(rep, raw, levels, groups, 0)
-    _accumulate(rep, ((c, w) for w, c in normal.terms()), levels, groups, 1)
+    for coeff, word in raw:
+        _add(groups, 0, _coeff_value(rep, coeff), _radial_word(rep, word, levels))
+    for word, coeff in normal:
+        radial = words.get((word, levels))
+        if radial is None:
+            radial = words[word, levels] = _radial_word(rep, word, levels)
+        _add(groups, 1, _coeff_value(rep, coeff), radial)
     return max((float(np.abs(d - n).max()) for d, n in groups.values()), default=0.0)
 
 
@@ -314,10 +362,7 @@ def expected_singular_values(rep):
     values are |q|^-(n+1) instead.
     """
     r = abs(rep.qval)
-    if rep.transported:
-        base = [r ** -(n + 1) for n in range(rep.N + 1)]
-    else:
-        base = [r**n for n in range(rep.N + 1)]
+    base = [r ** (-n - 1 if rep.transported else n) for n in range(rep.N + 1)]
     return np.repeat(sorted(base, reverse=True), rep.M)
 
 

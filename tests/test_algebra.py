@@ -345,6 +345,53 @@ def test_out_of_range_letter_names_the_first_bad_index(word, bad):
     assert str(err.value) == f"generator index {bad} out of range"
 
 
+def _fresh_suq2():
+    """A presentation of suq2's rules with empty generator and word caches."""
+    return Presentation("fresh", A.generators, A.rules.values(), params=A.params)
+
+
+def test_gen_refuses_a_float_index_and_caches_nothing():
+    fresh = _fresh_suq2()
+    with pytest.raises(TypeError):
+        fresh.gen(1.0)
+    assert str(fresh.gen(1)) == "g'"
+    assert fresh.gen(1).terms() == (((1,), Scalar.one()),)
+    assert type(fresh.gen(True).terms()[0][0][0]) is int
+
+
+def test_gen_takes_bool_and_numpy_integer_indices():
+    np = pytest.importorskip("numpy")
+    fresh = _fresh_suq2()
+    assert fresh.gen(np.int64(2)).terms() == A.gen("a").terms()
+    assert fresh.gen(True).terms() == A.gen("g'").terms()
+    with pytest.raises(ValueError, match="out of range"):
+        fresh.gen(np.int64(4))
+
+
+def test_normalize_raw_refuses_a_float_letter_before_the_memo():
+    fresh = _fresh_suq2()
+    with pytest.raises(TypeError):
+        fresh.normalize_raw([(1, (1.0,))])
+    with pytest.raises(TypeError):
+        fresh.normalize_raw([(1, (2, 0.0))])
+    assert not fresh._memo
+    assert str(fresh.normalize_raw([(1, (1,))])) == "g'"
+
+
+def test_normalize_raw_takes_bool_and_numpy_integer_letters():
+    np = pytest.importorskip("numpy")
+    fresh = _fresh_suq2()
+    assert fresh.normalize_raw([(1, (True, np.int64(0)))]).terms() == (GS * G).terms()
+    assert fresh.normalize_raw([(1, np.array([2, 0]))]).terms() == (AL * G).terms()
+
+
+@pytest.mark.parametrize("word, bad", [((1.0, 7), 7), ((0.5, -1), -1), ((300,), 300)])
+def test_a_range_error_comes_before_a_type_error(word, bad):
+    with pytest.raises(ValueError) as err:
+        _fresh_suq2().normalize_raw([(1, word)])
+    assert str(err.value) == f"generator index {bad} out of range"
+
+
 def test_mixed_presentations_error():
     B = uq2_presentation()
     with pytest.raises(PresentationMismatchError):

@@ -2,11 +2,12 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from suq2 import Scalar, suq2_presentation
+from suq2 import PoleError, Scalar, suq2_presentation
 from suq2 import numeric
 from suq2.algebra import Element, Presentation, RewriteRule
 
@@ -104,7 +105,7 @@ def _keyed_merge_deviation(rep, pres, raw, depth):
     ``bincount`` adds the weights in input order starting from 0.0, so each
     sum is the one a dense accumulation into a zeroed matrix produces.
     """
-    ncols = rep.interior_columns(depth)
+    ncols = int(rep.interior_mask(depth).sum())
     letters = _letter_columns(rep)
     dkeys, dvals = _keyed_side(rep, letters, raw, ncols)
     normal = pres.normalize_raw(raw)
@@ -156,8 +157,9 @@ def test_singular_values_of_transported_gamma():
 
 def test_alpha_kills_the_bottom_row():
     rep = numeric.build(0.7, 4, 3)
+    # column (n, k) is n * M + k, so the columns with n = 0 come first
     for k in range(rep.M):
-        assert not rep.alpha[:, rep.index(0, k)].any()
+        assert not rep.alpha[:, k].any()
 
 
 def test_gamma_is_normal_even_after_truncation():
@@ -447,3 +449,149 @@ def test_oracle_compare_refuses_bad_letters_before_evaluating(monkeypatch, word)
     monkeypatch.setattr(numeric, "_radial_word", refuse)
     with pytest.raises(ValueError, match="out of range"):
         numeric.oracle_compare(rep, A, [(ONE, word)])
+
+
+def _reference_compare(rep, pres, raw_terms):
+    """The oracle loop without tables or the own-normal-form rule.
+
+    Every word goes through ``_radial_word`` and every coefficient through
+    ``Scalar.evaluate``, each time, and the sums are formed in term order.
+    """
+    raw = [(coeff, tuple(word)) for coeff, word in raw_terms]
+    depth = max((len(word) for _, word in raw), default=0)
+    normal = pres.normalize_raw(raw)
+    levels = rep.N - depth + 1
+    groups = {}
+    for side, terms in enumerate((raw, [(c, w) for w, c in normal.terms()])):
+        for coeff, word in terms:
+            dn, dk, val = numeric._radial_word(rep, word, levels)
+            sums = groups.setdefault((dn, dk), [0.0, 0.0])
+            sums[side] = sums[side] + coeff.evaluate(rep.qval) * val
+    return max((float(np.abs(d - n).max()) for d, n in groups.values()), default=0.0)
+
+
+def _seeded_expressions(seed, count):
+    """Raw expressions: one-term words, repeated words and non-unit coefficients."""
+    rng = random.Random(seed)
+    q, qb = Scalar.q(), Scalar.qbar()
+    coeffs = [ONE, ONE, -ONE, q, qb, Scalar.imag_unit() + q, ONE / (Scalar.from_int(3) + q),
+              Scalar.gaussian(Fraction(2, 7), 1)]
+    out = []
+    for _ in range(count):
+        words = [tuple(rng.randrange(4) for _ in range(rng.randint(0, 6))) for _ in range(3)]
+        nterms = rng.choice([1, 1, 2, 3, 4])
+        # drawing from three words makes repeats within and across expressions
+        out.append([(rng.choice(coeffs), rng.choice(words)) for _ in range(nterms)])
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_oracle_compare_equals_the_reference_loop(seed):
+    # q = 1.7 - 0.4j builds a transported model
+    models = [(0.5 + 0.3j, 10, 4), (1.7 - 0.4j, 10, 4), (0.4 - 0.2j, 8, 3)]
+    checked = 0
+    for pres in (A, _wrong_r2()):
+        warm = [numeric.build(*m) for m in models]
+        for raw in _seeded_expressions(seed, 20):
+            for args, shared in zip(models, warm):
+                want = _reference_compare(numeric.build(*args), pres, raw)
+                assert numeric.oracle_compare(numeric.build(*args), pres, raw) == want, raw
+                assert numeric.oracle_compare(shared, pres, raw) == want, raw
+                checked += 1
+    assert checked == 120
+
+
+def test_repeated_coefficients_and_normal_words_are_evaluated_once(monkeypatch):
+    rep = numeric.build(0.5 + 0.3j, 10, 4)
+    evaluated, radial = [], []
+    evaluate, radial_word = Scalar.evaluate, numeric._radial_word
+
+    def spy_evaluate(self, qval):
+        evaluated.append(self)
+        return evaluate(self, qval)
+
+    def spy_radial(rep, word, levels):
+        radial.append((word, levels))
+        return radial_word(rep, word, levels)
+
+    monkeypatch.setattr(Scalar, "evaluate", spy_evaluate)
+    monkeypatch.setattr(numeric, "_radial_word", spy_radial)
+    q = Scalar.q()
+    # one-term raw words with coefficient 1 keep the memo's coefficient objects
+    raws = [[(ONE, (2, 0, 3))], [(ONE, (3, 2, 0))], [(q, (2, 0)), (q, (2, 0))]]
+    first = [numeric.oracle_compare(rep, A, raw) for raw in raws]
+    assert [numeric.oracle_compare(rep, A, raw) for raw in raws] == first
+    assert sum(c is q for c in evaluated) == 1
+    assert sum(c is ONE for c in evaluated) == 1
+    memo_coeffs = [c for w, c in A.normalize_raw(raws[0]).terms()]
+    assert len(memo_coeffs) > 1
+    for c in memo_coeffs:
+        assert sum(e is c for e in evaluated) == 1
+    # raw words are evaluated on each call, normal words once per level count
+    for word, _ in A.normalize_raw(raws[0]).terms():
+        assert radial.count((word, rep.N - 2)) == 1
+    assert radial.count(((2, 0, 3), rep.N - 2)) == 2
+    # an equal coefficient in another object is evaluated for itself
+    fresh = Scalar.monomial(1, 0)
+    assert fresh == q and fresh is not q
+    numeric.oracle_compare(rep, A, [(fresh, (2, 0))])
+    assert sum(c is fresh for c in evaluated) == 1
+    assert rep._coeff_values[id(q)][0] is q and rep._coeff_values[id(fresh)][0] is fresh
+    # another model evaluates each coefficient again
+    before = sum(c is q for c in evaluated)
+    numeric.oracle_compare(numeric.build(0.5 + 0.3j, 10, 4), A, raws[2])
+    assert sum(c is q for c in evaluated) == before + 1
+
+
+def test_own_normal_form_returns_zero_without_evaluating_a_word(monkeypatch):
+    rep = numeric.build(0.5 + 0.3j, 10, 4)
+
+    def refuse(*args):
+        raise AssertionError("an own-normal-form word was evaluated")
+
+    monkeypatch.setattr(numeric, "_radial_word", refuse)
+    for coeff in (ONE, Scalar.q(), -Scalar.imag_unit()):
+        for word in [(0, 2), (1, 1, 3), (0, 1, 2, 2), ()]:
+            dev = numeric.oracle_compare(rep, A, [(coeff, word)])
+            assert dev == 0.0 and math.copysign(1.0, dev) == 1.0
+
+
+def test_own_normal_form_still_raises_at_a_pole():
+    rep = numeric.build(0.5 + 0.3j, 10, 4)
+    # q qb = 0.34 = 17/50 at this q
+    coeff = ONE / (Scalar.q() * Scalar.qbar() - Scalar.gaussian(Fraction(17, 50)))
+    with pytest.raises(PoleError):
+        numeric.oracle_compare(rep, A, [(coeff, (0, 2))])
+
+
+def test_own_normal_form_with_a_huge_coefficient_is_compared_as_before():
+    rep = numeric.build(0.5, 10, 4)
+    # about 1.1e307 at q = 1/2: past the rule's bound, so the words are evaluated
+    for coeff in (Scalar.monomial(-1020, 0), Scalar.monomial(-1020, 0, 1, 1)):
+        for word in [(0, 2), (1, 3)]:
+            raw = [(coeff, word)]
+            assert numeric.oracle_compare(rep, A, raw) == _reference_compare(rep, A, raw)
+
+
+def test_evaluate_element_leaves_the_tables_empty():
+    rep = numeric.build(0.5 + 0.3j, 10, 4)
+    x = A.element([(Scalar.q(), (2, 0, 3)), (ONE, (1, 2))])
+    numeric.evaluate_element(rep, x)
+    assert rep._coeff_values == {} and rep._word_values == {}
+    numeric.oracle_compare(rep, A, [(Scalar.q(), (2, 0, 3))])
+    assert rep._coeff_values and rep._word_values
+    assert "_coeff_values" not in repr(rep) and "_word_values" not in repr(rep)
+
+
+@pytest.mark.parametrize("word", [(0, 2), (2, 0)], ids=["normal", "a-g"])
+def test_oracle_compare_takes_int_and_fraction_coefficients(word):
+    rep = numeric.build(0.5 + 0.3j, 10, 4)
+    half = Fraction(1, 2)
+    assert numeric.oracle_compare(rep, A, [(1, word)]) == numeric.oracle_compare(
+        rep, A, [(Scalar.one(), word)]
+    )
+    assert numeric.oracle_compare(rep, A, [(half, word)]) == numeric.oracle_compare(
+        rep, A, [(Scalar.gaussian(half), word)]
+    )
+    with pytest.raises(TypeError):
+        numeric.oracle_compare(rep, A, [(0.5, word)])
