@@ -223,21 +223,18 @@ class Presentation:
 
     # -- reduction engine ------------------------------------------------------
 
-    def _redexes(self, word, first=False):
-        """The ``(position, rule)`` pairs that match in ``word``, leftmost first.
+    def _first_redex(self, word):
+        """The leftmost ``(position, rule)`` that matches in ``word``, or ``None``.
 
         Every left-hand side is a letter pair, so each ``(word[p], word[p + 1])``
-        is looked up in ``rules``; with ``first`` the scan stops at the first match.
+        is looked up in ``rules`` until one matches.
         """
         rules = self.rules
-        out = []
         for p, key in enumerate(zip(word, word[1:])):
             rule = rules.get(key)
             if rule is not None:
-                out.append((p, rule))
-                if first:
-                    break
-        return out
+                return p, rule
+        return None
 
     def reduce_word(self, word):
         """Full normal form of a single word as a tuple of (Scalar, word).
@@ -257,8 +254,8 @@ class Presentation:
         if self.times_letter is None:
             done = self._rewrite({word: _ONE}, budget)
         else:
-            redexes = self._redexes(word, first=True)
-            cut = redexes[0][0] + 1 if redexes else len(word)
+            redex = self._first_redex(word)
+            cut = redex[0] + 1 if redex else len(word)
             steps = cut
             if steps > budget:
                 raise self._limit_error(budget)
@@ -284,13 +281,12 @@ class Presentation:
 
         Each step takes the deglex-largest pending word (a lone pending word
         is taken as it is, with no comparison): an irreducible one moves to
-        the result, any other is rewritten once at its first redex, each
-        ``c * coeff`` added back into ``pending``.  The finder stops at that
-        first redex.  Largest first matters: every rewrite of a certified
-        presentation yields only deglex-smaller words, so a word is taken
-        after all of its contributions have merged, and no word is rewritten
-        twice.  Without the deglex certificate that property is lost and the
-        reduction is bounded only by the step budget.
+        the result, any other is rewritten once at its leftmost redex, each
+        ``c * coeff`` added back into ``pending``.  Largest first matters:
+        every rewrite of a certified presentation yields only deglex-smaller
+        words, so a word is taken after all of its contributions have merged,
+        and no word is rewritten twice.  Without the deglex certificate that
+        property is lost and the reduction is bounded only by the step budget.
         """
         steps = 0
         done = {}
@@ -303,11 +299,11 @@ class Presentation:
             else:
                 w = max(pending, key=deglex_key)
                 c = pending.pop(w)
-            redexes = self._redexes(w, first=True)
-            if not redexes:
+            redex = self._first_redex(w)
+            if redex is None:
                 _accumulate(done, w, c)
                 continue
-            pos, rule = redexes[0]
+            pos, rule = redex
             head, tail = w[:pos], w[pos + 2 :]
             for coeff, rw in rule.rhs:
                 _accumulate(pending, head + rw + tail, c * coeff)
@@ -323,9 +319,9 @@ class Presentation:
 
         Raw input is checked term by term: each coefficient is coerced to a
         Scalar, a zero one is dropped, and each word must be a sequence of
-        generator indices in range.  ``bytes`` reads a word's letters through
-        ``__index__``, so it refuses a ``float`` letter, which would otherwise
-        enter the memo, and takes ``True`` and numpy integers.
+        generator indices in range.  :func:`_check_letters` reads each letter
+        through ``operator.index``, so it refuses a ``float`` letter, which
+        would otherwise enter the memo, and takes ``True`` and numpy integers.
         """
         acc = {}
         n = len(self.generators)
@@ -335,12 +331,7 @@ class Presentation:
             if coeff.is_zero():
                 continue
             word = tuple(word)
-            try:
-                bad = word and max(bytes(word)) >= n
-            except (TypeError, ValueError):
-                bad = True
-            if bad:
-                _check_letters(word, n)
+            _check_letters(word, n)
             for c2, w2 in self.reduce_word(word):
                 _accumulate(acc, w2, coeff * c2)
         return Element(self, acc)
@@ -641,6 +632,7 @@ def _suq2_times_letter(q, qb):
     (letter, e) and cached, and a factor 1 is the shared one.
     """
     r = q * qb
+    # shared factor objects also keep numeric's identity-keyed value table small
     factors = {}
 
     def factor(x, e):
@@ -829,19 +821,21 @@ def confluence_check(pres, maxlen=None, trials=None, seed=None):
         if len(report.divergences) >= max_divergences:
             break
         report.words_checked += 1
+        # xyz has exactly two redexes: rules[(x, y)] at 0 and rules[(y, z)] at 1
+        x, y, z = word
         forms = []
         try:
-            for pos, rule in pres._redexes(word):
+            for head, pair, tail in (((), (x, y), (z,)), ((x,), (y, z), ())):
                 branch = {}
-                for coeff, rw in rule.rhs:
-                    _accumulate(branch, word[:pos] + rw + word[pos + 2 :], coeff)
+                for coeff, rw in pres.rules[pair].rhs:
+                    _accumulate(branch, head + rw + tail, coeff)
                 forms.append(pres._rewrite(branch, step_cap))
         except RewriteLimitError:
             report.divergences.append({"kind": "non-termination", "word": list(word)})
             continue
-        if any(f != forms[0] for f in forms[1:]):
+        if forms[0] != forms[1]:
             report.divergences.append({"kind": "critical-pair", "word": list(word)})
         else:
-            report.critical_pairs += len(forms) * (len(forms) - 1) // 2
+            report.critical_pairs += 1
 
     return report

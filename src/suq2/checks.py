@@ -1,8 +1,9 @@
 """Named verification checks behind the CLI ``verify`` subcommand.
 
-Every check runs over the formal parameter, so a pass is an exact identity
-in the two-variable coefficient field and therefore holds for every complex
-specialisation at once.  Each check returns a :class:`CheckResult` whose
+Every check runs over the formal parameter, and every coefficient a check
+builds is a Laurent polynomial in q and qb (no denominator other than 1;
+pinned by a test).  So a pass is an exact Laurent-polynomial identity and
+holds at every q, qb != 0.  Each check returns a :class:`CheckResult` whose
 ``residuals`` list renders whatever failed.  That list is the verdict: a
 check passes exactly when it has no residuals.  A check's id is its key in
 :data:`CHECKS` and nowhere else.

@@ -11,17 +11,20 @@ Tensor products of representations combine through the braiding: on the
 tensor product space, with d1 and d2 the weights of the two factors,
 
     (v1 (x) v2)[(i, j), (i', j')]
-        = v1[i, i'] conj(zeta)^((d2[j] - d2[j']) (d1[i'] - 1)) v2[j, j'].
+        = v1[i, i'] conj(zeta)^((d2[j] - d2[j']) d1[i']) v2[j, j'].
 
 This is the product i1(v1) i2(v2) of the standard matrix model of the
 twisted product, where i1(T) (x (x) y) = Tx (x) y and
-i2(S) (x (x) y) = conj(zeta)^(deg(S) (deg(x) - 1)) x (x) Sy; each entry of
-that product has exactly one term.  The shift by one in the exponent
-normalises the implementing circle unitary of the left factor so that its
-top weight acts trivially; with the weights (1, 0) of the two-dimensional
-space this is exactly the normalisation under which the distinguished
-vector ``e0 (x) e1 - q e1 (x) e0`` is fixed by the tensor square of the
-fundamental representation.
+i2(S) (x (x) y) = conj(zeta)^(deg(S) deg(x)) x (x) Sy; each entry of that
+product has exactly one term.  The exponent is bilinear in the two weights
+and the weights of a tensor product space add, so the twist of
+(v1 (x) v2) (x) v3 and of v1 (x) (v2 (x) v3) is the same product of
+pairwise factors: the tensor product is associative.  A weight 0 space of
+dimension one is a unit on both sides.  The fundamental representation
+lives on the weights (0, -1) of :data:`QUBIT`; with them the distinguished
+vector ``e0 (x) e1 - q e1 (x) e0`` is fixed by its tensor square.  Only
+weight differences decide circle invariance, so shifting all weights of a
+space by one constant changes no invariance verdict.
 
 The checks here return residuals, never a verdict: an identity holds exactly
 when every residual is zero (an empty list, or a matrix with no nonzero
@@ -55,7 +58,7 @@ class GradedSpace:
         return f"GradedSpace{self.degrees}"
 
 
-QUBIT = GradedSpace((1, 0))
+QUBIT = GradedSpace((0, -1))
 
 
 class AlgMatrix:
@@ -164,7 +167,7 @@ class AlgMatrix:
         return (
             isinstance(other, AlgMatrix)
             and self.pres is other.pres
-            and self.space.dim == other.space.dim
+            and self.space.degrees == other.space.degrees
             and self.entries == other.entries
         )
 
@@ -173,7 +176,7 @@ class AlgMatrix:
 
 
 def fundamental_matrix(pres=None):
-    """The 2x2 matrix ((a, -q g'), (g, a')) on the space with weights (1, 0)."""
+    """The 2x2 matrix ((a, -q g'), (g, a')) on the space with weights (0, -1)."""
     if pres is None:
         pres = suq2_presentation()
     q = pres.params["q"]
@@ -234,7 +237,7 @@ def _tensor(v1, v2, zeta):
                 for jp, y in enumerate(row2):
                     if y.is_zero():
                         continue
-                    k = (d2[j] - d2[jp]) * (d1[ip] - 1)
+                    k = (d2[j] - d2[jp]) * d1[ip]
                     out[i * n2 + j][ip * n2 + jp] = x * (y.scale(zbar**k) if k else y)
     return AlgMatrix(pres, v1.space.tensor(v2.space), out)
 
@@ -243,9 +246,11 @@ def rep_tensor(v1, v2):
     """Tensor product of two representations on the tensor product space.
 
     Entry ((i, j), (i', j')) is
-    ``v1[i, i'] conj(zeta)^((d2[j] - d2[j']) (d1[i'] - 1)) v2[j, j']``,
+    ``v1[i, i'] conj(zeta)^((d2[j] - d2[j']) d1[i']) v2[j, j']``,
     with d1, d2 the weights of the two spaces and zeta the twist of their
-    presentation.
+    presentation.  The exponent is bilinear in the weights and the weights
+    of a tensor product add, so the product is associative, with the weight
+    0 one-dimensional space as its unit: a monoidal product.
     """
     if v1.pres is not v2.pres:
         raise PresentationMismatchError()
@@ -280,7 +285,7 @@ def constraint_derivation(qparam=None):
 
     Works over the free graded *-algebra on entries a, b, c, d of a generic
     unitary 2x2 matrix u, invariant by construction (degrees 0, -1, 1, 0 on
-    the weights (1, 0)), and expands both sides of the fixed-vector equation
+    the weights (0, -1)), and expands both sides of the fixed-vector equation
     written with one adjoint:
 
         (i1 (x) id)(u*) (xi (x) 1) = (i2 (x) id)(u) (xi (x) 1),

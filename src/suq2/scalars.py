@@ -4,8 +4,9 @@ A :class:`Scalar` is a rational function in two commuting indeterminates
 ``q`` and ``qb`` with Gaussian-rational coefficients.  ``qb`` is an
 independent indeterminate, not syntactic sugar for a conjugate: conjugation
 is the ring involution that swaps ``q`` with ``qb`` and negates the imaginary
-unit.  Every identity the engine checks is therefore an exact polynomial
-identity in two variables, valid for all complex specialisations at once.
+unit.  Every identity the engine checks is therefore an exact identity of
+rational functions in two variables, valid at every specialisation where no
+denominator vanishes.
 
 Representation: numerator and denominator are polynomials over the Gaussian
 integers Z[i], stored as ``{(q_exp, qb_exp): (re, im)}`` dicts of Python ints
@@ -29,16 +30,16 @@ with d1 = e1*g and d2 = e2*g, only g can share a factor with
 t = n1*e2 + n2*e1, so the sum is t / (e1*e2*g) after cancelling t against g
 alone; g may be a Gaussian integer (1/(2q+2) + 1/2).  Products cancel only
 the cross pairs n1 with d2 and n2 with d1.  A product by 1 returns the other
-factor itself, with no new Scalar.  A factor that is a single monomial
-``c*q^a*qb^b`` over 1 skips even the cross pairs.  A canonical denominator D
-has zero minimum exponents, so no monomial factor, and gcd(c*q^a*qb^b, D) is
-g = gcd(c, cont(D)), a Gaussian-integer gcd.  So c/g times the shifted other
-numerator, over D/g, is reduced: gcd(c/g, cont(D)/g) = 1.  The same content
-gcd cancels any one-term numerator and any constant denominator.
+factor itself, with no new Scalar.  A canonical denominator D has zero
+minimum exponents, so no monomial factor, and gcd(c*q^a*qb^b, D) is
+g = gcd(c, cont(D)), a Gaussian-integer gcd.  So ``_cancel`` cancels a
+one-term numerator, or a constant denominator, by that content gcd alone,
+with no polynomial gcd, and a monomial product needs no shortcut of its
+own: 2 * 1/(2q+2) is 1/(q+1).
 
 Polynomial dicts are never mutated after construction, so an operation may
-return an operand's dict unchanged (``_pshift`` by zero, ``_pmul`` by 1, the
-monomial product's D) and Scalars may share them.
+return an operand's dict unchanged (``_pshift`` by zero, ``_pmul`` by 1) and
+Scalars may share them.
 
 Most gcds are of coprime pairs, and a modular certificate proves that
 without the PRS (Brown, J. ACM 18, 1971; Geddes, Czapor and Labahn,
@@ -382,7 +383,7 @@ def _quotient(num, den):
 class Scalar:
     """An exact rational function in ``q`` and ``qb``, always canonical."""
 
-    __slots__ = ("_num", "_den", "_hash")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, num, den=_ONE_POLY):
         """From a numerator and denominator that already share no factor.
@@ -396,7 +397,6 @@ class Scalar:
             num, den = _unit_normal(num, den)
         self._num = num
         self._den = den
-        self._hash = None
 
     # -- constructors --------------------------------------------------------
 
@@ -516,20 +516,6 @@ class Scalar:
             return self
         if self._num == _ONE_POLY and self._den == _ONE_POLY:
             return other
-        # monomial fast path: c*q^a*qb^b times N/D cancels the monomial against
-        # D by content alone (module docstring; 2 * 1/(2q+2) is 1/(q+1)) and
-        # shifts and scales N term by term, with no polynomial product
-        for m, s in ((self, other), (other, self)):
-            if len(m._num) == 1 and m._den == _ONE_POLY:
-                mono, den = _cancel(m._num, s._den)
-                ((a, b), (x, y)), = mono.items()
-                return Scalar(
-                    {
-                        (a + a2, b + b2): (x * x2 - y * y2, x * y2 + y * x2)
-                        for (a2, b2), (x2, y2) in s._num.items()
-                    },
-                    den,
-                )
         # both inputs are reduced, so only the cross pairs can share a factor
         # (Henrici, J. ACM 3, 1956)
         n1, d2 = _cancel(self._num, other._den)
@@ -602,15 +588,12 @@ class Scalar:
         return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        if self._hash is None:
-            num, den = self._num, self._den
-            (x, y), (d, e) = num.get((0, 0), (0, 0)), den.get((0, 0), (0, 0))
-            if num.keys() <= {(0, 0)} and den.keys() == {(0, 0)} and y == e == 0:
-                # equal to the Fraction x/d, and so to an int when d is 1
-                self._hash = hash(Fraction(x, d))
-            else:
-                self._hash = hash((frozenset(num.items()), frozenset(den.items())))
-        return self._hash
+        num, den = self._num, self._den
+        (x, y), (d, e) = num.get((0, 0), (0, 0)), den.get((0, 0), (0, 0))
+        if num.keys() <= {(0, 0)} and den.keys() == {(0, 0)} and y == e == 0:
+            # equal to the Fraction x/d, and so to an int when d is 1
+            return hash(Fraction(x, d))
+        return hash((frozenset(num.items()), frozenset(den.items())))
 
     # -- rendering -------------------------------------------------------------
 

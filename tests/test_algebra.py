@@ -213,13 +213,13 @@ def _a_star_a(n):
 )
 def test_no_word_is_rewritten_twice(monkeypatch, pres, word):
     seen = []
-    redexes = Presentation._redexes
+    finder = Presentation._first_redex
 
-    def counted(self, w, first=False):
+    def counted(self, w):
         seen.append(w)
-        return redexes(self, w, first)
+        return finder(self, w)
 
-    monkeypatch.setattr(Presentation, "_redexes", counted)
+    monkeypatch.setattr(Presentation, "_first_redex", counted)
     pres._rewrite({word: Scalar.one()}, Presentation.DEFAULT_STEP_LIMIT)
     assert len(seen) > len(word)
     assert len(seen) == len(set(seen))

@@ -43,7 +43,7 @@ def exhaustive_critical_pairs(pres, maxlen):
     diverging = []
     for length in range(2, maxlen + 1):
         for word in itertools.product(range(pres.n_gens), repeat=length):
-            redexes = pres._redexes(word)
+            redexes = _redexes_by_slices(pres, word)
             outcomes = set()
             for (p1, r1), (p2, r2) in itertools.combinations(redexes, 2):
                 lo, hi = sorted([(p1, r1), (p2, r2)], key=lambda t: t[0])
@@ -80,7 +80,7 @@ def reduce_word_random(pres, word, rng, max_steps=20_000):
     while pending:
         w = rng.choice(sorted(pending))
         c = pending.pop(w)
-        redexes = pres._redexes(w)
+        redexes = _redexes_by_slices(pres, w)
         if not redexes:
             _accumulate(done, w, c)
             continue
@@ -376,11 +376,11 @@ def _redexes_by_slices(pres, word):
 
 
 def _finder_disagreements(pres, words):
-    """Words whose full or first-only redex list differs from the reference."""
+    """Words whose leftmost redex differs from the reference's first one."""
     out = []
     for word in words:
         expected = _redexes_by_slices(pres, word)
-        if pres._redexes(word) != expected or pres._redexes(word, first=True) != expected[:1]:
+        if pres._first_redex(word) != (expected[0] if expected else None):
             out.append(word)
     return out
 
@@ -437,21 +437,20 @@ def test_looping_rules_end_as_non_termination_at_the_step_cap(monkeypatch):
     # past the certificate, the proof reduces each ambiguity until the cap stops it
     monkeypatch.setattr(looping, "deglex_violation", None)
     calls = []
-    finder = Presentation._redexes
+    finder = Presentation._first_redex
 
-    def counted(self, word, first=False):
-        calls.append(first)
-        return finder(self, word, first)
+    def counted(self, word):
+        calls.append(word)
+        return finder(self, word)
 
-    monkeypatch.setattr(Presentation, "_redexes", counted)
+    monkeypatch.setattr(Presentation, "_first_redex", counted)
     report = confluence_check(looping)
     words = _ambiguity_words(looping)
     assert words == [(0, 2, 0), (2, 0, 2)]
     assert report.divergences == [{"kind": "non-termination", "word": list(w)} for w in words]
     assert (report.words_checked, report.critical_pairs) == (2, 0)
-    # one full scan of each ambiguity, then exactly 10,000 steps on its first branch
-    assert calls.count(False) == 2
-    assert calls.count(True) == 2 * 10_000
+    # one redex lookup per step: exactly 10,000 on each ambiguity's first branch
+    assert len(calls) == 2 * 10_000
 
 
 def test_control_reports_are_unchanged():

@@ -1,5 +1,6 @@
 """Import hygiene: every name a module of the package imports is used in it,
-and the modules form one chain.
+every private helper it defines is used somewhere in the package, and the
+modules form one chain.
 
 The layering rule: the modules are ordered as ``LAYERS``, and a module
 imports a sibling only from earlier in the chain, so there is no import
@@ -61,6 +62,35 @@ def unused_imports(source):
             imported += [a.asname or a.name for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in imported if name not in used]
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def dead_helpers(sources):
+    """The private functions and classes of ``sources`` whose name is never read.
+
+    ``sources`` maps module names to their text.  A definition counts as
+    read when its name is read, as a name or an attribute, anywhere in the
+    sources; a definition itself is no read, and docstrings never count.
+    An override that calls ``super()``'s method of the same name is read.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, kinds) and _is_private(node.name) and node.name not in reads
+    ]
 
 
 def _imports(node, in_function=False):
@@ -146,3 +176,32 @@ def test_layering_detector():
 def test_public_names_are_unchanged():
     assert suq2.__all__ == PUBLIC_NAMES
     assert all(hasattr(suq2, name) for name in PUBLIC_NAMES)
+
+
+def test_every_private_helper_is_read_in_the_package():
+    sources = {module: (PACKAGE / module).read_text() for module in MODULES}
+    sources["__init__.py"] = (PACKAGE / "__init__.py").read_text()
+    assert dead_helpers(sources) == []
+
+
+def test_dead_helper_detector():
+    sources = {
+        "a.py": (
+            "def _used():\n"
+            "    return 1\n"
+            "def _named_in_a_docstring():\n"
+            "    \"\"\"_named_in_a_docstring\"\"\"\n"
+            "class _Box:\n"
+            "    def _method(self):\n"
+            "        return self._other()\n"
+            "    def _other(self):\n"
+            "        return 0\n"
+            "    def __repr__(self):\n"
+            "        return ''\n"
+        ),
+        "b.py": "from .a import _used\nx = _used()\n_Box()\n",
+    }
+    assert dead_helpers(sources) == [
+        "a.py:_named_in_a_docstring",
+        "a.py:_method",
+    ]

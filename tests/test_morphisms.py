@@ -358,6 +358,23 @@ def test_run_all_expands_only_the_named_base_maps(monkeypatch):
     }
 
 
+def test_every_check_builds_only_laurent_coefficients(monkeypatch):
+    # a fresh cache, so that every coefficient of a cold pass is seen; the
+    # checks module docstring rests on this: a pass holds at every q, qb != 0
+    monkeypatch.setattr(suq2.algebra, "_PRESENTATION_CACHE", {})
+    built = []
+    init = Scalar.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(Scalar, "__init__", recording)
+    assert all(res.ok for res in checks.run_all().values())
+    assert len(built) > 1000
+    assert [s for s in built if s._den != {(0, 0): (1, 0)}] == []
+
+
 def test_comultiplications_are_built_once_per_source():
     assert delta_su() is delta_su() is delta_su(Q)
     assert delta_uq2() is delta_uq2() is delta_uq2(Q)

@@ -1,5 +1,6 @@
 """Representation calculus: unitarity, corepresentations, fixed vectors."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -101,7 +102,7 @@ def test_corep_check_ignores_the_space_grading_over_a_trivially_graded_source():
 
 def test_tensor_square_is_a_corep_and_unitary():
     v = rep_tensor(U_FUND, U_FUND)
-    assert v.space.degrees == (2, 1, 1, 0)
+    assert v.space.degrees == (0, -1, -1, -2)
     assert v.is_invariant()
     assert _is_unitary(v)
     assert corep_check(v, DELTA).is_zero()
@@ -109,13 +110,71 @@ def test_tensor_square_is_a_corep_and_unitary():
 
 def test_tensor_with_trivial_second_factor_is_identity_operation():
     triv = AlgMatrix.identity(A, GradedSpace((0,)))
-    v = rep_tensor(U_FUND, triv)
-    assert v.entries == U_FUND.entries
-    # a trivial first factor yields the character-conjugated copy: different
-    # entries on the degree-carrying positions, but still a corepresentation
-    w = rep_tensor(triv, U_FUND)
-    assert _is_unitary(w)
-    assert corep_check(w, DELTA).is_zero()
+    # the weight-0 trivial factor is a unit on both sides
+    assert rep_tensor(U_FUND, triv).entries == U_FUND.entries
+    assert rep_tensor(triv, U_FUND).entries == U_FUND.entries
+
+
+def test_rep_tensor_is_associative():
+    square = rep_tensor(U_FUND, U_FUND)
+    trivial = {f"1[{c}]": AlgMatrix.identity(A, GradedSpace((c,))) for c in (-1, 0, 2)}
+    pool = {"u": U_FUND, "uu": square, **trivial}
+    for (n1, v1), (n2, v2), (n3, v3) in itertools.product(pool.items(), repeat=3):
+        left = rep_tensor(rep_tensor(v1, v2), v3)
+        right = rep_tensor(v1, rep_tensor(v2, v3))
+        assert left == right, (n1, n2, n3)
+    assert corep_check(rep_tensor(square, U_FUND), DELTA).is_zero()
+    assert corep_check(rep_tensor(U_FUND, square), DELTA).is_zero()
+
+
+def _scalar_matrix(space, rows):
+    return AlgMatrix(A, space, [[A.scalar(c) for c in row] for row in rows])
+
+
+def _kron(m1, m2):
+    return [[x * y for x in r1 for y in r2] for r1 in m1 for r2 in m2]
+
+
+# e = xi xi^*, the projector onto the invariant vector xi = e0 e1 - q e1 e0
+_XI = (Scalar.zero(), Scalar.one(), -Q, Scalar.zero())
+_E = [[x * y.conjugate() for y in _XI] for x in _XI]
+_ONE2 = [[Scalar.one(), Scalar.zero()], [Scalar.zero(), Scalar.one()]]
+
+
+def _intertwines(rows, w):
+    t = _scalar_matrix(w.space, rows)
+    return t * w == w * t
+
+
+def test_the_singlet_projector_intertwines_on_either_pair_of_legs():
+    square = rep_tensor(U_FUND, U_FUND)
+    assert _intertwines(_E, square)
+    for cube in (rep_tensor(square, U_FUND), rep_tensor(U_FUND, square)):
+        assert _intertwines(_kron(_E, _ONE2), cube)
+        assert _intertwines(_kron(_ONE2, _E), cube)
+
+
+def test_the_shifted_exponent_is_not_associative():
+    # the shifted convention: weights (1, 0) and (d2[j] - d2[j']) (d1[i'] - 1)
+    u = AlgMatrix(A, GradedSpace((1, 0)), U_FUND.entries)
+
+    def shifted(v1, v2):
+        return _operator_model_tensor(v1, v2, shift=1)
+
+    assert shifted(u, u).entries == rep_tensor(U_FUND, U_FUND).entries
+    left, right = shifted(shifted(u, u), u), shifted(u, shifted(u, u))
+    assert left.space.degrees == right.space.degrees
+    assert sum(x != y for r1, r2 in zip(left.entries, right.entries) for x, y in zip(r1, r2)) == 32
+    # bracketed to the left, e (x) 1 intertwines but 1 (x) e does not
+    assert _intertwines(_kron(_E, _ONE2), left)
+    assert not _intertwines(_kron(_ONE2, _E), left)
+
+
+def test_matrix_equality_compares_the_weights():
+    same_entries = AlgMatrix(A, GradedSpace((0, 0)), U_FUND.entries)
+    assert U_FUND != same_entries
+    assert U_FUND.is_invariant() and not same_entries.is_invariant()
+    assert U_FUND == AlgMatrix(A, GradedSpace((0, -1)), U_FUND.entries)
 
 
 def mixed_leg_matrices(v, product):
@@ -186,12 +245,12 @@ def test_uq2_corep_bijection_fundamental_case():
     B = inc.target
     v = matrix_apply(inc, U_FUND)
     assert uq2_from_su2_rep(v, delta_uq2()) == []
-    # the converted matrix has the expected entries ((a z', -q g'), (g z', a'))
+    # the converted matrix has the expected entries ((a, -q g' z), (g, a' z))
     u = v * zpower_matrix(B, QUBIT).adjoint()
-    assert u[0, 0] == B.gen("a") * B.gen("z'")
-    assert u[0, 1] == B.gen("g'").scale(-Q)
-    assert u[1, 0] == B.gen("g") * B.gen("z'")
-    assert u[1, 1] == B.gen("a'")
+    assert u[0, 0] == B.gen("a")
+    assert u[0, 1] == B.gen("g'").scale(-Q) * B.gen("z")
+    assert u[1, 0] == B.gen("g")
+    assert u[1, 1] == B.gen("a'") * B.gen("z")
 
 
 def test_uq2_corep_bijection_names_each_failing_part():
@@ -285,8 +344,8 @@ def _leg1_matrix(v1, dim2):
     return out
 
 
-def _leg2_matrix(v2, space1, zeta):
-    """(i2 (x) id)(v2) with the twist conj(zeta)^(deg(S) (deg(x)-1))."""
+def _leg2_matrix(v2, space1, zeta, shift=0):
+    """(i2 (x) id)(v2) with the twist conj(zeta)^(deg(S) (deg(x) - shift))."""
     pres = v2.pres
     n2 = v2.dim
     d1, d2 = space1.degrees, v2.space.degrees
@@ -301,17 +360,17 @@ def _leg2_matrix(v2, space1, zeta):
                 continue
             l = d2[j] - d2[jp]
             for i in range(space1.dim):
-                twist = zbar ** (l * (d1[i] - 1))
+                twist = zbar ** (l * (d1[i] - shift))
                 out[i * n2 + j][i * n2 + jp] = el.scale(twist)
     return out
 
 
-def _operator_model_tensor(v1, v2):
+def _operator_model_tensor(v1, v2, shift=0):
     """Reference tensor product: the matrix product i1(v1) i2(v2) of the two legs."""
     pres = v1.pres
     space = v1.space.tensor(v2.space)
     m1 = AlgMatrix(pres, space, _leg1_matrix(v1, v2.dim))
-    m2 = AlgMatrix(pres, space, _leg2_matrix(v2, v1.space, pres.params["zeta"]))
+    m2 = AlgMatrix(pres, space, _leg2_matrix(v2, v1.space, pres.params["zeta"], shift))
     return m1 * m2
 
 
@@ -320,7 +379,7 @@ _TENSOR_ALGEBRAS = {
     "torus": torus_presentation,
 }
 
-# weights other than (1, 0) on the first factor exercise the shift by one
+# weights other than QUBIT's on the first factor exercise the bilinear exponent
 _TENSOR_SPACES = {
     "2(x)2": (QUBIT, QUBIT),
     "2(x)4": (QUBIT, QUBIT.tensor(QUBIT)),
