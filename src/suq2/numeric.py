@@ -55,6 +55,8 @@ word once per model, in two tables on the model, and a one-term expression
 that is its own normal form returns 0.0 without evaluating its word.  A
 table hit is the float a fresh evaluation gives and the sums keep their
 term order, so every deviation is the float it was without the tables.
+The coefficient table admits a fixed number of entries,
+``_COEFF_VALUES_CAP``; a coefficient met after that is evaluated each time.
 ``evaluate_element`` fills neither table.
 """
 
@@ -71,6 +73,11 @@ import numpy as np
 # tables; the dense dim x dim complex matrices that relations, spectrum and
 # ``evaluate_element`` scatter from them take 16 MiB each at this size.
 MAX_DIM = 1024
+
+# Entries ``_coeff_values`` admits per model; later coefficients are
+# evaluated each time they are met.  Fixed, like the term tables' cap in
+# ``scalars``: a long-lived model holds at most this many coefficients.
+_COEFF_VALUES_CAP = 4096
 
 # generator names of the 4-letter algebra, in the order words index them
 LETTERS = ("g", "g'", "a", "a'")
@@ -101,7 +108,9 @@ class TruncatedRep:
     coefficient object and per normal word and level count the model has
     compared, and nothing else.  A raw coefficient 1 keeps the engine's own
     coefficient objects; any other makes new products on each call, and
-    each of those adds an entry.
+    each of those adds an entry until ``_coeff_values`` holds
+    ``_COEFF_VALUES_CAP`` entries; after that a new coefficient is evaluated
+    and not stored.
     """
 
     qval: complex
@@ -283,10 +292,12 @@ def _coeff_value(rep, coeff):
     holds its coefficient, so an id is not reused while its entry stands.
     """
     entry = rep._coeff_values.get(id(coeff))
-    if entry is None:
-        value = complex(coeff) if isinstance(coeff, numbers.Rational) else coeff.evaluate(rep.qval)
-        entry = rep._coeff_values[id(coeff)] = (coeff, value)
-    return entry[1]
+    if entry is not None:
+        return entry[1]
+    value = complex(coeff) if isinstance(coeff, numbers.Rational) else coeff.evaluate(rep.qval)
+    if len(rep._coeff_values) < _COEFF_VALUES_CAP:
+        rep._coeff_values[id(coeff)] = (coeff, value)
+    return value
 
 
 def oracle_compare(rep, pres, raw_terms):

@@ -96,8 +96,8 @@ class AlgMatrix:
     def _check_compatible(self, other):
         if self.pres is not other.pres:
             raise PresentationMismatchError()
-        if self.space.dim != other.space.dim:
-            raise ValueError("shape mismatch")
+        if self.space.degrees != other.space.degrees:
+            raise ValueError("weight mismatch: the spaces' degrees differ")
 
     def __mul__(self, other):
         """Entry (r, c) is sum_k self[r, k] other[k, c], normalized in one pass."""

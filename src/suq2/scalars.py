@@ -37,9 +37,24 @@ one-term numerator, or a constant denominator, by that content gcd alone,
 with no polynomial gcd, and a monomial product needs no shortcut of its
 own: 2 * 1/(2q+2) is 1/(q+1).
 
-Polynomial dicts are never mutated after construction, so an operation may
-return an operand's dict unchanged (``_pshift`` by zero, ``_pmul`` by 1) and
-Scalars may share them.
+Polynomial dicts and their term tuples are never mutated after
+construction, so an operation may return an operand's dict unchanged
+(``_pshift`` by zero, ``_pmul`` by 1), Scalars may share dicts, and dicts
+may share term tuples.
+
+Terms are hash-consed (Filliâtre and Conchon, *Type-safe modular
+hash-consing*, ML Workshop 2006): every builder whose result can become a
+numerator or denominator, and every constructor, fetches each monomial key
+it makes from ``_KEYS`` and each Gaussian coefficient pair it makes from
+``_GI``, and a term it copies from an operand is already shared.  So equal
+terms met anywhere in the process are one tuple object.  A tuple is
+immutable and compares by value, so sharing changes no key, value or
+insertion order: equality, hashing, rendering, the order in which
+``evaluate`` sums the terms, and with it every float and every report, are
+what they would be without it.  Only the number of live tuples falls.  Each
+table admits at most ``_INTERN_CAP`` = 4,096 entries, and only tuples whose
+parts lie strictly within +-2**30 (one machine digit each); a term met after
+that stays unshared.  So each table holds at most about 0.65 MB.
 
 Most gcds are of coprime pairs, and a modular certificate proves that
 without the PRS (Brown, J. ACM 18, 1971; Geddes, Czapor and Labahn,
@@ -78,19 +93,51 @@ def _split(re, im=0):
 # Polynomials over Z[i]: dicts {(a, b): (re, im)} with no zero values.
 # ---------------------------------------------------------------------------
 
-_ONE_POLY = {(0, 0): (1, 0)}
+# Hash-consed terms (module docstring): a builder fetches each key from _KEYS
+# and each coefficient from _GI as ``_KEYS.get(k) or _share(_KEYS, k)``, so a
+# hit costs one lookup and no Python call (every term is a nonempty tuple).
+# The builders are plain loops, not comprehensions: on the one- and two-term
+# polynomials most operations build, a comprehension's own call costs about
+# what the lookups do (measured on CPython 3.11).
+_INTERN_CAP = 4096
+_INTERN_PART = 2**30
+_KEYS = {}
+_GI = {}
+
+
+def _share(table, t):
+    """t, a term the table lacks, entered as its own copy while there is room."""
+    if len(table) < _INTERN_CAP and -_INTERN_PART < min(t) and max(t) < _INTERN_PART:
+        table[t] = t
+    return t
+
+
+def _shared(f):
+    """f with every key and coefficient fetched from the term tables."""
+    return {
+        _KEYS.get(k) or _share(_KEYS, k): _GI.get(c) or _share(_GI, c)
+        for k, c in f.items()
+    }
+
+
+_ONE_POLY = _shared({(0, 0): (1, 0)})
 
 
 def _padd(f, g):
     out = dict(f)
     for k, (x, y) in g.items():
         a, b = out.get(k, (0, 0))
-        out[k] = (a + x, b + y)
+        c = (a + x, b + y)
+        out[k] = _GI.get(c) or _share(_GI, c)
     return {k: c for k, c in out.items() if c != (0, 0)}
 
 
 def _pneg(f):
-    return {k: (-x, -y) for k, (x, y) in f.items()}
+    out = {}
+    for k, (x, y) in f.items():
+        c = (-x, -y)
+        out[k] = _GI.get(c) or _share(_GI, c)
+    return out
 
 
 def _pmul(f, g):
@@ -104,13 +151,21 @@ def _pmul(f, g):
             k = (a1 + a2, b1 + b2)
             x, y = out.get(k, (0, 0))
             out[k] = (x + x1 * x2 - y1 * y2, y + x1 * y2 + y1 * x2)
-    return {k: c for k, c in out.items() if c != (0, 0)}
+    res = {}
+    for k, c in out.items():
+        if c != (0, 0):
+            res[_KEYS.get(k) or _share(_KEYS, k)] = _GI.get(c) or _share(_GI, c)
+    return res
 
 
 def _pshift(f, da, db):
     if da == db == 0:
         return f
-    return {(a + da, b + db): c for (a, b), c in f.items()}
+    out = {}
+    for (a, b), c in f.items():
+        k = (a + da, b + db)
+        out[_KEYS.get(k) or _share(_KEYS, k)] = c
+    return out
 
 
 def _mins(f):
@@ -119,12 +174,20 @@ def _mins(f):
 
 def _pswap(f):
     """Swap the two variables."""
-    return {(b, a): c for (a, b), c in f.items()}
+    out = {}
+    for (a, b), c in f.items():
+        k = (b, a)
+        out[_KEYS.get(k) or _share(_KEYS, k)] = c
+    return out
 
 
 def _pconj(f):
     """Swap the two variables and conjugate every coefficient."""
-    return {(b, a): (x, -y) for (a, b), (x, y) in f.items()}
+    out = {}
+    for (a, b), (x, y) in f.items():
+        k, c = (b, a), (x, -y)
+        out[_KEYS.get(k) or _share(_KEYS, k)] = _GI.get(c) or _share(_GI, c)
+    return out
 
 
 def _is_unit(f):
@@ -138,10 +201,14 @@ def _unit_normal(num, den):
     if x > 0 and y >= 0:
         return num, den
     ur, ui = (0, -1) if y > 0 else ((-1, 0) if x < 0 else (0, 1))
-    return tuple(
-        {k: (a * ur - b * ui, a * ui + b * ur) for k, (a, b) in p.items()}
-        for p in (num, den)
-    )
+    scaled = []
+    for p in (num, den):
+        out = {}
+        for k, (a, b) in p.items():
+            c = (a * ur - b * ui, a * ui + b * ur)
+            out[k] = _GI.get(c) or _share(_GI, c)
+        scaled.append(out)
+    return scaled
 
 
 def _peval(f, qv, qbv):
@@ -182,7 +249,11 @@ def _gi_divexact(u, v):
 
 def _pdivgi(f, g):
     """f / g for a Gaussian integer g dividing every coefficient of f."""
-    return {k: _gi_divexact(c, g) for k, c in f.items()}
+    out = {}
+    for k, v in f.items():
+        c = _gi_divexact(v, g)
+        out[k] = _GI.get(c) or _share(_GI, c)
+    return out
 
 
 def _gi_content(f, g=(0, 0)):
@@ -204,9 +275,10 @@ def _pdivexact(f, g):
     out = {}
     while f:
         fa, fb = max(f)
-        x, y = _gi_divexact(f[(fa, fb)], gc)
-        out[(fa - ga, fb - gb)] = (x, y)
-        f = _padd(f, _pmul({(fa - ga, fb - gb): (-x, -y)}, g))
+        x, y = c = _gi_divexact(f[(fa, fb)], gc)
+        k = (fa - ga, fb - gb)
+        out[_KEYS.get(k) or _share(_KEYS, k)] = _GI.get(c) or _share(_GI, c)
+        f = _padd(f, _pmul({k: (-x, -y)}, g))
     return out
 
 
@@ -307,7 +379,7 @@ def _pgcd(f, g):
         or max(g) == (0, 0)
         or _coprime_in(f, g, 0) and _coprime_in(f, g, 1)
     ):
-        return {(0, 0): _gi_content(g, _gi_content(f))}
+        return _shared({(0, 0): _gi_content(g, _gi_content(f))})
     return _pgcd_nontrivial(f, g)
 
 
@@ -405,7 +477,7 @@ class Scalar:
         if not isinstance(n, int):
             raise TypeError(f"from_int takes an int, not {type(n).__name__}")
         # one shared instance for each one-digit integer: Scalars are immutable
-        return _DIGITS[n] if 0 <= n <= 9 else Scalar({(0, 0): (n, 0)})
+        return _DIGITS[n] if 0 <= n <= 9 else Scalar(_shared({(0, 0): (n, 0)}))
 
     @staticmethod
     def gaussian(re, im=0):
@@ -416,7 +488,7 @@ class Scalar:
         c, scale = _split(re, im)
         if c == (0, 0):
             return _ZERO
-        return _quotient({(q_exp, qb_exp): c}, {(0, 0): (scale, 0)})
+        return _quotient(_shared({(q_exp, qb_exp): c}), _shared({(0, 0): (scale, 0)}))
 
     @staticmethod
     def zero():
@@ -685,8 +757,8 @@ def join_terms(terms):
 
 _ZERO = Scalar({})
 _ONE = Scalar(_ONE_POLY)
-_Q = Scalar({(1, 0): (1, 0)})
-_QBAR = Scalar({(0, 1): (1, 0)})
-_ZETA = Scalar({(1, -1): (1, 0)})
-_I = Scalar({(0, 0): (0, 1)})
-_DIGITS = (_ZERO, _ONE, *(Scalar({(0, 0): (n, 0)}) for n in range(2, 10)))
+_Q = Scalar(_shared({(1, 0): (1, 0)}))
+_QBAR = Scalar(_shared({(0, 1): (1, 0)}))
+_ZETA = Scalar(_shared({(1, -1): (1, 0)}))
+_I = Scalar(_shared({(0, 0): (0, 1)}))
+_DIGITS = (_ZERO, _ONE, *(Scalar(_shared({(0, 0): (n, 0)})) for n in range(2, 10)))

@@ -543,6 +543,19 @@ def test_repeated_coefficients_and_normal_words_are_evaluated_once(monkeypatch):
     assert sum(c is q for c in evaluated) == before + 1
 
 
+def test_a_full_coefficient_table_stores_nothing_more(monkeypatch):
+    monkeypatch.setattr(numeric, "_COEFF_VALUES_CAP", 2)
+    capped, uncapped = numeric.build(0.5 + 0.3j, 10, 4), numeric.build(0.5 + 0.3j, 10, 4)
+    q = Scalar.q()
+    # each raw coefficient is a new object, not 1, and so is its normal form's
+    raws = [[(q + Scalar.from_int(n), (2, 0))] for n in range(2, 7)]
+    capped_devs = [numeric.oracle_compare(capped, A, raw) for raw in raws]
+    assert len(capped._coeff_values) == 2
+    monkeypatch.setattr(numeric, "_COEFF_VALUES_CAP", 4096)
+    assert capped_devs == [numeric.oracle_compare(uncapped, A, raw) for raw in raws]
+    assert len(uncapped._coeff_values) == 10 and any(capped_devs)
+
+
 def test_own_normal_form_returns_zero_without_evaluating_a_word(monkeypatch):
     rep = numeric.build(0.5 + 0.3j, 10, 4)
 

@@ -177,6 +177,15 @@ def test_matrix_equality_compares_the_weights():
     assert U_FUND == AlgMatrix(A, GradedSpace((0, -1)), U_FUND.entries)
 
 
+def test_products_and_differences_refuse_other_weights():
+    # same dimension, other weights: the result would carry one side's weights
+    w = AlgMatrix(A, GradedSpace((5, 0)), U_FUND.entries)
+    for op in (lambda x, y: x * y, lambda x, y: x - y):
+        for x, y in ((U_FUND, w), (w, U_FUND)):
+            with pytest.raises(ValueError, match="weight mismatch"):
+                op(x, y)
+
+
 def mixed_leg_matrices(v, product):
     """The two mixed-leg images of an invariant matrix in a tensor square.
 

@@ -662,6 +662,93 @@ def test_operations_never_mutate_their_operands():
     assert [(x._num, x._den) for x in pool] == snapshot
 
 
+# -- hash-consed terms -----------------------------------------------------------
+
+
+@pytest.fixture
+def roomy_tables(monkeypatch):
+    """Copies of the term tables with room to spare, and a cold suq2 presentation.
+
+    Earlier tests can fill the process-wide tables, after which new terms stay
+    unshared; and a cached presentation's memo may hold terms built then.
+    """
+    from suq2 import algebra
+
+    monkeypatch.setattr(scalars_module, "_INTERN_CAP", 10**9)
+    monkeypatch.setattr(scalars_module, "_KEYS", dict(scalars_module._KEYS))
+    monkeypatch.setattr(scalars_module, "_GI", dict(scalars_module._GI))
+    monkeypatch.setattr(algebra, "_PRESENTATION_CACHE", {})
+    return suq2_presentation()
+
+
+def _terms(values):
+    """Every key and every coefficient of the Scalars' numerators and denominators."""
+    polys = [p for s in values for p in (s._num, s._den)]
+    return [k for p in polys for k in p], [c for p in polys for c in p.values()]
+
+
+def test_equal_terms_are_one_object(roomy_tables):
+    x, y = (Q + 2) * (QB + 3), (QB + 3) * (Q + 2)
+    assert x == y and list(x._num) != list(y._num)  # other insertion orders
+    assert {id(k) for k in x._num} == {id(k) for k in y._num}
+    assert {id(c) for c in x._num.values()} == {id(c) for c in y._num.values()}
+    s = (Q**2 * QB + 3 * I * Q - ZETA) / (2 * Q + I * QB + 1)
+    t = s.conjugate().conjugate()
+    for a, b in ((s._num, t._num), (s._den, t._den)):
+        assert len(a) > 1
+        assert all(ka is kb and a[ka] is b[kb] for ka, kb in zip(a, b))
+
+
+def _rational_product_texts(rng, count):
+    """Products of sums of (polynomial / polynomial) * letter, with small integer weights."""
+    nums = ("q", "qb", "zeta", "i", "q^2", "qb^2", "q*qb", "i*q", "zeta*qb")
+    dens = ("q", "qb", "q*qb")
+    letters = ("g", "g'", "a", "a'")
+
+    def term():
+        num = f"{rng.randint(0, 2)} + {rng.randint(1, 3)}*{rng.choice(nums)}"
+        den = f"{rng.randint(1, 3)} + {rng.randint(1, 3)}*{rng.choice(dens)}"
+        return f"(({num})/({den}))*{rng.choice(letters)}"
+
+    return [
+        "*".join("(" + " + ".join(term() for _ in range(n)) + ")" for n in (2, rng.randint(1, 2)))
+        for _ in range(count)
+    ]
+
+
+def test_kept_results_share_every_term(roomy_tables):
+    A = roomy_tables
+    results = []
+    for text in _rational_product_texts(random.Random(32), 200):
+        x = parse(text, A)
+        results += [x, x.adjoint()]
+    keys, coeffs = _terms(c for x in results for _, c in x.terms())
+    assert len(keys) > 4000 and len(coeffs) > 4000
+    assert len({id(k) for k in keys}) == len(set(keys))
+    assert len({id(c) for c in coeffs}) == len(set(coeffs))
+
+
+def test_full_tables_leave_terms_unshared_and_values_unchanged(monkeypatch):
+    def build():
+        # distinct numerators and denominators through products, sums and gcds
+        return [(Q**k + k) * (QB - k * I) / (Q * QB + k + 1) for k in range(2, 52)] + [
+            Scalar.from_int(2**40) * Q + 2**31 * I
+        ]
+
+    want = [x.render() for x in build()]
+    monkeypatch.setattr(scalars_module, "_INTERN_CAP", 8)
+    monkeypatch.setattr(scalars_module, "_KEYS", {})
+    monkeypatch.setattr(scalars_module, "_GI", {})
+    got = build()
+    assert len(scalars_module._KEYS) == len(scalars_module._GI) == 8
+    assert [x.render() for x in got] == want
+    # a part of 2**30 or more is never admitted, whatever the room
+    monkeypatch.setattr(scalars_module, "_INTERN_CAP", 4096)
+    monkeypatch.setattr(scalars_module, "_GI", {})
+    big = Scalar.from_int(2**40) * Q + 2**31 * I
+    assert big.render() == want[-1] and not scalars_module._GI.keys() & set(big._num.values())
+
+
 def _random_poly(rng, sympy, q, qb):
     """A random polynomial with fractional, imaginary, non-monic coefficients."""
     scalar, expr = Scalar.zero(), sympy.Integer(0)
