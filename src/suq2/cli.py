@@ -54,6 +54,7 @@ from .scalars import Scalar
 SCHEMA = 1
 EXIT_CLOSED_STDOUT = 141
 
+
 def _suq2_tensor(legs):
     A = suq2_presentation()
     return twisted_tensor([A] * legs, A.params["zeta"])
@@ -184,8 +185,7 @@ def _confluence_command(args):
         "result": "pass" if rep.ok else "fail",
         "residuals": [json.dumps(d, sort_keys=True) for d in rep.divergences],
         "paper_anchor": "every rule rewrites to deglex-smaller words and every "
-        "overlap and inclusion ambiguity resolves to one normal form (Bergman's "
-        "diamond lemma)",
+        "overlap ambiguity resolves to one normal form (Bergman's diamond lemma)",
         "details": {
             "certificate": rep.certificate,
             "critical_pairs": rep.critical_pairs,

@@ -43,18 +43,22 @@ construction, so an operation may return an operand's dict unchanged
 may share term tuples.
 
 Terms are hash-consed (Filliâtre and Conchon, *Type-safe modular
-hash-consing*, ML Workshop 2006): every builder whose result can become a
-numerator or denominator, and every constructor, fetches each monomial key
-it makes from ``_KEYS`` and each Gaussian coefficient pair it makes from
-``_GI``, and a term it copies from an operand is already shared.  So equal
-terms met anywhere in the process are one tuple object.  A tuple is
-immutable and compares by value, so sharing changes no key, value or
-insertion order: equality, hashing, rendering, the order in which
-``evaluate`` sums the terms, and with it every float and every report, are
-what they would be without it.  Only the number of live tuples falls.  Each
-table admits at most ``_INTERN_CAP`` = 4,096 entries, and only tuples whose
-parts lie strictly within +-2**30 (one machine digit each); a term met after
-that stays unshared.  So each table holds at most about 0.65 MB.
+hash-consing*, ML Workshop 2006) where a kept coefficient's terms are born:
+the product, sum and conjugate builders (``_pmul``, ``_padd``, ``_pconj``),
+the unit normalisation of ``Scalar.__init__`` (``_unit_normal``) and the
+constructors fetch each monomial key and Gaussian coefficient pair they make
+from one table, ``_PAIRS``; a key and a coefficient are both pairs of ints.
+Those four are enough: on the benchmark workloads, sharing in the other
+builders (negation, shifts, swaps, exact divisions, the constant gcd) saved
+no memory, while sharing in products and conjugates alone left 0.1 MB more
+live than all four.  A tuple is immutable and compares by value, so sharing
+changes no key, value or insertion order: equality, hashing, rendering, the
+order in which ``evaluate`` sums the terms, and with it every float and
+every report, are what they would be without it.  Only the number of live
+tuples falls.  The table admits at most ``_INTERN_CAP`` = 4,096 entries,
+and only pairs whose parts lie strictly within +-2**30 (one machine digit
+each); a pair met after that stays unshared.  So it holds at most about
+0.65 MB.
 
 Most gcds are of coprime pairs, and a modular certificate proves that
 without the PRS (Brown, J. ACM 18, 1971; Geddes, Czapor and Labahn,
@@ -73,6 +77,7 @@ to the primitive PRS, so the certificate never decides a gcd wrongly.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -89,33 +94,40 @@ def _split(re, im=0):
     return (int(re * scale), int(im * scale)), scale
 
 
+def _exponent(name, e):
+    """e as an int through ``operator.index``: True is 1, and 0.5 or "1" is refused."""
+    try:
+        return operator.index(e)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {type(e).__name__}") from None
+
+
 # ---------------------------------------------------------------------------
 # Polynomials over Z[i]: dicts {(a, b): (re, im)} with no zero values.
 # ---------------------------------------------------------------------------
 
-# Hash-consed terms (module docstring): a builder fetches each key from _KEYS
-# and each coefficient from _GI as ``_KEYS.get(k) or _share(_KEYS, k)``, so a
-# hit costs one lookup and no Python call (every term is a nonempty tuple).
-# The builders are plain loops, not comprehensions: on the one- and two-term
-# polynomials most operations build, a comprehension's own call costs about
-# what the lookups do (measured on CPython 3.11).
+# Hash-consed terms (module docstring): the four sharing builders fetch each
+# key and coefficient t as ``_PAIRS.get(t) or _share(t)``, so a hit costs one
+# lookup and no Python call (every term is a nonempty tuple).  Those four are
+# plain loops, not comprehensions: on the one- and two-term polynomials most
+# operations build, a comprehension's own call costs about what the lookups
+# do (measured on CPython 3.11).
 _INTERN_CAP = 4096
 _INTERN_PART = 2**30
-_KEYS = {}
-_GI = {}
+_PAIRS = {}
 
 
-def _share(table, t):
-    """t, a term the table lacks, entered as its own copy while there is room."""
-    if len(table) < _INTERN_CAP and -_INTERN_PART < min(t) and max(t) < _INTERN_PART:
-        table[t] = t
+def _share(t):
+    """t, a pair _PAIRS lacks, entered as its own copy while there is room."""
+    if len(_PAIRS) < _INTERN_CAP and -_INTERN_PART < min(t) and max(t) < _INTERN_PART:
+        _PAIRS[t] = t
     return t
 
 
 def _shared(f):
-    """f with every key and coefficient fetched from the term tables."""
+    """f with every key and coefficient fetched from the pair table."""
     return {
-        _KEYS.get(k) or _share(_KEYS, k): _GI.get(c) or _share(_GI, c)
+        _PAIRS.get(k) or _share(k): _PAIRS.get(c) or _share(c)
         for k, c in f.items()
     }
 
@@ -128,16 +140,12 @@ def _padd(f, g):
     for k, (x, y) in g.items():
         a, b = out.get(k, (0, 0))
         c = (a + x, b + y)
-        out[k] = _GI.get(c) or _share(_GI, c)
+        out[k] = _PAIRS.get(c) or _share(c)
     return {k: c for k, c in out.items() if c != (0, 0)}
 
 
 def _pneg(f):
-    out = {}
-    for k, (x, y) in f.items():
-        c = (-x, -y)
-        out[k] = _GI.get(c) or _share(_GI, c)
-    return out
+    return {k: (-x, -y) for k, (x, y) in f.items()}
 
 
 def _pmul(f, g):
@@ -154,18 +162,14 @@ def _pmul(f, g):
     res = {}
     for k, c in out.items():
         if c != (0, 0):
-            res[_KEYS.get(k) or _share(_KEYS, k)] = _GI.get(c) or _share(_GI, c)
+            res[_PAIRS.get(k) or _share(k)] = _PAIRS.get(c) or _share(c)
     return res
 
 
 def _pshift(f, da, db):
     if da == db == 0:
         return f
-    out = {}
-    for (a, b), c in f.items():
-        k = (a + da, b + db)
-        out[_KEYS.get(k) or _share(_KEYS, k)] = c
-    return out
+    return {(a + da, b + db): c for (a, b), c in f.items()}
 
 
 def _mins(f):
@@ -174,11 +178,7 @@ def _mins(f):
 
 def _pswap(f):
     """Swap the two variables."""
-    out = {}
-    for (a, b), c in f.items():
-        k = (b, a)
-        out[_KEYS.get(k) or _share(_KEYS, k)] = c
-    return out
+    return {(b, a): c for (a, b), c in f.items()}
 
 
 def _pconj(f):
@@ -186,7 +186,7 @@ def _pconj(f):
     out = {}
     for (a, b), (x, y) in f.items():
         k, c = (b, a), (x, -y)
-        out[_KEYS.get(k) or _share(_KEYS, k)] = _GI.get(c) or _share(_GI, c)
+        out[_PAIRS.get(k) or _share(k)] = _PAIRS.get(c) or _share(c)
     return out
 
 
@@ -206,7 +206,7 @@ def _unit_normal(num, den):
         out = {}
         for k, (a, b) in p.items():
             c = (a * ur - b * ui, a * ui + b * ur)
-            out[k] = _GI.get(c) or _share(_GI, c)
+            out[k] = _PAIRS.get(c) or _share(c)
         scaled.append(out)
     return scaled
 
@@ -249,11 +249,7 @@ def _gi_divexact(u, v):
 
 def _pdivgi(f, g):
     """f / g for a Gaussian integer g dividing every coefficient of f."""
-    out = {}
-    for k, v in f.items():
-        c = _gi_divexact(v, g)
-        out[k] = _GI.get(c) or _share(_GI, c)
-    return out
+    return {k: _gi_divexact(c, g) for k, c in f.items()}
 
 
 def _gi_content(f, g=(0, 0)):
@@ -275,10 +271,9 @@ def _pdivexact(f, g):
     out = {}
     while f:
         fa, fb = max(f)
-        x, y = c = _gi_divexact(f[(fa, fb)], gc)
-        k = (fa - ga, fb - gb)
-        out[_KEYS.get(k) or _share(_KEYS, k)] = _GI.get(c) or _share(_GI, c)
-        f = _padd(f, _pmul({k: (-x, -y)}, g))
+        x, y = _gi_divexact(f[(fa, fb)], gc)
+        out[(fa - ga, fb - gb)] = (x, y)
+        f = _padd(f, _pmul({(fa - ga, fb - gb): (-x, -y)}, g))
     return out
 
 
@@ -379,7 +374,7 @@ def _pgcd(f, g):
         or max(g) == (0, 0)
         or _coprime_in(f, g, 0) and _coprime_in(f, g, 1)
     ):
-        return _shared({(0, 0): _gi_content(g, _gi_content(f))})
+        return {(0, 0): _gi_content(g, _gi_content(f))}
     return _pgcd_nontrivial(f, g)
 
 
@@ -467,6 +462,9 @@ class Scalar:
             den = _ONE_POLY
         elif den is not _ONE_POLY:
             num, den = _unit_normal(num, den)
+            if den == _ONE_POLY:
+                # the shared 1, so that later operations skip _unit_normal
+                den = _ONE_POLY
         self._num = num
         self._den = den
 
@@ -485,10 +483,11 @@ class Scalar:
 
     @staticmethod
     def monomial(q_exp, qb_exp, re=1, im=0):
+        key = (_exponent("q_exp", q_exp), _exponent("qb_exp", qb_exp))
         c, scale = _split(re, im)
         if c == (0, 0):
             return _ZERO
-        return _quotient(_shared({(q_exp, qb_exp): c}), _shared({(0, 0): (scale, 0)}))
+        return _quotient(_shared({key: c}), _shared({(0, 0): (scale, 0)}))
 
     @staticmethod
     def zero():
