@@ -481,9 +481,23 @@ class Element:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("element powers must be nonnegative integers")
-        out = self.pres.unit()
-        for _ in range(n):
-            out = out * self
+        # a word of the power has at most n times the longest word's letters;
+        # one longer than the step budget is refused before it is built
+        length = n * max(map(len, self._terms), default=0)
+        budget = self.pres.DEFAULT_STEP_LIMIT
+        if length > budget:
+            raise RewriteLimitError(
+                f"a word of up to {length} letters exceeds the {budget}-step "
+                f"budget in '{self.pres.label}'"
+            )
+        # square repeatedly: the memo then keeps O(log n) words, not every prefix
+        out, base = self.pres.unit(), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def adjoint(self):

@@ -50,14 +50,17 @@ def twisted_tensor(factors, zeta):
                 lhs = tuple(i + base for i in rule.lhs)
                 rhs = tuple((c, tuple(i + base for i in w)) for c, w in rule.rhs)
                 rules.append(RewriteRule(lhs, rhs))
-        # cross-leg rules: [y][x] -> zeta^(-deg(x)*deg(y)) [x][y] for legs(y) > legs(x)
+        # cross-leg rules: [y][x] -> zeta^(-deg(x)*deg(y)) [x][y] for legs(y) > legs(x),
+        # one twist power per degree product
+        degrees = {g.degree for f in factors for g in f.generators}
+        twist = {k: zeta**-k for k in {d * e for d in degrees for e in degrees}}
         for i_leg in range(1, len(factors) + 1):
             for j_leg in range(i_leg + 1, len(factors) + 1):
                 fi, fj = factors[i_leg - 1], factors[j_leg - 1]
                 bi, bj = offsets[i_leg - 1], offsets[j_leg - 1]
                 for xi, gx in enumerate(fi.generators):
                     for yj, gy in enumerate(fj.generators):
-                        coeff = zeta ** (-(gx.degree * gy.degree))
+                        coeff = twist[gx.degree * gy.degree]
                         rules.append(
                             RewriteRule(
                                 (yj + bj, xi + bi),

@@ -23,6 +23,13 @@ report is written, as when a reader such as ``head`` stops early, the run
 ends with exit code 141 (:data:`EXIT_CLOSED_STDOUT`, the code a shell
 gives a process ended by SIGPIPE) and prints nothing more, on either
 stream.
+
+:func:`main` builds only the parser of the command that ``argv[0]`` names,
+which prints the same help and errors as that command's part of the full
+parser (:func:`build_parser`).  It builds the full parser, every command's,
+only when ``argv[0]`` names no command (``-h``, an unknown command, no
+arguments) or arguments are left over, so that those errors print the
+top-level usage line.
 """
 
 from __future__ import annotations
@@ -200,10 +207,39 @@ NUMERIC_TOL = {"relations": 1e-12, "compare": 1e-11, "spectrum": 1e-12}
 
 
 def _numeric_command(args):
+    qval = args.qval
+    qtext = f"{qval.real:g}" if qval.imag == 0 else f"{qval.real:g},{qval.imag:g}"
+    tol = NUMERIC_TOL[args.mode] if args.tol is None else args.tol
+    try:
+        ok, extra, lines, anchor = _numeric_result(args, tol)
+    except (OverflowError, ZeroDivisionError):
+        # at an extreme |q| a power of q leaves the float range: Python raises
+        # OverflowError, or ZeroDivisionError when a complex power underflows
+        # to 0 before its negative exponent inverts it
+        raise ValueError(
+            f"float-range: a power of q = {qtext} leaves the float range"
+        ) from None
+    report = {
+        "schema": SCHEMA,
+        "command": f"numeric {args.mode}",
+        "algebra": "suq2",
+        "qval": qtext,
+        "N": args.N,
+        "M": args.M,
+        "result": "pass" if ok else "fail",
+        "tolerance": tol,
+        **extra,
+        "residuals": lines,
+        "paper_anchor": anchor,
+    }
+    return report, 0 if ok else 1
+
+
+def _numeric_result(args, tol):
+    """``(ok, extra report fields, residual lines, paper anchor)`` of one numeric mode."""
     from . import numeric  # numpy loads only for this command
 
     rep = numeric.build(args.qval, args.N, args.M)
-    tol = NUMERIC_TOL[args.mode] if args.tol is None else args.tol
     extra = {}
     if args.mode == "relations":
         residuals = numeric.relation_residuals(rep)
@@ -245,21 +281,7 @@ def _numeric_command(args):
             else "the ladder operator has singular values |q|^n, each with "
             "the winding multiplicity"
         )
-    qval = args.qval
-    report = {
-        "schema": SCHEMA,
-        "command": f"numeric {args.mode}",
-        "algebra": "suq2",
-        "qval": f"{qval.real:g}" if qval.imag == 0 else f"{qval.real:g},{qval.imag:g}",
-        "N": args.N,
-        "M": args.M,
-        "result": "pass" if ok else "fail",
-        "tolerance": tol,
-        **extra,
-        "residuals": lines,
-        "paper_anchor": anchor,
-    }
-    return report, 0 if ok else 1
+    return ok, extra, lines, anchor
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -279,44 +301,36 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def build_parser():
-    ap = _ArgumentParser(
-        prog="suq2",
-        description="Symbolic engine for the braided q-deformed SU(2) family "
-        "at complex parameters, with a numeric operator oracle.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+def _add_common(p, handler):
+    p.add_argument("--out", metavar="PATH", help="also write the JSON report here")
+    p.set_defaults(handler=handler)
 
-    def add_common(p, handler):
-        p.add_argument("--out", metavar="PATH", help="also write the JSON report here")
-        p.set_defaults(handler=handler)
 
-    for name, nexpr, help_text in (
-        ("nf", 1, "normal form of an expression"),
-        ("deg", 1, "degree of an expression"),
-        ("mul", 2, "normalized product of two expressions"),
-        ("adjoint", 1, "adjoint of an expression"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+def _expression_arguments(nexpr):
+    def add(p):
         p.add_argument("--algebra", choices=ALGEBRAS, default="suq2")
         p.add_argument("--unicode", action="store_true", help="pretty generator names")
         p.add_argument("expr", nargs=nexpr, help="expression text")
-        add_common(p, _expression_command)
+        _add_common(p, _expression_command)
 
-    p = sub.add_parser("verify", help="run named identity checks")
+    return add
+
+
+def _verify_arguments(p):
     p.add_argument("check", choices=sorted(CHECKS) + ["all"])
     inert = "accepted, read by no check: every check is a finite proof"
     p.add_argument("--seed", type=int, default=1, help=inert)
     p.add_argument("--maxlen", type=int, default=3, help=inert)
     p.add_argument("--trials", type=int, default=200, help=inert)
-    add_common(p, _verify_command)
+    _add_common(p, _verify_command)
 
-    p = sub.add_parser("confluence", help="diamond-lemma proof that the rewrite "
-                       "rules are sound, for words of every length")
+
+def _confluence_arguments(p):
     p.add_argument("--algebra", choices=ALGEBRAS, default="suq2")
-    add_common(p, _confluence_command)
+    _add_common(p, _confluence_command)
 
-    p = sub.add_parser("numeric", help="truncated-operator oracle")
+
+def _numeric_arguments(p):
     p.add_argument("mode", choices=NUMERIC_TOL)
     p.add_argument("--q", dest="qval", type=_parse_qval, required=True,
                    metavar="RE[,IM]", help="numeric parameter value")
@@ -329,13 +343,54 @@ def build_parser():
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--tol", type=_tolerance, default=None,
                    help="override the tolerance")
-    add_common(p, _numeric_command)
+    _add_common(p, _numeric_command)
 
+
+# every command, in help order: its help line and what adds its arguments
+COMMANDS = {
+    "nf": ("normal form of an expression", _expression_arguments(1)),
+    "deg": ("degree of an expression", _expression_arguments(1)),
+    "mul": ("normalized product of two expressions", _expression_arguments(2)),
+    "adjoint": ("adjoint of an expression", _expression_arguments(1)),
+    "verify": ("run named identity checks", _verify_arguments),
+    "confluence": ("diamond-lemma proof that the rewrite rules are sound, "
+                   "for words of every length", _confluence_arguments),
+    "numeric": ("truncated-operator oracle", _numeric_arguments),
+}
+
+
+def build_parser():
+    """The full parser: ``suq2`` and a subparser for every command."""
+    ap = _ArgumentParser(
+        prog="suq2",
+        description="Symbolic engine for the braided q-deformed SU(2) family "
+        "at complex parameters, with a numeric operator oracle.",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return ap
 
 
+def _parse_args(argv):
+    """``argv`` parsed as by :func:`build_parser`, building only what it needs.
+
+    The command's own parser gets the prog the full parser would give it,
+    ``suq2 <command>``, so its help and its errors are the same.
+    """
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        parser = _ArgumentParser(prog=f"suq2 {name}")
+        COMMANDS[name][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = name
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         report, code = args.handler(args)
         _emit(report, args.out)

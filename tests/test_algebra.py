@@ -176,6 +176,37 @@ def test_normal_prefix_costs_one_step_a_letter(monkeypatch):
         A.reduce_word(word)
 
 
+@pytest.mark.parametrize(
+    "pres, text",
+    [
+        (A, "a + g"),
+        (A, "q*g'*a' - 2*a + 1"),
+        (torus_presentation(), "U + V'"),
+        (uq2_presentation(), "z*g + a'"),
+        (twisted_tensor([A, A], A.params["zeta"]), "j2(g) + j1(a')"),
+    ],
+)
+def test_powers_equal_repeated_products(pres, text):
+    x = parse(text, pres)
+    product = pres.unit()
+    for n in range(8):
+        assert x**n == product, n
+        product = product * x
+
+
+def test_power_longer_than_the_step_budget_is_refused_unbuilt(monkeypatch):
+    from suq2.errors import RewriteLimitError
+
+    pres = suq2_presentation(Scalar.q() ** 9)
+    x = pres.gen("g") * pres.gen("a")  # one word of two letters
+    monkeypatch.setattr(Presentation, "DEFAULT_STEP_LIMIT", 10)
+    assert x**5 == x * x * x * x * x
+    with pytest.raises(RewriteLimitError, match=r"^rewrite-limit: .*12 letters.*10-step"):
+        x**6
+    with pytest.raises(RewriteLimitError):
+        pres.gen("a") ** 99_999_999_999
+
+
 def test_fold_starts_after_the_normal_prefix(monkeypatch):
     calls = []
     times_letter = A.times_letter

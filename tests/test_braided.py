@@ -76,6 +76,25 @@ def test_degree_zero_cross_rules_carry_the_shared_one():
             assert (c is Scalar.one()) == flat, (x, y)
 
 
+def test_build_computes_each_twist_power_once(monkeypatch):
+    from suq2 import algebra
+
+    powers = []
+    power = Scalar.__pow__
+
+    def counted(self, n):
+        powers.append(n)
+        return power(self, n)
+
+    monkeypatch.setattr(algebra, "_PRESENTATION_CACHE", {})
+    monkeypatch.setattr(Scalar, "__pow__", counted)
+    fresh = twisted_tensor([A, A, A], ZETA)
+    # the degrees are 1, -1, 0, 0, so the products are -1, 0 and 1
+    assert sorted(powers) == [-1, 0, 1]
+    assert fresh is not A3
+    assert fresh.rules == A3.rules
+
+
 def test_embed_is_a_unital_star_homomorphism():
     x = A.gen("a") * A.gen("g") - A.gen("g'").scale(A.params["q"])
     y = A.gen("g") * A.gen("a'")

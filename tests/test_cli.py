@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import suq2
+from suq2 import cli
 from suq2.cli import EXIT_CLOSED_STDOUT, main
 
 
@@ -249,6 +250,19 @@ def test_non_finite_q_is_an_error(capsys, qval):
 
 
 @pytest.mark.parametrize(
+    "mode, qval",
+    [("compare", "1e200"), ("compare", "1e-200"), ("compare", "1e-320"), ("relations", "1e200")],
+)
+def test_extreme_q_is_a_float_range_error(capsys, mode, qval):
+    # Python's float and complex powers raise OverflowError or ZeroDivisionError here
+    assert main(["numeric", mode, "--q", qval]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: float-range: a power of q = ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "option, value",
     [
         ("--tol", "nan"),
@@ -443,6 +457,25 @@ def test_leading_minus_is_expression_text(tmp_path):
     assert json.loads(out.read_text())["result"] == "-γ*"
 
 
+def test_long_power_is_squared(capsys):
+    pres = suq2.suq2_presentation()
+    before = len(pres._memo)
+    code, report = run_cli(capsys, "nf", "a^5000")
+    assert (code, report["result"]) == (0, "a^5000")
+    # repeated squaring memoises a^2, a^4, ..., a^4096 and a few products
+    assert len(pres._memo) - before <= 2 * 13
+
+
+def test_power_beyond_the_step_budget_is_refused():
+    res = _run_module("nf", "a^99999999999")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == (
+        "error: rewrite-limit: a word of up to 99999999999 letters exceeds the "
+        "5000000-step budget in 'suq2'\n"
+    )
+
+
 def test_huge_scalar_powers(capsys):
     code, report = run_cli(capsys, "nf", "q^3000000")
     assert (code, report["result"]) == (0, "q^3000000")
@@ -582,3 +615,71 @@ def test_cli_survives_any_bounded_expression(text):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert json.loads(out.getvalue())["command"] == "nf"
+
+
+# -- one-command parsing -----------------------------------------------------------
+
+_PARSE_CASES = {
+    "help": ["-h"],
+    "nf-help": ["nf", "-h"],
+    "deg-help": ["deg", "-h"],
+    "mul-help": ["mul", "-h"],
+    "adjoint-help": ["adjoint", "--help"],
+    "verify-help": ["verify", "-h"],
+    "confluence-help": ["confluence", "-h"],
+    "numeric-help": ["numeric", "-h"],
+    "missing-expression": ["mul", "a"],
+    "missing-check": ["verify"],
+    "missing-q": ["numeric", "compare"],
+    "invalid-check": ["verify", "nope"],
+    "invalid-algebra": ["nf", "--algebra", "nope", "a"],
+    "invalid-q": ["numeric", "compare", "--q", "nope"],
+    "bogus-after-nf": ["nf", "a", "--bogus"],
+    "bogus-after-verify": ["verify", "all", "--bogus"],
+    "extra-expression": ["nf", "a", "b"],
+    "unknown-command": ["frobnicate"],
+    "no-arguments": [],
+    "nf": ["nf", "a*g"],
+    "nf-leading-minus": ["nf", "-q", "--algebra", "torus"],
+    "nf-after-dashes": ["nf", "--", "-q"],
+    "mul": ["mul", "a", "g'", "--unicode", "--out", "x.json"],
+    "verify-all": ["verify", "all", "--seed", "1", "--maxlen", "3", "--trials", "200"],
+    "confluence": ["confluence", "--algebra", "uq2"],
+    "numeric": ["numeric", "compare", "--q", "0.5,0.3", "--count", "3", "--tol", "0"],
+}
+
+
+def _parse_outcome(parse, argv):
+    """What ``parse(argv)`` returns or its exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as ex:
+            result = ("exit", ex.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES.values(), ids=_PARSE_CASES)
+def test_one_command_parser_matches_the_full_parser(argv):
+    one = _parse_outcome(cli._parse_args, list(argv))
+    full = _parse_outcome(lambda a: cli.build_parser().parse_args(a), list(argv))
+    assert one == full
+
+
+def test_main_builds_only_the_invoked_commands_parser(capsys, monkeypatch):
+    built = []
+    init = cli._ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._ArgumentParser, "__init__", counted)
+    assert main(["verify", "all"]) == 0
+    assert built == ["suq2 verify"]
+    built.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert built == ["suq2"] + [f"suq2 {name}" for name in cli.COMMANDS]
