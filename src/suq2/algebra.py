@@ -180,16 +180,8 @@ class Presentation:
     def degree_of_word(self, word):
         return sum(self.generators[i].degree for i in word)
 
-    def gen_index(self, name, leg=None):
-        if leg is None:
-            return self._index[name]
-        if not 1 <= leg < len(self.leg_offsets or ()):
-            raise ValueError(f"invalid leg {leg}")
-        lo, hi = self.leg_offsets[leg - 1 : leg + 1]
-        for i in range(lo, hi):
-            if self.generators[i].name == name:
-                return i
-        raise KeyError(name)
+    def gen_index(self, name):
+        return self._index[name]
 
     def split_legs(self, word):
         """The local word of each leg of a tensor-product ``word``, leg 1 first."""
@@ -360,20 +352,14 @@ class Presentation:
                         _accumulate(acc, w3, c * c3)
         return Element(self, acc)
 
-    def element(self, raw_terms):
-        return self.normalize_raw(raw_terms)
-
     def zero(self):
         return Element(self, {})
 
     def unit(self):
         return Element(self, {(): _ONE})
 
-    def gen(self, name_or_index, leg=None):
-        if isinstance(name_or_index, str):
-            i = self.gen_index(name_or_index, leg)
-        else:
-            i = name_or_index
+    def gen(self, name_or_index):
+        i = self._index[name_or_index] if isinstance(name_or_index, str) else name_or_index
         # elements are immutable and a lone letter is normal: one per generator
         el = self._gens.get(i)
         if el is None:
@@ -744,7 +730,7 @@ def _zpower(B, d):
 def free_presentation(names, degrees, label="free"):
     """A free graded *-algebra: generators x, x' per name, no rules."""
     gens = []
-    for name, d in zip(names, degrees):
+    for name, d in zip(names, degrees, strict=True):
         i = len(gens)
         gens.append(Generator(name, d, i + 1))
         gens.append(Generator(name + "'", -d, i))

@@ -212,10 +212,11 @@ def _numeric_command(args):
     tol = NUMERIC_TOL[args.mode] if args.tol is None else args.tol
     try:
         ok, extra, lines, anchor = _numeric_result(args, tol)
-    except (OverflowError, ZeroDivisionError):
+    except ArithmeticError:
         # at an extreme |q| a power of q leaves the float range: Python raises
         # OverflowError, or ZeroDivisionError when a complex power underflows
-        # to 0 before its negative exponent inverts it
+        # to 0 before its negative exponent inverts it, and the spectrum's
+        # expected singular values raise FloatingPointError when they underflow
         raise ValueError(
             f"float-range: a power of q = {qtext} leaves the float range"
         ) from None

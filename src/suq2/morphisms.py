@@ -143,10 +143,6 @@ class GenMorphism:
                 out.append(f"{g.name} image has degree {d}")
         return out
 
-    def is_equivariant(self):
-        """Pass iff there are no degree residuals."""
-        return not self.degree_residuals()
-
     def __repr__(self):
         return f"<GenMorphism {self.name}: {self.source.label} -> {self.target.label}>"
 
@@ -222,7 +218,7 @@ def tensor_morphism(morphisms, target):
                 "with another twist"
             )
         m._require_verified()
-        if not m.is_equivariant():
+        if m.degree_residuals():
             raise ValueError(
                 "tensor_morphism needs degree-preserving (equivariant) morphisms"
             )
@@ -240,12 +236,10 @@ def tensor_morphism(morphisms, target):
 
 
 def equal_on_generators(f, g):
-    """Morphism equality, decided on generators (they generate the source)."""
+    """Morphism equality on the defining images: the starred ones are their adjoints."""
     if f.source is not g.source or f.target is not g.target:
         raise PresentationMismatchError()
-    return all(
-        f.letter_image(i) == g.letter_image(i) for i in range(f.source.n_gens)
-    )
+    return f.images == g.images
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +292,8 @@ def delta_uq2(qparam=None):
             pairs = []
             for w, c in el.terms():
                 x1, x2 = AA.split_legs(w)
-                head = B.element([(c, x1)]) * _zpower(B, A.degree_of_word(x2))
-                pairs.append((embed(BB, 1, head), embed(BB, 2, B.element([(1, x2)]))))
+                head = B.normalize_raw([(c, x1)]) * _zpower(B, A.degree_of_word(x2))
+                pairs.append((embed(BB, 1, head), embed(BB, 2, B.normalize_raw([(1, x2)]))))
             return BB.product_sum(pairs)
 
         images = {i: lift(el) for i, el in delta.images.items()}

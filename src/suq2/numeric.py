@@ -117,10 +117,14 @@ class TruncatedRep:
     N: int
     M: int
     radial_tables: tuple
-    transported: bool = False
 
     def __post_init__(self):
         self._coeff_values, self._word_values = {}, {}
+
+    @property
+    def transported(self):
+        """Derived from ``qval``: at |q| > 1 ``build`` transports the model at 1/q."""
+        return abs(self.qval) > 1
 
     @property
     def dim(self):
@@ -199,7 +203,7 @@ def build(qval, N, M):
         # alpha -> alpha*, gamma -> q^-1 gamma
         g, _, _, astar = build(1 / qval, N, M).radial_tables
         gamma = (0, 1, g[2] / qval)
-        return TruncatedRep(qval, N, M, _tables(M, gamma, astar), transported=True)
+        return TruncatedRep(qval, N, M, _tables(M, gamma, astar))
     qc = qval.conjugate()
     mod2 = abs(qval) ** 2
     gamma = [qc**n for n in range(N + 1)]
@@ -370,10 +374,13 @@ def expected_singular_values(rep):
     """|q|^n for 0 <= n <= N, each M times, in descending order.
 
     A model transported from 1/q has gamma = gamma(1/q) / q, whose singular
-    values are |q|^-(n+1) instead.
+    values are |q|^-(n+1) instead.  A value that underflows below the normal
+    floats leaves no relative deviation to measure: ``FloatingPointError``.
     """
     r = abs(rep.qval)
     base = [r ** (-n - 1 if rep.transported else n) for n in range(rep.N + 1)]
+    if min(base) < np.finfo(float).tiny:
+        raise FloatingPointError(f"an expected singular value underflows at |q| = {r:g}")
     return np.repeat(sorted(base, reverse=True), rep.M)
 
 

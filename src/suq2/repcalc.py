@@ -33,6 +33,8 @@ entry).
 
 from __future__ import annotations
 
+import operator
+
 from .algebra import _as_scalar, _zpower, free_presentation, suq2_presentation
 from .braided import embed
 from .errors import NotInvariantError, PresentationMismatchError
@@ -43,7 +45,7 @@ class GradedSpace:
     """A finite-dimensional space with integer circle weights."""
 
     def __init__(self, degrees):
-        self.degrees = tuple(int(d) for d in degrees)
+        self.degrees = tuple(map(operator.index, degrees))
 
     @property
     def dim(self):

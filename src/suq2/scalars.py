@@ -55,10 +55,14 @@ live than all four.  A tuple is immutable and compares by value, so sharing
 changes no key, value or insertion order: equality, hashing, rendering, the
 order in which ``evaluate`` sums the terms, and with it every float and
 every report, are what they would be without it.  Only the number of live
-tuples falls.  The table admits at most ``_INTERN_CAP`` = 4,096 entries,
-and only pairs whose parts lie strictly within +-2**30 (one machine digit
-each); a pair met after that stays unshared.  So it holds at most about
-0.65 MB.
+tuples falls.  The table admits only pairs whose parts lie strictly within
++-2**30 (one machine digit each) and holds at most ``_INTERN_CAP`` = 4,096
+entries, so at most about 0.65 MB.  A pair met when it is full starts a
+new generation: the table is emptied down to the terms of the module's
+constants (1, q, qb, zeta, i and the digits, which sums copy into their
+results) and then holds that pair.  Terms shared by an earlier generation
+stay shared among themselves; a long-lived process that meets more than
+4,096 distinct pairs keeps sharing its latest ones instead of none.
 
 Most gcds are of coprime pairs, and a modular certificate proves that
 without the PRS (Brown, J. ACM 18, 1971; Geddes, Czapor and Labahn,
@@ -118,8 +122,11 @@ _PAIRS = {}
 
 
 def _share(t):
-    """t, a pair _PAIRS lacks, entered as its own copy while there is room."""
-    if len(_PAIRS) < _INTERN_CAP and -_INTERN_PART < min(t) and max(t) < _INTERN_PART:
+    """t, a pair _PAIRS lacks, entered as its own copy; a full table starts over."""
+    if -_INTERN_PART < min(t) and max(t) < _INTERN_PART:
+        if len(_PAIRS) >= _INTERN_CAP:
+            _PAIRS.clear()
+            _PAIRS.update(_CONSTANT_PAIRS)
         _PAIRS[t] = t
     return t
 
@@ -538,10 +545,6 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other._num:
-            return self
-        if not self._num:
-            return other
         n1, d1, n2, d2 = self._num, self._den, other._num, other._den
         if d1 == d2:
             if d1 == _ONE_POLY:
@@ -761,3 +764,5 @@ _QBAR = Scalar(_shared({(0, 1): (1, 0)}))
 _ZETA = Scalar(_shared({(1, -1): (1, 0)}))
 _I = Scalar(_shared({(0, 0): (0, 1)}))
 _DIGITS = (_ZERO, _ONE, *(Scalar(_shared({(0, 0): (n, 0)})) for n in range(2, 10)))
+# the constants' terms, which every generation of the pair table starts with
+_CONSTANT_PAIRS = dict(_PAIRS)

@@ -202,8 +202,8 @@ def test_criterion_10_degree_laws():
     ok = True
     for _ in range(_CASES):
         w1, w2 = _random_word(rng), _random_word(rng)
-        x = A.element([(1, w1)])
-        y = A.element([(1, w2)])
+        x = A.normalize_raw([(1, w1)])
+        y = A.normalize_raw([(1, w2)])
         prod = x * y
         if prod.is_zero():
             ok = ok and prod.degree() == "zero"
@@ -229,7 +229,7 @@ def test_criterion_10_cross_commutation_witness():
     for _ in range(_CASES):
         xw = _random_word(rng, maxlen=3)
         yw = _random_word(rng, maxlen=3)
-        x, y = A.element([(1, xw)]), A.element([(1, yw)])
+        x, y = A.normalize_raw([(1, xw)]), A.normalize_raw([(1, yw)])
         k, l = A.degree_of_word(xw), A.degree_of_word(yw)
         lhs = embed(AA, 1, x) * embed(AA, 2, y)
         rhs = (embed(AA, 2, y) * embed(AA, 1, x)).scale(ZETA ** (k * l))

@@ -251,10 +251,12 @@ def test_non_finite_q_is_an_error(capsys, qval):
 
 @pytest.mark.parametrize(
     "mode, qval",
-    [("compare", "1e200"), ("compare", "1e-200"), ("compare", "1e-320"), ("relations", "1e200")],
+    [("compare", "1e200"), ("compare", "1e-200"), ("compare", "1e-320"), ("relations", "1e200")]
+    + [("spectrum", q) for q in ("1e-160", "1e160", "1e200", "1e-320")],
 )
 def test_extreme_q_is_a_float_range_error(capsys, mode, qval):
-    # Python's float and complex powers raise OverflowError or ZeroDivisionError here
+    # Python's float and complex powers raise OverflowError or ZeroDivisionError
+    # here, and the spectrum's expected singular values |q|^n underflow
     assert main(["numeric", mode, "--q", qval]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -324,7 +326,8 @@ def test_word_longer_than_the_model_interior_is_a_labelled_error():
 def _module_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(suq2.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return dict(os.environ, PYTHONPATH=path)
+    # warnings are errors, as pyproject.toml makes them for in-process tests
+    return dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error")
 
 
 def _run_module(*argv):

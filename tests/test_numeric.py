@@ -322,7 +322,7 @@ def test_evaluate_element_equals_the_column_gathers(qv, N, M):
     long_words = [(3,) * 12 + (2,) * 12, (2,) * 12 + (3,) * 12, (0,) * 20, (2,) * 12]
     elements = [Element(A, {w: Scalar.q()}) for w in long_words]
     for _ in range(40):
-        elements.append(A.element([
+        elements.append(A.normalize_raw([
             (rng.choice(coeffs), tuple(rng.randrange(4) for _ in range(rng.randint(0, 14))))
             for _ in range(rng.randint(1, 3))
         ]))
@@ -405,7 +405,7 @@ def test_depth_errors_carry_stable_labels():
 
 def test_conjugation_consistency_on_core_block():
     rep = numeric.build(0.5, 16, 5)
-    x = A.element([(Scalar.q(), (2, 0, 1)), (ONE, (3, 3))])
+    x = A.normalize_raw([(Scalar.q(), (2, 0, 1)), (ONE, (3, 3))])
     direct = numeric.evaluate_element(rep, x)
     star = numeric.evaluate_element(rep, x.adjoint())
     mask = rep.interior_mask(4)
@@ -588,7 +588,7 @@ def test_own_normal_form_with_a_huge_coefficient_is_compared_as_before():
 
 def test_evaluate_element_leaves_the_tables_empty():
     rep = numeric.build(0.5 + 0.3j, 10, 4)
-    x = A.element([(Scalar.q(), (2, 0, 3)), (ONE, (1, 2))])
+    x = A.normalize_raw([(Scalar.q(), (2, 0, 3)), (ONE, (1, 2))])
     numeric.evaluate_element(rep, x)
     assert rep._coeff_values == {} and rep._word_values == {}
     numeric.oracle_compare(rep, A, [(Scalar.q(), (2, 0, 3))])

@@ -12,6 +12,7 @@ from suq2 import (
     ParseError,
     Scalar,
     delta_su,
+    embed,
     parse,
     suq2_presentation,
     torus_presentation,
@@ -114,7 +115,8 @@ _SCALAR_ATOMS = {
 
 def _mixed(rng, pres, depth, leg=None, scalar_only=False):
     """A random (text, value, is_scalar): value built from pres.scalar, pres.gen,
-    +, *, .scale and .adjoint; generators come from leg ``leg`` of a tensor product."""
+    +, *, .scale and .adjoint; generators come from leg ``leg`` of a tensor
+    product, through ``embed``."""
     if depth == 0 or rng.random() < 0.25:
         if scalar_only or rng.random() < 0.5:
             if rng.random() < 0.4:
@@ -123,7 +125,9 @@ def _mixed(rng, pres, depth, leg=None, scalar_only=False):
             name = rng.choice(sorted(_SCALAR_ATOMS))
             return name, pres.scalar(_SCALAR_ATOMS[name]), True
         name = rng.choice(["a", "g", "a'", "g'"])
-        return name, pres.gen(name, leg), False
+        if leg is None:
+            return name, pres.gen(name), False
+        return name, embed(pres, leg, pres.factors[leg - 1].gen(name)), False
     op = rng.choice("+-*/'^~")
     t1, v1, s1 = _mixed(rng, pres, depth - 1, leg, scalar_only)
     if op in "+-*":
@@ -168,7 +172,7 @@ def test_scalar_lane_matches_the_element_api():
         text = "*".join(f"j{n}({t})" for n, (t, _, _) in zip((1, 2), legs))
         assert parse(text, AA) == legs[0][1] * legs[1][1], text
     assert parse("j1(2*q)", AA) == AA.scalar(Scalar.from_int(2) * Q)
-    assert parse("j2(2*q)*j1(a)", AA) == AA.gen("a", 1).scale(Scalar.from_int(2) * Q)
+    assert parse("j2(2*q)*j1(a)", AA) == embed(AA, 1, A.gen("a")).scale(Scalar.from_int(2) * Q)
     assert parse("(q+1)^3", A) == (A.scalar(Q) + 1) ** 3
     assert parse("(q+1)'^-2 * a", A) == A.gen("a").scale((Scalar.qbar() + 1) ** -2)
     assert parse("-q/(qb+1)", A) == A.scalar(-Q * (Scalar.qbar() + 1).inverse())

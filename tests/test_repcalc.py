@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from suq2 import (
@@ -175,6 +176,22 @@ def test_matrix_equality_compares_the_weights():
     assert U_FUND != same_entries
     assert U_FUND.is_invariant() and not same_entries.is_invariant()
     assert U_FUND == AlgMatrix(A, GradedSpace((0, -1)), U_FUND.entries)
+
+
+def test_weights_are_integers():
+    # a fractional weight is refused, not truncated to the integer below it
+    for weights in ((0.5, -1.7), (0, 1.0), ("1",)):
+        with pytest.raises(TypeError):
+            GradedSpace(weights)
+    assert GradedSpace((True, np.int64(-2))).degrees == (1, -2)
+    assert all(type(d) is int for d in GradedSpace((True, np.int64(-2))).degrees)
+
+
+def test_free_presentation_needs_one_degree_per_name():
+    for names, degrees in ((("a", "b"), (0,)), (("a",), (0, 1))):
+        with pytest.raises(ValueError):
+            free_presentation(names, degrees)
+    assert free_presentation(("a", "b"), (0, 1)).n_gens == 4
 
 
 def test_products_and_differences_refuse_other_weights():

@@ -681,8 +681,9 @@ def test_operations_never_mutate_their_operands():
 def roomy_tables(monkeypatch):
     """A copy of the pair table with room to spare, and a cold suq2 presentation.
 
-    Earlier tests can fill the process-wide table, after which new terms stay
-    unshared; and a cached presentation's memo may hold terms built then.
+    Earlier tests can fill the process-wide table, which then starts over
+    from the constants' terms; and a cached presentation's memo may hold
+    terms that an earlier generation of the table shared.
     """
     from suq2 import algebra
 
@@ -791,7 +792,7 @@ def test_a_cold_run_all_normalises_few_units(roomy_tables, monkeypatch):
     assert 0 < len(calls) <= 60
 
 
-def test_full_tables_leave_terms_unshared_and_values_unchanged(monkeypatch):
+def test_a_full_table_starts_a_new_generation_and_values_stay(monkeypatch):
     def build():
         # distinct numerators and denominators through products, sums and gcds
         return [(Q**k + k) * (QB - k * I) / (Q * QB + k + 1) for k in range(2, 52)] + [
@@ -799,11 +800,20 @@ def test_full_tables_leave_terms_unshared_and_values_unchanged(monkeypatch):
         ]
 
     want = [x.render() for x in build()]
-    monkeypatch.setattr(scalars_module, "_INTERN_CAP", 8)
+    constants = scalars_module._CONSTANT_PAIRS
+    cap = len(constants) + 8
+    monkeypatch.setattr(scalars_module, "_INTERN_CAP", cap)
     monkeypatch.setattr(scalars_module, "_PAIRS", {})
     got = build()
-    assert len(scalars_module._PAIRS) == 8
+    assert len(constants) < len(scalars_module._PAIRS) <= cap
     assert [x.render() for x in got] == want
+    # a pair met when the table is full empties it down to the constants' terms
+    # and is shared in the new generation
+    full = {(n, -n): (n, -n) for n in range(100, 100 + cap)}
+    monkeypatch.setattr(scalars_module, "_PAIRS", full)
+    ((k, c),) = scalars_module._pmul({(7, 0): (3, 0)}, {(0, 5): (5, 1)}).items()
+    assert full == {**constants, k: k, c: c} and full[k] is k and full[c] is c
+    assert all(full[t] is t for t in constants.values())
     # a part of 2**30 or more is never admitted, whatever the room
     monkeypatch.setattr(scalars_module, "_INTERN_CAP", 4096)
     monkeypatch.setattr(scalars_module, "_PAIRS", {})
